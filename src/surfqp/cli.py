@@ -309,16 +309,27 @@ def _emit_report(report: dict, as_json: bool) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error (exit 2)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--genus", type=int, default=1, help="surface genus (default 1)")
     common.add_argument("--punctures", type=int, default=1,
                         help="boundary components beyond the based one (default 1)")
-    common.add_argument("--dim", type=int, default=2, help="matrix size N (default 2)")
+    common.add_argument("--dim", type=_int_at_least(1), default=2,
+                        help="matrix size N (default 2)")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--trials", type=int, default=None,
+    common.add_argument("--trials", type=_int_at_least(1), default=None,
                         help="override per-suite trial counts")
-    common.add_argument("--max-word-len", type=int, default=4,
+    common.add_argument("--max-word-len", type=_int_at_least(0), default=4,
                         help="sampled word length bound (default 4)")
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON reports")

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .algebra import AlgElem, Tensor2, Tensor3, m2, permute, tensor3
 from .foxpairing import Pairing, SurfaceFoxPairing
-from .words import CyclicWord, SurfaceSignature, Word, sample_word, trial_rng
+from .words import CyclicWord, Letter, SurfaceSignature, Word, sample_word, trial_rng
 
 ElemLike = Union[AlgElem, Word]
 
@@ -76,50 +76,21 @@ def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
     return Tensor2(out)
 
 
-# word-level outer/inner actions, used heavily by the recursion
-def _outer_left(y: Word, t: Tensor2) -> Tensor2:
-    return Tensor2({(y * k1, k2): c for (k1, k2), c in t.items()})
-
-
-def _outer_right(t: Tensor2, y: Word) -> Tensor2:
-    out: dict = {}
-    for (k1, k2), c in t.items():
-        key = (k1, k2 * y)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return Tensor2(out)
-
-
-def _inner_left(x: Word, t: Tensor2) -> Tensor2:
-    # x * (a1 (x) a2) = a1 (x) x a2
-    return Tensor2({(k1, x * k2): c for (k1, k2), c in t.items()})
-
-
-def _inner_right(t: Tensor2, x: Word) -> Tensor2:
-    # (a1 (x) a2) * x = a1 x (x) a2
-    out: dict = {}
-    for (k1, k2), c in t.items():
-        key = (k1 * x, k2)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return Tensor2(out)
-
-
 class SurfaceDoubleBracket:
     """The surface double bracket, computed from its generator-pair table.
 
-    The table stores the value on every ordered pair of positive generators;
-    pairs above the diagonal come from the displayed values, pairs below from
-    skew-symmetry.  Longer words are handled by the derivation rule in the
-    second slot, its inner-action counterpart in the first slot, and the
-    inverse-letter rules.  The memo dict only ever maps a word pair to its
-    finished value, so concurrent readers are safe.
+    The table stores the value on every ordered pair of positive generators:
+    above the diagonal the displayed values, below it their skew-symmetric
+    images.  The inverse-letter rules dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2)
+    and dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1) extend it once to the table T
+    over all signed letter pairs.  The derivation rules in both slots then
+    integrate to a closed double sum over letter positions:
+
+        dbl(x1...xn, y1...ym) = sum_{i,j} sum_{a (x) b in T(x_i, y_j)}
+                                (y_{<j} a x_{>i}) (x) (x_{<i} b y_{>j}).
+
+    The memo maps each whole word pair bracketed so far to its finished
+    value, never a pair of suffixes; concurrent readers are safe.
     """
 
     def __init__(self, sig: SurfaceSignature):
@@ -131,6 +102,13 @@ class SurfaceDoubleBracket:
         for i in range(sig.rank):
             for j in range(i):
                 self._table[(i, j)] = -permute(self._table[(j, i)], (2, 1))
+        self._signed: dict[tuple[Letter, Letter], tuple] = {}
+        for (i, j), t in self._table.items():
+            for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                x = Word.generator(i, -1) if ex < 0 else Word.identity()
+                y = Word.generator(j, -1) if ey < 0 else Word.identity()
+                self._signed[((i, ex), (j, ey))] = tuple(
+                    ((y * a1 * x, x * a2 * y), ex * ey * c) for (a1, a2), c in t.items())
         self._memo: dict[tuple[Word, Word], Tensor2] = {}
 
     def _display_value(self, i: int, j: int) -> Tensor2:
@@ -154,43 +132,29 @@ class SurfaceDoubleBracket:
         out = Tensor2.zero()
         for v, cv in a.items():
             for w, cw in b.items():
-                out = out + self._words(v, w).scale(cv * cw)
+                value = self._memo.get((v, w))
+                if value is None:
+                    value = self._memo[(v, w)] = self._pair(v, w)
+                out = out + value.scale(cv * cw)
         return out
 
-    def _words(self, v: Word, w: Word) -> Tensor2:
-        if v.is_identity() or w.is_identity():
-            return Tensor2.zero()
-        key = (v, w)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if len(v) > 1:
-            x = Word.generator(*v.letters[0])
-            rest = Word(v.letters[1:], _reduced=True)
-            out = _inner_left(x, self._words(rest, w)) + _inner_right(self._words(x, w), rest)
-        elif len(w) > 1:
-            y = Word.generator(*w.letters[0])
-            rest = Word(w.letters[1:], _reduced=True)
-            out = _outer_left(y, self._words(v, rest)) + _outer_right(self._words(v, y), rest)
-        else:
-            out = self._letters(v, w)
-        self._memo[key] = out
-        return out
-
-    def _letters(self, v: Word, w: Word) -> Tensor2:
-        (i, ei), = v.letters
-        (j, ej), = w.letters
-        if ei < 0:
-            t = self._words(v.inverse(), w)
-            return -_inner_left(v, _inner_right(t, v))
-        if ej < 0:
-            t = self._words(v, w.inverse())
-            return -_outer_left(w, _outer_right(t, w))
-        return self._table[(i, j)]
-
-
-def make_dbl_s(sig: SurfaceSignature) -> SurfaceDoubleBracket:
-    return SurfaceDoubleBracket(sig)
+    def _pair(self, v: Word, w: Word) -> Tensor2:
+        """The closed double sum on one pair of words."""
+        xs, ys = v.letters, w.letters
+        y_pre = [Word(ys[:j], _reduced=True) for j in range(len(ys))]
+        y_post = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
+        out: dict = {}
+        for i, x in enumerate(xs):
+            xa, xb = Word(xs[:i], _reduced=True), Word(xs[i + 1:], _reduced=True)
+            for y, ya, yb in zip(ys, y_pre, y_post):
+                for (a1, a2), c in self._signed[(x, y)]:
+                    key = (ya * a1 * xb, xa * a2 * yb)
+                    acc = out.get(key, 0) + c
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return Tensor2(out)
 
 
 def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:

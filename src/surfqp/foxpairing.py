@@ -15,10 +15,11 @@ double bracket.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Union
 
 from .algebra import AlgElem
-from .words import SurfaceSignature, Word
+from .words import Letter, SurfaceSignature, Word
 
 Pairing = Callable[[AlgElem, AlgElem], AlgElem]
 ElemLike = Union[AlgElem, Word]
@@ -54,17 +55,31 @@ def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
 class SurfaceFoxPairing:
     """The homotopy intersection pairing eta for a fixed signature.
 
-    The stored data is the value on ordered generator pairs x <= y only;
-    pairs with x > y go through the transpose identity
-    eta(x, y) = x S(etabar(y, x)) y with etabar = -eta - rho_1, inverse
-    letters through eta(x^-1, b) = -x^-1 eta(x, b) and
-    eta(a, y^-1) = -eta(a, y) y^-1, and longer words through the Fox rules,
-    peeling the leftmost letter of the first slot, then of the second.
-    Instances are immutable; evaluation uses call-local caches only.
+    The stored data is the value on ordered generator pairs x <= y only.
+    Construction extends it once to all signed letter pairs: x > y by the
+    transpose identity eta(x, y) = x S(etabar(y, x)) y, etabar = -eta - rho_1,
+    inverse letters by eta(x^-1, b) = -x^-1 eta(x, b) and
+    eta(a, y^-1) = -eta(a, y) y^-1.  The Fox rules integrate to the closed
+    double sum eta(x1...xn, y1...ym) = sum_{i,j} x_{<i} eta(x_i, y_j) y_{>j}
+    over letter positions, evaluated directly: no recursion and no cache.
     """
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
+        self._table: dict[tuple[Letter, Letter], tuple] = {}
+        for i in range(sig.rank):
+            for j in range(sig.rank):
+                x, y = Word.generator(i), Word.generator(j)
+                if i <= j:
+                    val = self.base(i, j)
+                else:
+                    etabar = -self.base(j, i) - rho_1(y, x)
+                    val = AlgElem.from_word(x) * etabar.antipode() * AlgElem.from_word(y)
+                for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    left = x.inverse() if ex < 0 else Word.identity()
+                    right = y.inverse() if ey < 0 else Word.identity()
+                    self._table[((i, ex), (j, ey))] = tuple(
+                        (left * u * right, ex * ey * c) for u, c in val.items())
 
     def base(self, i: int, j: int) -> AlgElem:
         """Table value on the ordered generator pair (i, j), i <= j."""
@@ -86,49 +101,22 @@ class SurfaceFoxPairing:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         a, b = _as_elem(a), _as_elem(b)
-        cache: dict[tuple[Word, Word], AlgElem] = {}
-        out = AlgElem.zero()
+        out: dict[Word, Fraction] = {}
         for v, cv in a.items():
             for w, cw in b.items():
-                out = out + self._words(v, w, cache).scale(cv * cw)
-        return out
-
-    def _words(self, v: Word, w: Word, cache: dict) -> AlgElem:
-        if v.is_identity() or w.is_identity():
-            return AlgElem.zero()
-        key = (v, w)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if len(v) > 1:
-            x = Word.generator(*v.letters[0])
-            rest = Word(v.letters[1:], _reduced=True)
-            # eps of any group element is 1, so the first Fox rule reads
-            # eta(x rest, w) = eta(x, w) + x eta(rest, w)
-            out = self._words(x, w, cache) + AlgElem.from_word(x) * self._words(rest, w, cache)
-        elif len(w) > 1:
-            y = Word.generator(*w.letters[0])
-            rest = Word(w.letters[1:], _reduced=True)
-            out = self._words(v, y, cache) * AlgElem.from_word(rest) + self._words(v, rest, cache)
-        else:
-            out = self._letters(v, w, cache)
-        cache[key] = out
-        return out
-
-    def _letters(self, v: Word, w: Word, cache: dict) -> AlgElem:
-        (i, ei), = v.letters
-        (j, ej), = w.letters
-        if ei < 0:
-            pos = Word.generator(i)
-            return -(AlgElem.from_word(v) * self._words(pos, w, cache))
-        if ej < 0:
-            pos = Word.generator(j)
-            return -(self._words(v, pos, cache) * AlgElem.from_word(w))
-        if i <= j:
-            return self.base(i, j)
-        # x > y: recover from the table value at (y, x) via the transpose
-        etabar = -self.base(j, i) - rho_1(w, v)
-        return AlgElem.from_word(v) * etabar.antipode() * AlgElem.from_word(w)
+                ys, c = w.letters, cv * cw
+                posts = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
+                for i, x in enumerate(v.letters):
+                    pre = Word(v.letters[:i], _reduced=True)
+                    for y, post in zip(ys, posts):
+                        for u, cu in self._table[(x, y)]:
+                            key = pre * u * post
+                            acc = out.get(key, 0) + c * cu
+                            if acc:
+                                out[key] = acc
+                            else:
+                                del out[key]
+        return AlgElem(out)
 
     def skew(self, a: ElemLike, b: ElemLike) -> AlgElem:
         """eta^s(a, b) = 2 eta(a, b) + (a - eps(a) 1)(b - eps(b) 1)."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .algebra import AlgElem, Tensor2, m3, permute, tensor2
@@ -70,19 +71,24 @@ def _sample_many(seed: int, label: str, trial: int, sig: SurfaceSignature,
     return [sample_word(rng, sig, max_len) for _ in range(count)]
 
 
+def _run_sampled(checks: list[Check], suite: str, sig: SurfaceSignature, seed: int,
+                 max_len: int, name: str, count: int, nwords: int, predicate) -> None:
+    """Test predicate on `count` seeded tuples of `nwords` words and append
+    the verdict to checks; the first failing tuple is the witness."""
+    for k in range(count):
+        words = _sample_many(seed, f"{suite}:{name}", k, sig, max_len, nwords)
+        if not predicate(*words):
+            checks.append(Check(name, False, {"trial": k, **_word_witness(sig, words)}))
+            return
+    checks.append(Check(name, True, {"trials": count}))
+
+
 # --- fox -------------------------------------------------------------------
 
 def fox_suite(sig: SurfaceSignature, trials: int, seed: int, max_len: int = 4) -> SuiteReport:
     eta = SurfaceFoxPairing(sig)
     checks = []
-
-    def run(name: str, count: int, nwords: int, predicate) -> None:
-        for k in range(count):
-            words = _sample_many(seed, f"fox:{name}", k, sig, max_len, nwords)
-            if not predicate(*words):
-                checks.append(Check(name, False, {"trial": k, **_word_witness(sig, words)}))
-                return
-        checks.append(Check(name, True, {"trials": count}))
+    run = partial(_run_sampled, checks, "fox", sig, seed, max_len)
 
     one = AlgElem.one()
     run("product-rule-first-slot", trials, 3, lambda a, b, c:
@@ -141,13 +147,7 @@ def double_suite(sig: SurfaceSignature, trials: int, seed: int, max_len: int = 4
                AlgElem.one(), Word.generator(i), Word.generator(j))]
     checks.append(Check("skew-bracket-table", not bad, {"failed_pairs": bad}))
 
-    def run(name: str, count: int, nwords: int, predicate) -> None:
-        for k in range(count):
-            words = _sample_many(seed, f"double:{name}", k, sig, max_len, nwords)
-            if not predicate(*words):
-                checks.append(Check(name, False, {"trial": k, **_word_witness(sig, words)}))
-                return
-        checks.append(Check(name, True, {"trials": count}))
+    run = partial(_run_sampled, checks, "double", sig, seed, max_len)
 
     one = AlgElem.one()
     run("cross-oracle", trials, 2, lambda a, b:
@@ -181,15 +181,8 @@ def quasi_poisson_suite(sig: SurfaceSignature, trials: int, seed: int,
     rep = is_quasi_poisson(dbl, sig, trials, seed, max_len)
     checks.append(Check("triple-matches-canonical", rep.ok, rep.to_dict(sig)))
 
-    def run(name: str, count: int, nwords: int, predicate) -> None:
-        for k in range(count):
-            words = _sample_many(seed, f"qp:{name}", k, sig, max_len, nwords)
-            if not predicate(*words):
-                checks.append(Check(name, False, {"trial": k, **_word_witness(sig, words)}))
-                return
-        checks.append(Check(name, True, {"trials": count}))
+    run = partial(_run_sampled, checks, "qp", sig, seed, max_len)
 
-    small = max(2, max_len - 1)
     run("cyclic-symmetry", max(10, trials // 10), 3, lambda a, b, c:
         triple(dbl, c, a, b) == permute(triple(dbl, a, b, c), (3, 1, 2)))
     run("strong-identity", max(10, trials // 10), 3, lambda a, b, c:
@@ -225,14 +218,8 @@ def quasi_poisson_suite(sig: SurfaceSignature, trials: int, seed: int,
                 + gg(goldman(dbl, cc, ca), cb)).is_zero()
 
     run("goldman-well-defined", max(10, trials // 4), 4, goldman_well_defined)
-    for k in range(max(10, trials // 10)):
-        words = _sample_many(seed, "qp:goldman-jacobi", k, sig, small, 3)
-        if not goldman_jacobi(*words):
-            checks.append(Check("goldman-jacobi", False,
-                                {"trial": k, **_word_witness(sig, words)}))
-            break
-    else:
-        checks.append(Check("goldman-jacobi", True, {"trials": max(10, trials // 10)}))
+    _run_sampled(checks, "qp", sig, seed, max(2, max_len - 1), "goldman-jacobi",
+                 max(10, trials // 10), 3, goldman_jacobi)
 
     params = {"genus": sig.genus, "punctures": sig.punctures, "trials": trials,
               "seed": seed, "max_len": max_len}
@@ -505,6 +492,9 @@ def moment_suite(sig: SurfaceSignature, dim: int, powers: Sequence[int], trials:
 
 # --- aksm -------------------------------------------------------------------
 
+FUSION_WITNESS_POINTS = 3  # points the fusion-coupling check tries for a witness
+
+
 def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
                symbolic: bool = True, extra_word_pairs: int = 2,
                max_len: int = 2) -> SuiteReport:
@@ -536,8 +526,12 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
 
     n_factors = sig.genus + sig.punctures
     if n_factors >= 2:
+        # the fusion terms vanish at degenerate points (z1 = -I): widen the search
         nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
-        rep = compare_constructions(sig, dim, 1, seed, biv=nofuse)
+        for points in range(1, FUSION_WITNESS_POINTS + 1):
+            rep = compare_constructions(sig, dim, points, seed, biv=nofuse)
+            if not rep.ok:
+                break
         checks.append(Check("fusion-coupling-required", not rep.ok,
                             {"mismatch_found": not rep.ok}))
 

@@ -209,10 +209,12 @@ class CyclicWord:
 
 
 def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    if len(letters) < 2:
+    n = len(letters)
+    if n < 2:
         return letters
-    keyed = [tuple(_letter_key(l) for l in letters[i:] + letters[:i]) for i in range(len(letters))]
-    best = min(range(len(letters)), key=lambda i: keyed[i])
+    # int keys ordered as _letter_key; min holds one rotation's keys at a time
+    keys = [2 * g + (e < 0) for g, e in letters] * 2
+    best = min(range(n), key=lambda i: keys[i:i + n])
     return letters[best:] + letters[:best]
 
 

@@ -4,10 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
+from surfqp.algebra import m2
 from surfqp.cli import main
+from surfqp.dbracket import dbl_from_pairing, project_cyclic
+from surfqp.foxpairing import SurfaceFoxPairing, rho_1, transpose_apply
+from surfqp.words import SurfaceSignature, format_cyclic, format_word, parse_word
 
 # keep CLI runs cheap
 FAST = ["--trials", "15", "--max-word-len", "3"]
@@ -164,3 +170,59 @@ def test_cli_deterministic_across_processes():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "fox", "--trials", "-5"], "--trials"),
+    (["verify", "fox", "--trials", "0"], "--trials"),
+    (["verify", "fox", "--max-word-len", "-1"], "--max-word-len"),
+    (["verify", "rep-suite", "--dim", "0"], "--dim"),
+    (["rep-bracket", "--dim", "-1", "p1_1_1", "q1_1_1"], "--dim"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+def test_zero_max_word_len_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "fox", "--json", "--trials", "3",
+                       "--max-word-len", "0")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def _terms(items, fmt) -> dict:
+    """A sparse object as {tuple of formatted keys: Fraction}."""
+    return {tuple(fmt(k) for k in (key if isinstance(key, tuple) else (key,))): Fraction(c)
+            for key, c in items}
+
+
+def test_long_word_commands_match_oracles(capsys):
+    # 1200 letters is past the default recursion limit of a recursive engine
+    sig = SurfaceSignature(1, 1)
+    a, b = parse_word("p1^1200", sig), parse_word("q1", sig)
+    eta = SurfaceFoxPairing(sig)
+    fmt = lambda x: format_word(x, sig)
+    oracle = dbl_from_pairing(eta.skew, a, b)
+    want = {
+        # transpose-sum identity: eta(a, b) + eta^t(a, b) = -rho_1(a, b)
+        "eta": _terms((-(rho_1(a, b) + transpose_apply(eta, a, b))).items(), fmt),
+        # skew symmetry: eta^s(a, b) = -a S(eta^s(b, a)) b
+        "eta-s": _terms((-transpose_apply(eta.skew, a, b)).items(), fmt),
+        "dbl-s": _terms(oracle.items(), fmt),
+        "goldman": _terms(project_cyclic(m2(oracle)).scale(Fraction(1, 2)).items(),
+                          lambda cw: format_cyclic(cw, sig)),
+    }
+    elapsed = 0.0
+    for command, expected in want.items():
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, "p1^1200", "q1", "--genus", "1",
+                             "--punctures", "1")
+        elapsed += time.perf_counter() - t0
+        assert code == 0, err
+        got = {tuple(t.get("words") or [t.get("word", t.get("class"))]): Fraction(t["coeff"])
+               for t in json.loads(out)}
+        assert got == expected, command
+    assert elapsed < 30.0, f"four 1200-letter commands took {elapsed:.1f}s"

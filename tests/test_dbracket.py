@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfqp.algebra import AlgElem, Tensor2, Tensor3, m3, permute, tensor2, tensor3
 from surfqp.dbracket import (SurfaceDoubleBracket, angle, dbl_from_inner,
@@ -79,6 +81,31 @@ def test_cross_oracle_random():
     for _ in range(150):
         a, b = sample_word(rng, SIG, 4), sample_word(rng, SIG, 4)
         assert DBL(a, b) == dbl_s_via_pairing(SIG, a, b)
+
+
+@st.composite
+def inverse_heavy_words(draw, sig, min_len=10, max_len=40):
+    """Reduced words of min_len..max_len letters, three in four inverted."""
+    letters = []
+    for _ in range(draw(st.integers(min_len, max_len))):
+        g = draw(st.integers(0, sig.rank - 1))
+        e = draw(st.sampled_from((-1, -1, -1, 1)))
+        if letters and letters[-1] == (g, -e):
+            e = -e  # repeat the previous letter rather than cancel it
+        letters.append((g, e))
+    return Word(letters)
+
+
+@seed(20240812)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_cross_oracle_long_inverse_heavy_words(data):
+    sig = data.draw(st.sampled_from((SurfaceSignature(1, 1), SIG, SurfaceSignature(0, 2))))
+    a = data.draw(inverse_heavy_words(sig))
+    b = data.draw(inverse_heavy_words(sig))
+    assert 10 <= len(a) <= 40 and 10 <= len(b) <= 40
+    eta = SurfaceFoxPairing(sig)
+    assert SurfaceDoubleBracket(sig)(a, b) == dbl_from_pairing(eta.skew, a, b)
 
 
 def test_pairing_route_unskewed_displays():

@@ -229,3 +229,11 @@ def test_pointwise_group_equivariance():
         moved = RepPoint(tuple(mat_mul(mat_mul(ginv, m), g) for m in pt.matrices))
         P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
         assert evaluate(ALG, ALG.group_action(g, P), pt) == evaluate(ALG, P, moved)
+
+
+def test_fusion_coupling_search_passes_a_degenerate_point():
+    # the first point at this seed has z1 = -I, where the fusion terms vanish
+    from surfqp.suites import aksm_suite
+    report = aksm_suite(SurfaceSignature(1, 1), 2, 1, 64000, extra_word_pairs=0)
+    check = next(c for c in report.checks if c.name == "fusion-coupling-required")
+    assert check.ok
