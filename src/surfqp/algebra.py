@@ -2,8 +2,8 @@
 structure, and the tensor squares/cubes carrying the outer and inner
 bimodule actions used by double and triple brackets.
 
-All elements are sparse maps from basis keys (words, or pairs/triples of
-words) to nonzero Fractions, so equality is structural.
+All elements are LinComb instances: sparse maps from basis keys (words,
+or pairs/triples of words) to nonzero Fractions, so equality is structural.
 """
 
 from __future__ import annotations
@@ -20,28 +20,70 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _merged(a: Mapping, b: Mapping, bsign: int = 1) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        new = out.get(k, 0) + bsign * c
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
-    return out
-
-
-class AlgElem:
-    """A finite rational linear combination of reduced words."""
+class LinComb:
+    """A finite rational linear combination over hashable keys: a dict of
+    nonzero coefficients.  Subclasses fix what the keys are and add their
+    products; equality is structural and never holds across subclasses."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
-    @staticmethod
-    def zero() -> "AlgElem":
-        return AlgElem()
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple], start: Mapping = ()):
+        """Sum the (key, coefficient) pairs onto a copy of start, per key.
+        A key leaves as soon as its sum is zero: closed sums over long words
+        cancel most of their terms, and keeping those keys to the end
+        would hold every cancelled word in memory."""
+        out = dict(start)
+        for k, c in pairs:
+            acc = out.get(k, 0) + c
+            if acc:
+                out[k] = acc
+            else:
+                out.pop(k, None)
+        return cls(out)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self):
+        return self.terms.items()
+
+    def __add__(self, other):
+        return self.collect(other.terms.items(), self.terms)
+
+    def __sub__(self, other):
+        return self.collect(((k, -c) for k, c in other.terms.items()), self.terms)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def scale(self, k: Scalar):
+        k = _frac(k)
+        if not k:
+            return self.zero()
+        return type(self)({key: k * c for key, c in self.terms.items()})
+
+    def __rmul__(self, other: Scalar):
+        return self.scale(other)
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class AlgElem(LinComb):
+    """A finite rational linear combination of reduced words."""
+
+    __slots__ = ()
 
     @staticmethod
     def one() -> "AlgElem":
@@ -51,42 +93,10 @@ class AlgElem:
     def from_word(w: Word, coeff: Scalar = 1) -> "AlgElem":
         return AlgElem({w: _frac(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "AlgElem") -> "AlgElem":
-        return AlgElem(_merged(self.terms, other.terms))
-
-    def __sub__(self, other: "AlgElem") -> "AlgElem":
-        return AlgElem(_merged(self.terms, other.terms, -1))
-
-    def __neg__(self) -> "AlgElem":
-        return AlgElem({w: -c for w, c in self.terms.items()})
-
-    def scale(self, k: Scalar) -> "AlgElem":
-        k = _frac(k)
-        if not k:
-            return AlgElem.zero()
-        return AlgElem({w: k * c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, AlgElem):
-            out: dict[Word, Fraction] = {}
-            for v, cv in self.terms.items():
-                for w, cw in other.terms.items():
-                    key = v * w
-                    new = out.get(key, 0) + cv * cw
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
-            return AlgElem(out)
-        return self.scale(other)
-
-    def __rmul__(self, other: Scalar) -> "AlgElem":
+            return AlgElem.collect((v * w, cv * cw) for v, cv in self.terms.items()
+                                   for w, cw in other.terms.items())
         return self.scale(other)
 
     def counit(self) -> Fraction:
@@ -98,15 +108,6 @@ class AlgElem:
     def comultiply(self) -> "Tensor2":
         return Tensor2({(w, w): c for w, c in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgElem) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("AlgElem is not hashable")
-
-    def __repr__(self) -> str:
-        return f"AlgElem({self.terms!r})"
-
 
 def counit(x: AlgElem) -> Fraction:
     return x.counit()
@@ -116,118 +117,35 @@ def antipode(x: AlgElem) -> AlgElem:
     return x.antipode()
 
 
-class Tensor2:
+class Tensor2(LinComb):
     """Element of the tensor square, keyed by ordered word pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     arity = 2
-
-    def __init__(self, terms: Mapping[tuple[Word, Word], Fraction] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "Tensor2":
-        return Tensor2()
 
     @staticmethod
     def pure(w1: Word, w2: Word, coeff: Scalar = 1) -> "Tensor2":
         return Tensor2({(w1, w2): _frac(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(_merged(self.terms, other.terms))
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(_merged(self.terms, other.terms, -1))
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2({k: -c for k, c in self.terms.items()})
-
-    def scale(self, k: Scalar) -> "Tensor2":
-        k = _frac(k)
-        if not k:
-            return Tensor2.zero()
-        return Tensor2({k2: k * c for k2, c in self.terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "Tensor2":
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor2) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"Tensor2({self.terms!r})"
-
-
-class Tensor3:
+class Tensor3(LinComb):
     """Element of the tensor cube, keyed by ordered word triples."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     arity = 3
-
-    def __init__(self, terms: Mapping[tuple[Word, Word, Word], Fraction] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "Tensor3":
-        return Tensor3()
 
     @staticmethod
     def pure(w1: Word, w2: Word, w3: Word, coeff: Scalar = 1) -> "Tensor3":
         return Tensor3({(w1, w2, w3): _frac(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(_merged(self.terms, other.terms))
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(_merged(self.terms, other.terms, -1))
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3({k: -c for k, c in self.terms.items()})
-
-    def scale(self, k: Scalar) -> "Tensor3":
-        k = _frac(k)
-        if not k:
-            return Tensor3.zero()
-        return Tensor3({k3: k * c for k3, c in self.terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "Tensor3":
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor3) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"Tensor3({self.terms!r})"
-
 
 def tensor2(a: AlgElem, b: AlgElem) -> Tensor2:
-    out: dict = {}
-    for v, cv in a.items():
-        for w, cw in b.items():
-            out[(v, w)] = out.get((v, w), 0) + cv * cw
-    return Tensor2(out)
+    return Tensor2.collect(((v, w), cv * cw) for v, cv in a.items() for w, cw in b.items())
 
 
 def tensor3(a: AlgElem, b: AlgElem, c: AlgElem) -> Tensor3:
-    out: dict = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            for w, cw in c.items():
-                key = (u, v, w)
-                out[key] = out.get(key, 0) + cu * cv * cw
-    return Tensor3(out)
+    return Tensor3.collect(((u, v, w), cu * cv * cw) for u, cu in a.items()
+                           for v, cv in b.items() for w, cw in c.items())
 
 
 def permute(t: Tensor2 | Tensor3, perm: Iterable[int]) -> Tensor2 | Tensor3:
@@ -236,69 +154,27 @@ def permute(t: Tensor2 | Tensor3, perm: Iterable[int]) -> Tensor2 | Tensor3:
     perm = tuple(perm)
     if sorted(perm) != list(range(1, t.arity + 1)):
         raise ValueError(f"not a permutation of 1..{t.arity}: {perm}")
-    cls = Tensor2 if t.arity == 2 else Tensor3
-    out: dict = {}
-    for key, c in t.items():
-        new = tuple(key[p - 1] for p in perm)
-        out[new] = out.get(new, 0) + c
-    return cls(out)
+    return type(t).collect((tuple(key[p - 1] for p in perm), c) for key, c in t.items())
 
 
 def outer_act(left: AlgElem, t: Tensor2 | Tensor3, right: AlgElem) -> Tensor2 | Tensor3:
     """left * first factor, last factor * right (the outer bimodule action)."""
-    cls = Tensor2 if t.arity == 2 else Tensor3
-    out: dict = {}
-    for key, c in t.items():
-        for v, cv in left.items():
-            first = v * key[0]
-            for w, cw in right.items():
-                new = (first,) + key[1:-1] + (key[-1] * w,)
-                coeff = c * cv * cw
-                acc = out.get(new, 0) + coeff
-                if acc:
-                    out[new] = acc
-                else:
-                    out.pop(new, None)
-    return cls(out)
+    return type(t).collect(((first,) + key[1:-1] + (key[-1] * w,), c * cv * cw)
+                           for key, c in t.items() for v, cv in left.items()
+                           for first in (v * key[0],) for w, cw in right.items())
 
 
 def inner_act(left: AlgElem, t: Tensor2, right: AlgElem) -> Tensor2:
     """l * (a1 (x) a2) * r = a1 r (x) l a2 (the inner bimodule action)."""
-    out: dict = {}
-    for (a1, a2), c in t.items():
-        for v, cv in left.items():
-            for w, cw in right.items():
-                new = (a1 * w, v * a2)
-                coeff = c * cv * cw
-                acc = out.get(new, 0) + coeff
-                if acc:
-                    out[new] = acc
-                else:
-                    out.pop(new, None)
-    return Tensor2(out)
+    return Tensor2.collect(((a1 * w, v * a2), c * cv * cw) for (a1, a2), c in t.items()
+                           for v, cv in left.items() for w, cw in right.items())
 
 
 def m2(t: Tensor2) -> AlgElem:
     """Multiply the two tensor factors."""
-    out: dict[Word, Fraction] = {}
-    for (a1, a2), c in t.items():
-        key = a1 * a2
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return AlgElem(out)
+    return AlgElem.collect((a1 * a2, c) for (a1, a2), c in t.items())
 
 
 def m3(t: Tensor3) -> AlgElem:
     """Multiply the three tensor factors in order."""
-    out: dict[Word, Fraction] = {}
-    for (a1, a2, a3), c in t.items():
-        key = a1 * a2 * a3
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return AlgElem(out)
+    return AlgElem.collect((a1 * a2 * a3, c) for (a1, a2, a3), c in t.items())

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional, Union
 
-from .algebra import AlgElem, Tensor2, Tensor3, m2, permute, tensor3
+from .algebra import AlgElem, LinComb, Tensor2, Tensor3, m2, permute, tensor3
 from .foxpairing import Pairing, SurfaceFoxPairing
 from .words import CyclicWord, Letter, SurfaceSignature, Word, sample_word, trial_rng
 
 ElemLike = Union[AlgElem, Word]
+
+# SurfaceDoubleBracket empties its memo before an insertion past this size
+MEMO_LIMIT = 4096
 
 
 def _as_elem(x: ElemLike) -> AlgElem:
@@ -34,20 +37,9 @@ def dbl_from_pairing(rho: Pairing, a: ElemLike, b: ElemLike) -> Tensor2:
     double bracket exactly when rho is skew-symmetric.
     """
     a, b = _as_elem(a), _as_elem(b)
-    out: dict = {}
-    for v, cv in a.items():
-        ev = AlgElem.from_word(v)
-        for w, cw in b.items():
-            val = rho(ev, AlgElem.from_word(w))
-            cvw = cv * cw
-            for u, cu in val.items():
-                key = (w * u.inverse() * v, u)
-                acc = out.get(key, 0) + cvw * cu
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-    return Tensor2(out)
+    return Tensor2.collect(((w * u.inverse() * v, u), cv * cw * cu)
+                           for v, cv in a.items() for w, cw in b.items()
+                           for u, cu in rho(AlgElem.from_word(v), AlgElem.from_word(w)).items())
 
 
 def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
@@ -56,24 +48,19 @@ def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
     sum_u c_u [ u^-1 (x) a u b + b u^-1 a (x) u - b u^-1 (x) a u - u^-1 a (x) u b ].
     """
     e, a, b = _as_elem(e), _as_elem(a), _as_elem(b)
-    out: dict = {}
-    for u, cu in e.items():
-        ui = u.inverse()
-        for v, cv in a.items():
-            for w, cw in b.items():
-                c = cu * cv * cw
-                for key, coeff in (
-                    ((ui, v * u * w), c),
-                    ((w * ui * v, u), c),
-                    ((w * ui, v * u), -c),
-                    ((ui * v, u * w), -c),
-                ):
-                    acc = out.get(key, 0) + coeff
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-    return Tensor2(out)
+
+    def terms():
+        for u, cu in e.items():
+            ui = u.inverse()
+            for v, cv in a.items():
+                for w, cw in b.items():
+                    c = cu * cv * cw
+                    yield (ui, v * u * w), c
+                    yield (w * ui * v, u), c
+                    yield (w * ui, v * u), -c
+                    yield (ui * v, u * w), -c
+
+    return Tensor2.collect(terms())
 
 
 class SurfaceDoubleBracket:
@@ -90,7 +77,8 @@ class SurfaceDoubleBracket:
                                 (y_{<j} a x_{>i}) (x) (x_{<i} b y_{>j}).
 
     The memo maps each whole word pair bracketed so far to its finished
-    value, never a pair of suffixes; concurrent readers are safe.
+    value, never a pair of suffixes; concurrent readers are safe.  It is
+    emptied before an insertion once it holds MEMO_LIMIT entries.
     """
 
     def __init__(self, sig: SurfaceSignature):
@@ -134,6 +122,8 @@ class SurfaceDoubleBracket:
             for w, cw in b.items():
                 value = self._memo.get((v, w))
                 if value is None:
+                    if len(self._memo) >= MEMO_LIMIT:
+                        self._memo.clear()
                     value = self._memo[(v, w)] = self._pair(v, w)
                 out = out + value.scale(cv * cw)
         return out
@@ -143,18 +133,13 @@ class SurfaceDoubleBracket:
         xs, ys = v.letters, w.letters
         y_pre = [Word(ys[:j], _reduced=True) for j in range(len(ys))]
         y_post = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
-        out: dict = {}
-        for i, x in enumerate(xs):
-            xa, xb = Word(xs[:i], _reduced=True), Word(xs[i + 1:], _reduced=True)
-            for y, ya, yb in zip(ys, y_pre, y_post):
-                for (a1, a2), c in self._signed[(x, y)]:
-                    key = (ya * a1 * xb, xa * a2 * yb)
-                    acc = out.get(key, 0) + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return Tensor2(out)
+        # lazy, so one prefix/suffix pair of v is alive at a time
+        x_cuts = ((x, Word(xs[:i], _reduced=True), Word(xs[i + 1:], _reduced=True))
+                  for i, x in enumerate(xs))
+        return Tensor2.collect(((ya * a1 * xb, xa * a2 * yb), c)
+                               for x, xa, xb in x_cuts
+                               for y, ya, yb in zip(ys, y_pre, y_post)
+                               for (a1, a2), c in self._signed[(x, y)])
 
 
 def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:
@@ -169,17 +154,8 @@ DoubleBracket = Callable[[ElemLike, ElemLike], Tensor2]
 def _left_extend(dbl: DoubleBracket, x: AlgElem, t: Tensor2) -> Tensor3:
     """Apply dbl against the first factor of t, keep the second: the
     building block of the triple bracket."""
-    out: dict = {}
-    for (k1, k2), c in t.items():
-        inner = dbl(x, AlgElem.from_word(k1))
-        for (m1, m2), d in inner.items():
-            key = (m1, m2, k2)
-            acc = out.get(key, 0) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return Tensor3(out)
+    return Tensor3.collect(((d1, d2, k2), c * d) for (k1, k2), c in t.items()
+                           for (d1, d2), d in dbl(x, AlgElem.from_word(k1)).items())
 
 
 def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
@@ -214,61 +190,15 @@ def angle(dbl: DoubleBracket, a: ElemLike, b: ElemLike) -> AlgElem:
     return m2(dbl(_as_elem(a), _as_elem(b)))
 
 
-class CyclicAlgElem:
+class CyclicAlgElem(LinComb):
     """Rational linear combination of conjugacy classes."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[CyclicWord, Fraction] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "CyclicAlgElem":
-        return CyclicAlgElem()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "CyclicAlgElem") -> "CyclicAlgElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, 0) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return CyclicAlgElem(out)
-
-    def __sub__(self, other: "CyclicAlgElem") -> "CyclicAlgElem":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "CyclicAlgElem":
-        k = Fraction(k)
-        if not k:
-            return CyclicAlgElem.zero()
-        return CyclicAlgElem({w: k * c for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicAlgElem) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"CyclicAlgElem({self.terms!r})"
+    __slots__ = ()
 
 
 def project_cyclic(x: AlgElem) -> CyclicAlgElem:
     """Quotient map onto conjugacy classes (kills commutators)."""
-    out: dict[CyclicWord, Fraction] = {}
-    for w, c in x.items():
-        key = CyclicWord.of(w)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return CyclicAlgElem(out)
+    return CyclicAlgElem.collect((CyclicWord.of(w), c) for w, c in x.items())
 
 
 def goldman(dbl_s: DoubleBracket, a: CyclicWord, b: CyclicWord) -> CyclicAlgElem:

@@ -15,7 +15,6 @@ double bracket.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Union
 
 from .algebra import AlgElem
@@ -101,22 +100,19 @@ class SurfaceFoxPairing:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         a, b = _as_elem(a), _as_elem(b)
-        out: dict[Word, Fraction] = {}
-        for v, cv in a.items():
-            for w, cw in b.items():
-                ys, c = w.letters, cv * cw
-                posts = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
-                for i, x in enumerate(v.letters):
-                    pre = Word(v.letters[:i], _reduced=True)
-                    for y, post in zip(ys, posts):
-                        for u, cu in self._table[(x, y)]:
-                            key = pre * u * post
-                            acc = out.get(key, 0) + c * cu
-                            if acc:
-                                out[key] = acc
-                            else:
-                                del out[key]
-        return AlgElem(out)
+
+        def terms():
+            for v, cv in a.items():
+                for w, cw in b.items():
+                    ys, c = w.letters, cv * cw
+                    posts = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
+                    for i, x in enumerate(v.letters):
+                        pre = Word(v.letters[:i], _reduced=True)
+                        for y, post in zip(ys, posts):
+                            for u, cu in self._table[(x, y)]:
+                                yield pre * u * post, c * cu
+
+        return AlgElem.collect(terms())
 
     def skew(self, a: ElemLike, b: ElemLike) -> AlgElem:
         """eta^s(a, b) = 2 eta(a, b) + (a - eps(a) 1)(b - eps(b) 1)."""

@@ -3,13 +3,16 @@
 Variables are opaque sortable hashable keys (the representation algebra
 uses (generator, row, col) triples).  A monomial is a tuple of (variable,
 exponent) pairs sorted by variable with positive exponents; a polynomial
-maps monomials to nonzero Fractions, so equality is structural.
+is a LinComb mapping monomials to nonzero Fractions, so equality is
+structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Hashable, Mapping, Union
+
+from .algebra import LinComb
 
 Var = Hashable
 Monomial = tuple  # tuple[tuple[Var, int], ...]
@@ -40,17 +43,10 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-class Poly:
+class Poly(LinComb):
     """A sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
+    __slots__ = ()
 
     @staticmethod
     def const(k: Scalar) -> "Poly":
@@ -61,34 +57,6 @@ class Poly:
     def var(v: Var) -> "Poly":
         return Poly({((v, 1),): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, 0) + c
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def scale(self, k: Scalar) -> "Poly":
-        k = Fraction(k)
-        if not k:
-            return Poly.zero()
-        return Poly({m: k * c for m, c in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -96,19 +64,8 @@ class Poly:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        out: dict = {}
-        for m2, c2 in small.items():
-            for m1, c1 in big.items():
-                m = mono_mul(m1, m2)
-                acc = out.get(m, 0) + c1 * c2
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return Poly(out)
-
-    def __rmul__(self, other: Scalar) -> "Poly":
-        return self.scale(other)
+        return Poly.collect((mono_mul(m1, m2), c1 * c2) for m2, c2 in small.items()
+                            for m1, c1 in big.items())
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -119,24 +76,21 @@ class Poly:
         return out
 
     def diff(self, v: Var) -> "Poly":
-        out: dict = {}
-        for m, c in self.terms.items():
-            for idx, (var, exp) in enumerate(m):
-                if var == v:
-                    rest = m[:idx] + ((var, exp - 1),) + m[idx + 1:] if exp > 1 else m[:idx] + m[idx + 1:]
-                    acc = out.get(rest, 0) + c * exp
-                    if acc:
-                        out[rest] = acc
-                    else:
-                        del out[rest]
-                    break
-        return Poly(out)
+        def terms():
+            for m, c in self.terms.items():
+                for idx, (var, exp) in enumerate(m):
+                    if var == v:
+                        rest = m[:idx] + ((var, exp - 1),) + m[idx + 1:] if exp > 1 else m[:idx] + m[idx + 1:]
+                        yield rest, c * exp
+                        break
+
+        return Poly.collect(terms())
 
     def subs(self, images: Mapping[Var, "Poly"]) -> "Poly":
         """Substitute polynomials for variables; unmapped variables persist."""
         powers: dict[tuple[Var, int], Poly] = {}
-        out: dict = {}
-        for m, c in self.terms.items():
+
+        def image(m: Monomial, c: Fraction) -> Poly:
             term = Poly.const(c)
             for v, e in m:
                 factor = powers.get((v, e))
@@ -147,13 +101,9 @@ class Poly:
                     factor = base ** e
                     powers[(v, e)] = factor
                 term = term * factor
-            for mm, cc in term.terms.items():
-                acc = out.get(mm, 0) + cc
-                if acc:
-                    out[mm] = acc
-                else:
-                    del out[mm]
-        return Poly(out)
+            return term
+
+        return Poly.collect(pair for m, c in self.terms.items() for pair in image(m, c).items())
 
     def evaluate(self, assign: Mapping[Var, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -170,9 +120,3 @@ class Poly:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"

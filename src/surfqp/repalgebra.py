@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .algebra import AlgElem, Tensor2
+from .algebra import AlgElem, LinComb, Tensor2
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_inv
 from .poly import Poly, Var
@@ -284,31 +284,18 @@ class RepAlgebra:
     def accumulate(self, parts: Iterable[RepElem]) -> RepElem:
         """Sum many elements, aligning denominators once per distinct
         denominator instead of once per addition."""
-        buckets: dict[tuple[int, ...], dict] = {}
+        groups: dict[tuple[int, ...], list[Poly]] = {}
         for part in parts:
-            if part.is_zero():
-                continue
-            bucket = buckets.setdefault(part.den, {})
-            for m, c in part.num.items():
-                acc = bucket.get(m, 0) + c
-                if acc:
-                    bucket[m] = acc
-                else:
-                    del bucket[m]
-        buckets = {den: terms for den, terms in buckets.items() if terms}
-        if not buckets:
+            groups.setdefault(part.den, []).append(part.num)
+        sums = {den: Poly.collect(pair for num in nums for pair in num.items())
+                for den, nums in groups.items()}
+        sums = {den: num for den, num in sums.items() if not num.is_zero()}
+        if not sums:
             return self.zero()
-        target = tuple(max(den[u] for den in buckets) for u in range(self.sig.rank))
-        total: dict = {}
-        for den, terms in sorted(buckets.items()):
-            raised = self.raise_den(Poly(terms), den, target)
-            for m, c in raised.items():
-                acc = total.get(m, 0) + c
-                if acc:
-                    total[m] = acc
-                else:
-                    del total[m]
-        return RepElem(self, Poly(total), target)
+        target = tuple(max(den[u] for den in sums) for u in range(self.sig.rank))
+        total = Poly.collect(pair for den, num in sorted(sums.items())
+                             for pair in self.raise_den(num, den, target).items())
+        return RepElem(self, total, target)
 
     def qp_bracket_entries(self, a: ElemLike, i: int, j: int,
                            b: ElemLike, k: int, l: int) -> RepElem:
@@ -403,18 +390,10 @@ def cartan_trivector(dim: int) -> dict[tuple[ElemMatrix, ElemMatrix, ElemMatrix]
     """The skew invariant trivector dual to (u, v, w) -> tr(u [v, w]) under
     the trace pairing, expanded over elementary-matrix triples:
     sum over i,j,k of  -f_ij (x) f_jk (x) f_ki  +  f_jk (x) f_ij (x) f_ki."""
-    out: dict = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for key, c in ((((i, j), (j, k), (k, i)), Fraction(-1)),
-                               (((j, k), (i, j), (k, i)), Fraction(1))):
-                    acc = out.get(key, 0) + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-    return out
+    return LinComb.collect(
+        pair for i in range(dim) for j in range(dim) for k in range(dim)
+        for pair in ((((i, j), (j, k), (k, i)), Fraction(-1)),
+                     (((j, k), (i, j), (k, i)), Fraction(1)))).terms
 
 
 def _dot(a, b, i: int, j: int, n: int) -> RepElem:

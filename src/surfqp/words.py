@@ -226,6 +226,9 @@ def conjugacy_class(word: Word) -> CyclicWord:
 
 _TOKEN_RE = re.compile(r"([pqz])([0-9]+)(?:\^(-?[0-9]+))?")
 
+# longest word parse_word expands before it gives up, checked before allocating
+MAX_WORD_LETTERS = 100_000
+
 
 def parse_word(text: str, sig: SurfaceSignature) -> Word:
     """Parse the word grammar; raises WordParseError with a position."""
@@ -256,6 +259,8 @@ def parse_word(text: str, sig: SurfaceSignature) -> Word:
                                  f"punctures {sig.punctures}", pos) from None
         exp = 1 if m.group(3) is None else int(m.group(3))
         sign = 1 if exp >= 0 else -1
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise WordParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
         letters.extend((index, sign) for _ in range(abs(exp)))
         pos = m.end()
         expect_token = False

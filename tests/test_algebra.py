@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfqp.algebra import (AlgElem, Tensor2, Tensor3, inner_act, m2, m3, outer_act,
                             permute, tensor2, tensor3)
-from surfqp.words import SurfaceSignature, Word, parse_word, sample_word
+from surfqp.dbracket import CyclicAlgElem
+from surfqp.poly import Poly, monomial
+from surfqp.words import CyclicWord, SurfaceSignature, Word, parse_word, sample_word
 
 SIG = SurfaceSignature(1, 1)
 
@@ -133,3 +137,47 @@ def test_multiplication_maps():
     for _ in range(20):
         a, b, c = rand_elem(rng), rand_elem(rng), rand_elem(rng)
         assert m3(tensor3(a, b, c)) == a * b * c
+
+
+# --- the shared sparse core --------------------------------------------------
+
+WORDS = st.lists(st.tuples(st.integers(0, SIG.rank - 1), st.sampled_from((1, -1))),
+                 max_size=3).map(Word)
+MONOMIALS = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(1, 2)),
+                     max_size=3).map(lambda pairs: monomial(*pairs))
+KEYS = {
+    AlgElem: WORDS,
+    Tensor2: st.tuples(WORDS, WORDS),
+    Tensor3: st.tuples(WORDS, WORDS, WORDS),
+    CyclicAlgElem: WORDS.map(CyclicWord.of),
+    Poly: MONOMIALS,
+}
+COEFFS = st.integers(-3, 3).map(Fraction)
+
+
+def nonzero_coeffs(x) -> bool:
+    return all(c != 0 for _, c in x.items())
+
+
+@seed(20260301)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_lincomb_stores_no_zero_coefficient(data):
+    cls = data.draw(st.sampled_from(list(KEYS)))
+    x, y = (cls(data.draw(st.dictionaries(KEYS[cls], COEFFS, max_size=5))) for _ in range(2))
+    k = data.draw(COEFFS)
+    results = [x, x + y, x - y, -x, x.scale(k), x.scale(0), k * x, x + y.scale(-1)]
+    if cls is AlgElem:
+        g = AlgElem.from_word(data.draw(WORDS))
+        gi = g.antipode()
+        # the identity terms of (g + g^-1)(g - g^-1) cancel inside one product
+        results += [(g + gi) * (g - gi), x * y - y * x, x * (y - y)]
+    if cls is Poly:
+        # the cross terms of (x + y)(x - y) cancel inside one product
+        results += [(x + y) * (x - y), (x + y) * (x - y) - (x * x - y * y)]
+        assert results[-1].is_zero()
+    assert all(nonzero_coeffs(r) for r in results)
+    assert (x - x).is_zero() and (x + (-x)).is_zero() and x.scale(0).is_zero()
+    assert x + y == y + x and x - y == -(y - x)
+    assert Tensor2() != Tensor3() and AlgElem.zero() != CyclicAlgElem.zero()
+    assert all(x != other(x.terms) for other in KEYS if other is not cls)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,11 @@ from surfqp.words import SurfaceSignature, format_cyclic, format_word, parse_wor
 
 # keep CLI runs cheap
 FAST = ["--trials", "15", "--max-word-len", "3"]
+
+# argv and the exact stdout of computation commands that together touch all
+# five sparse types (group algebra, tensor square and cube, conjugacy
+# classes, coordinate polynomials with det denominators)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -120,6 +126,13 @@ def test_expression_entry_out_of_range(capsys):
     code, _, err = run(capsys, "rep-bracket", "--dim", "2", "p1_3_1", "q1_1_1")
     assert code == 2
     assert "dim" in err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][:1] + case["argv"][5:]))
+def test_cli_output_matches_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
 
 
 def test_verify_fox_json(capsys):

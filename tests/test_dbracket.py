@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from surfqp.algebra import AlgElem, Tensor2, Tensor3, m3, permute, tensor2, tensor3
-from surfqp.dbracket import (SurfaceDoubleBracket, angle, dbl_from_inner,
+from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_inner,
                              dbl_from_pairing, dbl_s_via_pairing, goldman,
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
                              moment_rhs, project_cyclic, triple, triple_e)
@@ -106,6 +106,20 @@ def test_cross_oracle_long_inverse_heavy_words(data):
     assert 10 <= len(a) <= 40 and 10 <= len(b) <= 40
     eta = SurfaceFoxPairing(sig)
     assert SurfaceDoubleBracket(sig)(a, b) == dbl_from_pairing(eta.skew, a, b)
+
+
+def test_bracket_memo_is_bounded():
+    sig = SurfaceSignature(1, 1)
+    rng = random.Random(5000)
+    pairs = [(sample_word(rng, sig, 8), sample_word(rng, sig, 8)) for _ in range(5000)]
+    assert len(set(pairs)) > MEMO_LIMIT
+    dbl = SurfaceDoubleBracket(sig)
+    for a, b in pairs:
+        dbl(a, b)
+        assert len(dbl._memo) <= MEMO_LIMIT
+    fresh = SurfaceDoubleBracket(sig)
+    for a, b in pairs[:20] + pairs[-20:]:
+        assert dbl(a, b) == fresh(a, b)
 
 
 def test_pairing_route_unskewed_displays():

@@ -100,7 +100,8 @@ def test_grammar_forms():
     assert format_word(Word.identity(), SIG) == "1"
 
 
-@pytest.mark.parametrize("bad", ["p1**q1", "w1", "p9", "z3", "p1*", "*p1", "p1^x", ""])
+@pytest.mark.parametrize("bad", ["p1**q1", "w1", "p9", "z3", "p1*", "*p1", "p1^x", "",
+                                 "p1^100001", "p1^60000*q1^60000"])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(WordParseError) as err:
         parse_word(bad, SIG)
