@@ -43,7 +43,10 @@ class LinComb:
                 out[k] = acc
             else:
                 out.pop(k, None)
-        return cls(out)
+        # out holds no zero, so wrap it as it is instead of filtering again
+        new = cls.__new__(cls)
+        new.terms = out
+        return new
 
     @classmethod
     def zero(cls):
@@ -107,6 +110,13 @@ class AlgElem(LinComb):
 
     def comultiply(self) -> "Tensor2":
         return Tensor2({(w, w): c for w, c in self.terms.items()})
+
+
+ElemLike = Union[AlgElem, Word]
+
+
+def as_elem(x: ElemLike) -> AlgElem:
+    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
 def counit(x: AlgElem) -> Fraction:

@@ -148,7 +148,10 @@ class _ExprParser:
         alg = self.alg
         sig = alg.sig
         if kind == "num":
-            return alg.scalar(Fraction(text))
+            try:
+                return alg.scalar(Fraction(text))
+            except ZeroDivisionError:
+                raise ExprParseError("zero denominator", pos) from None
         if kind == "entry":
             name, i, j = text.rsplit("_", 2)
             try:
@@ -193,11 +196,22 @@ def load_rep_point(path: str, sig: SurfaceSignature, dim: int) -> RepPoint:
     if not isinstance(data, list) or len(data) != sig.rank:
         raise ValueError(f"point file must hold {sig.rank} matrices")
     mats = []
-    for m in data:
-        if len(m) != dim or any(len(row) != dim for row in m):
-            raise ValueError(f"each matrix must be {dim}x{dim}")
-        mats.append(mat([[Fraction(str(x)) for x in row] for row in m]))
+    for u, m in enumerate(data):
+        if not isinstance(m, list) or len(m) != dim:
+            raise ValueError(f"point file: matrix {u} must be a list of {dim} rows")
+        for i, row in enumerate(m):
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValueError(f"point file: matrix {u}, row {i} must be a list of {dim} entries")
+        mats.append(mat([[_point_entry(x, u, i, j) for j, x in enumerate(row)]
+                         for i, row in enumerate(m)]))
     return RepPoint(tuple(mats))
+
+
+def _point_entry(x, u: int, i: int, j: int) -> Fraction:
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"point file: matrix {u}, row {i}, entry {j} is not a rational: {x!r}") from None
 
 
 # --- commands ----------------------------------------------------------------

@@ -13,20 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from .algebra import AlgElem, LinComb, Tensor2, Tensor3, m2, permute, tensor3
+from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute, tensor3
 from .foxpairing import Pairing, SurfaceFoxPairing
 from .words import CyclicWord, Letter, SurfaceSignature, Word, sample_word, trial_rng
 
-ElemLike = Union[AlgElem, Word]
-
 # SurfaceDoubleBracket empties its memo before an insertion past this size
 MEMO_LIMIT = 4096
-
-
-def _as_elem(x: ElemLike) -> AlgElem:
-    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
 def dbl_from_pairing(rho: Pairing, a: ElemLike, b: ElemLike) -> Tensor2:
@@ -36,7 +30,7 @@ def dbl_from_pairing(rho: Pairing, a: ElemLike, b: ElemLike) -> Tensor2:
     expansion rho(v, w) = sum_u c_u u, extended bilinearly.  It is an honest
     double bracket exactly when rho is skew-symmetric.
     """
-    a, b = _as_elem(a), _as_elem(b)
+    a, b = as_elem(a), as_elem(b)
     return Tensor2.collect(((w * u.inverse() * v, u), cv * cw * cu)
                            for v, cv in a.items() for w, cw in b.items()
                            for u, cu in rho(AlgElem.from_word(v), AlgElem.from_word(w)).items())
@@ -47,7 +41,7 @@ def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
     a, b and e = sum_u c_u u it is
     sum_u c_u [ u^-1 (x) a u b + b u^-1 a (x) u - b u^-1 (x) a u - u^-1 a (x) u b ].
     """
-    e, a, b = _as_elem(e), _as_elem(a), _as_elem(b)
+    e, a, b = as_elem(e), as_elem(a), as_elem(b)
 
     def terms():
         for u, cu in e.items():
@@ -116,7 +110,7 @@ class SurfaceDoubleBracket:
         return self._table[(i, j)]
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
-        a, b = _as_elem(a), _as_elem(b)
+        a, b = as_elem(a), as_elem(b)
         out = Tensor2.zero()
         for v, cv in a.items():
             for w, cw in b.items():
@@ -161,7 +155,7 @@ def _left_extend(dbl: DoubleBracket, x: AlgElem, t: Tensor2) -> Tensor3:
 def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     """Triple bracket of a double bracket: the cyclic sum
     sum_i P_312^i (dbl (x) id)(id (x) dbl) P_312^-i applied to a (x) b (x) c."""
-    a, b, c = _as_elem(a), _as_elem(b), _as_elem(c)
+    a, b, c = as_elem(a), as_elem(b), as_elem(c)
     t0 = _left_extend(dbl, a, dbl(b, c))
     t1 = permute(_left_extend(dbl, b, dbl(c, a)), (3, 1, 2))
     t2 = permute(_left_extend(dbl, c, dbl(a, b)), (2, 3, 1))
@@ -171,7 +165,7 @@ def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3
 def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     """The canonical triple bracket of the exchange derivation
     a -> a (x) 1 - 1 (x) a; a quasi-Poisson double bracket must reproduce it."""
-    a, b, c = _as_elem(a), _as_elem(b), _as_elem(c)
+    a, b, c = as_elem(a), as_elem(b), as_elem(c)
     one = AlgElem.one()
     return (
         tensor3(a, one, b * c)
@@ -187,7 +181,7 @@ def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
 
 def angle(dbl: DoubleBracket, a: ElemLike, b: ElemLike) -> AlgElem:
     """The induced single bracket: multiply the two output factors."""
-    return m2(dbl(_as_elem(a), _as_elem(b)))
+    return m2(dbl(as_elem(a), as_elem(b)))
 
 
 class CyclicAlgElem(LinComb):

@@ -10,9 +10,11 @@ single generator slot from the left, the right, or by conjugation:
     R(f_rs) x_ij = -delta_ir x_sj     (left translation  x -> -f_rs x)
     C = L + R                         (conjugation)
 
-Every wedge term below pairs a field taking f_rs with one taking f_sr,
-summed over all r, s: that is the contraction of dual bases of the matrix
-Lie algebra under the trace form.
+On a function with gradient G_ij = d ev(P) / d x_ij at a slot holding m,
+the values over all (r, s) are the matrices L = m^T G, R = -G m^T and
+C = L + R.  Every wedge term below pairs a field taking f_rs with one
+taking f_sr, summed over all r, s (the contraction of dual bases of the
+matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .matrices import Matrix, mat, mat_det
+from .matrices import Matrix, mat, mat_adjugate, mat_det, mat_mul
 from .poly import Poly
-from .repalgebra import EntryVar, RepAlgebra, RepElem
-from .words import SurfaceSignature, Word, trial_rng
+from .repalgebra import RepAlgebra, RepElem
+from .words import SurfaceSignature, Word, format_word, trial_rng
 
 L, R, CONJ = "L", "R", "C"
 
@@ -85,63 +88,54 @@ class TaggedField:
     s: int
 
 
-def field_on_entry(f: TaggedField, var: EntryVar, pt: RepPoint) -> Fraction:
-    """Derivative of the entry coordinate x^u_ij along the field, at pt."""
-    u, i, j = var
-    if u != f.slot:
-        return Fraction(0)
-    m = pt.matrices[u]
-    out = Fraction(0)
-    if f.side in (L, CONJ) and f.s == j:
-        out += m[i][f.r]
-    if f.side in (R, CONJ) and f.r == i:
-        out -= m[f.s][j]
+def _gradient(P: RepElem, pt: RepPoint) -> list[list[list[Fraction]]]:
+    """d ev(P) / d x^u_ij at pt, one N x N matrix per generator u, from one
+    pass over P's monomials (product rule) and its determinant denominator
+    (quotient rule, d det(x) / d x_ij = adj(x)_ji).  It never calls the
+    algebra's derivatives, so the oracle stays independent of the bracket."""
+    x = pt.matrices
+    N = len(x[0])
+    grad = [[[Fraction(0)] * N for _ in range(N)] for _ in x]
+    num_val = Fraction(0)
+    for mono, coeff in P.num.items():
+        powers = [x[u][i][j] ** e for (u, i, j), e in mono]
+        num_val += coeff * prod(powers)
+        for idx, ((u, i, j), e) in enumerate(mono):
+            grad[u][i][j] += (coeff * e * x[u][i][j] ** (e - 1)
+                              * prod(powers[:idx]) * prod(powers[idx + 1:]))
+    den_val = Fraction(1)
+    for u, k in enumerate(P.den):
+        if k:
+            d, adj = mat_det(x[u]), mat_adjugate(x[u])
+            den_val *= d ** k
+            for i in range(N):
+                for j in range(N):
+                    grad[u][i][j] -= num_val * k * adj[j][i] / d
+    return [[[v / den_val for v in row] for row in g] for g in grad]
+
+
+def _fields(P: RepElem, pt: RepPoint) -> dict[tuple[int, str], Matrix]:
+    """The values of every tagged field on ev(P) at pt, keyed by (slot,
+    side), as matrices indexed [r][s]: L = m^T G, R = -G m^T, C = L + R."""
+    out = {}
+    for u, G in enumerate(_gradient(P, pt)):
+        mt = tuple(zip(*pt.matrices[u]))
+        left = mat_mul(mt, G)
+        right = tuple(tuple(-v for v in row) for row in mat_mul(G, mt))
+        out[u, L], out[u, R] = left, right
+        out[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
+                             for ra, rb in zip(left, right))
     return out
 
 
-def field_on_det(f: TaggedField, u: int, pt: RepPoint) -> Fraction:
-    """Derivative of det(x^u): tr(f_rs) det for L, minus that for R, 0 for C."""
-    if u != f.slot or f.side == CONJ or f.r != f.s:
-        return Fraction(0)
-    d = mat_det(pt.matrices[u])
-    return d if f.side == L else -d
+def _trace_product(A: Matrix, B: Matrix) -> Fraction:
+    """tr(AB) = sum_{r,s} A_rs B_sr."""
+    return sum(a * b for row, col in zip(A, zip(*B)) for a, b in zip(row, col))
 
 
 def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fraction:
-    """Directional derivative of the function ev(P) at pt: product rule over
-    each monomial, quotient rule over the determinant denominator."""
-    assign = {var: pt.matrices[var[0]][var[1]][var[2]] for var in P.num.variables()}
-    dvar = {var: field_on_entry(f, var, pt) for var in assign}
-    num_val = Fraction(0)
-    dnum_val = Fraction(0)
-    for mono, coeff in P.num.items():
-        total = coeff
-        for var, e in mono:
-            total *= assign[var] ** e
-        num_val += total
-        for idx, (var, e) in enumerate(mono):
-            if not dvar[var]:
-                continue
-            part = coeff * e * assign[var] ** (e - 1) * dvar[var]
-            for var2, e2 in mono[:idx] + mono[idx + 1:]:
-                part *= assign[var2] ** e2
-            dnum_val += part
-    den_val = Fraction(1)
-    dden_val = Fraction(0)
-    for u, k in enumerate(P.den):
-        if not k:
-            continue
-        d = mat_det(pt.matrices[u])
-        den_val *= d ** k
-        dd = field_on_det(f, u, pt)
-        if dd:
-            # derivative of d^k contributes k d^(k-1) dd times the other factors
-            rest = Fraction(1)
-            for v, kv in enumerate(P.den):
-                if kv and v != u:
-                    rest *= mat_det(pt.matrices[v]) ** kv
-            dden_val += k * d ** (k - 1) * dd * rest
-    return (dnum_val * den_val - num_val * dden_val) / den_val ** 2
+    """Directional derivative of the function ev(P) at pt along f."""
+    return _fields(P, pt)[f.slot, f.side][f.r][f.s]
 
 
 def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem) -> RepElem:
@@ -220,20 +214,13 @@ def build_fusion_bivector(sig: SurfaceSignature, dim: int,
 
 def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
                      Q: RepElem, pt: RepPoint) -> Fraction:
-    """Pointwise bracket <dP ^ dQ, bivector> by exact directional
-    derivatives."""
+    """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
+    function: every wedge term is coeff * (tr(V_P W_Q) - tr(V_Q W_P))."""
+    fp, fq = _fields(P, pt), _fields(Q, pt)
     total = Fraction(0)
-    N = alg.dim
-    for term in biv.terms:
-        for r in range(N):
-            for s in range(N):
-                v = TaggedField(term.v_slot, term.v_side, r, s)
-                w = TaggedField(term.w_slot, term.w_side, s, r)
-                vp = field_apply(alg, v, P, pt)
-                wq = field_apply(alg, w, Q, pt)
-                vq = field_apply(alg, v, Q, pt)
-                wp = field_apply(alg, w, P, pt)
-                total += term.coeff * (vp * wq - vq * wp)
+    for t in biv.terms:
+        v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
+        total += t.coeff * (_trace_product(fp[v], fq[w]) - _trace_product(fq[v], fp[w]))
     return total
 
 
@@ -279,8 +266,6 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
                           biv: Optional[FusionBivector] = None) -> AksmReport:
     """At `trials` random rational points, compare the two brackets on every
     ordered generator-entry pair, plus entries of any supplied word pairs."""
-    from .words import format_word
-
     alg = RepAlgebra(sig, dim)
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)

@@ -15,22 +15,17 @@ double bracket.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
-from .algebra import AlgElem
+from .algebra import AlgElem, ElemLike, as_elem
 from .words import Letter, SurfaceSignature, Word
 
 Pairing = Callable[[AlgElem, AlgElem], AlgElem]
-ElemLike = Union[AlgElem, Word]
-
-
-def _as_elem(x: ElemLike) -> AlgElem:
-    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
 def inner_pairing(e: ElemLike, a: ElemLike, b: ElemLike) -> AlgElem:
     """rho_e(a, b) = (a - eps(a) 1) e (b - eps(b) 1)."""
-    e, a, b = _as_elem(e), _as_elem(a), _as_elem(b)
+    e, a, b = as_elem(e), as_elem(a), as_elem(b)
     one = AlgElem.one()
     return (a - one.scale(a.counit())) * e * (b - one.scale(b.counit()))
 
@@ -41,7 +36,7 @@ def rho_1(a: ElemLike, b: ElemLike) -> AlgElem:
 
 def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
     """The transposed pairing: on group-likes, a S(rho(b, a)) b."""
-    a, b = _as_elem(a), _as_elem(b)
+    a, b = as_elem(a), as_elem(b)
     out = AlgElem.zero()
     for v, cv in a.items():
         av = AlgElem.from_word(v)
@@ -99,7 +94,7 @@ class SurfaceFoxPairing:
         return AlgElem.zero()
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
-        a, b = _as_elem(a), _as_elem(b)
+        a, b = as_elem(a), as_elem(b)
 
         def terms():
             for v, cv in a.items():

@@ -19,23 +19,18 @@ determinant denominators ride along via {1/d, -} = -(1/d^2) {d, -}.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgElem, LinComb, Tensor2
+from .algebra import ElemLike, LinComb, Tensor2, as_elem
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_inv
 from .poly import Poly, Var
 from .words import SurfaceSignature, Word
 
-ElemLike = Union[AlgElem, Word]
 LieMatrix = Sequence[Sequence[Fraction]]
 
 # an entry symbol is keyed by (generator index, row, col), zero-based
 EntryVar = tuple[int, int, int]
-
-
-def _as_elem(x: ElemLike) -> AlgElem:
-    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
 class RepElem:
@@ -204,7 +199,7 @@ class RepAlgebra:
         if not (1 <= i <= N and 1 <= j <= N):
             raise IndexError(f"entry index out of range for dim {N}: ({i}, {j})")
         out = self.zero()
-        for w, c in _as_elem(a).items():
+        for w, c in as_elem(a).items():
             out = out + self.word_matrix(w)[i - 1][j - 1].scale(c)
         return out
 
@@ -302,7 +297,7 @@ class RepAlgebra:
         """Alternative route for {a_ij, b_kl}: evaluate the double bracket of
         the group-algebra elements, then take entries.  One-based indices.
         Must agree with qp_bracket on the corresponding entry coordinates."""
-        t = self.dbl(_as_elem(a), _as_elem(b))
+        t = self.dbl(as_elem(a), as_elem(b))
         return self.entry_pair_image(t, i - 1, j - 1, k - 1, l - 1)
 
     # --- group and Lie algebra actions -----------------------------------

@@ -110,6 +110,22 @@ def test_ev_rejects_singular_point(tmp_path, capsys):
     assert "invertible" in err
 
 
+@pytest.mark.parametrize("data,where", [
+    ([5, 5, 5], "matrix 0"),
+    ([[["1", "0"], ["0", "1"]], [["1", "0"], 5], [["1", "0"], ["0", "1"]]], "matrix 1, row 1"),
+    ([[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], [["1", "x"], ["0", "1"]]],
+     "matrix 2, row 0, entry 1"),
+    ([[["1/0", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]],
+     "matrix 0, row 0, entry 0"),
+])
+def test_ev_rejects_malformed_point(tmp_path, capsys, data, where):
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ev", "--dim", "2", "tr(p1)", str(pt))
+    assert code == 2 and out == ""
+    assert where in err and "Traceback" not in err
+
+
 def test_word_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eta", "p1*w2", "q1")
     assert code == 2
@@ -120,6 +136,12 @@ def test_expression_parse_error_position(capsys):
     code, _, err = run(capsys, "rep-bracket", "p1_1_1 + ?", "q1_1_1")
     assert code == 2
     assert "position" in err
+
+
+def test_expression_zero_denominator_position(capsys):
+    code, _, err = run(capsys, "rep-bracket", "p1_1_1 + 1/0", "q1_1_1")
+    assert code == 2
+    assert "zero denominator (at position 9)" in err
 
 
 def test_expression_entry_out_of_range(capsys):

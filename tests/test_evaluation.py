@@ -1,7 +1,9 @@
 """Evaluation at rational points and the fused bivector oracle."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +11,20 @@ from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, TaggedField
                                WedgeTerm, bivector_bracket, bivector_bracket_sym,
                                build_fusion_bivector, compare_constructions, evaluate,
                                field_apply, field_apply_sym, sample_rep_point)
-from surfqp.matrices import identity, mat, mat_inv, mat_mul
-from surfqp.repalgebra import RepAlgebra
+from surfqp.matrices import identity, mat, mat_det, mat_inv, mat_mul
+from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
 
 SIG = SurfaceSignature(1, 1)
 ALG = RepAlgebra(SIG, 2)
+
+# exact bivector_bracket values at fixed points, recorded before the
+# gradient form replaced per-field re-evaluation
+BIVECTOR_GOLDEN = [
+    (case, pair)
+    for case in json.loads((Path(__file__).parent / "data" / "bivector_golden.json").read_text())
+    for pair in case["pairs"]
+]
 
 
 def w(text, sig=SIG):
@@ -108,6 +118,30 @@ def test_field_apply_matches_symbolic():
         assert field_apply(ALG, f, P, pt) == evaluate(ALG, field_apply_sym(ALG, f, P), pt)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_field_values_on_determinants(dim):
+    # d det(x) along x f_rs is tr(f_rs) det, along -f_rs x its negative, and
+    # conjugation keeps det fixed; 1/det takes minus those over det^2, and
+    # 1/det^2 twice that over det^3
+    sig = SurfaceSignature(0, 2)
+    alg = RepAlgebra(sig, dim)
+    pt = sample_rep_point(random.Random(8), sig, dim)
+    for u in range(sig.rank):
+        d = mat_det(pt.matrices[u])
+        det = RepElem(alg, alg.det_poly(u), alg.zero_den)
+        for r in range(dim):
+            for s in range(dim):
+                delta = d if r == s else 0
+                for side, want in ((L, delta), (R, -delta), (CONJ, 0)):
+                    f = TaggedField(u, side, r, s)
+                    assert field_apply(alg, f, det, pt) == want
+                    assert field_apply(alg, f, alg.det_inverse(u), pt) == -want / d ** 2
+                    inv2 = alg.det_inverse(u) * alg.det_inverse(u)
+                    assert field_apply(alg, f, inv2, pt) == -2 * want / d ** 3
+                    other = TaggedField(1 - u, side, r, s)
+                    assert field_apply(alg, other, det, pt) == 0
+
+
 def test_annulus_bivector_is_single_wedge():
     biv = build_fusion_bivector(SurfaceSignature(0, 1), 2)
     assert biv.terms == (WedgeTerm(1, 0, L, 0, R),)
@@ -181,6 +215,67 @@ def test_coupling_term_reproduces_cross_factor_bracket():
                         assert got == want
 
 
+def explicit_field_sum(alg, biv, P, Q, pt):
+    """The bivector pairing written out field by field."""
+    total = Fraction(0)
+    for term in biv.terms:
+        for r in range(alg.dim):
+            for s in range(alg.dim):
+                v = TaggedField(term.v_slot, term.v_side, r, s)
+                w = TaggedField(term.w_slot, term.w_side, s, r)
+                total += term.coeff * (
+                    field_apply(alg, v, P, pt) * field_apply(alg, w, Q, pt)
+                    - field_apply(alg, v, Q, pt) * field_apply(alg, w, P, pt))
+    return total
+
+
+@pytest.mark.parametrize("genus,punctures,words", [
+    (1, 0, ("p1^-1*q1", "q1^-1*p1^2")),
+    (0, 1, ("z1^-1", "z1^-2")),
+    (0, 2, ("z1^-1*z2", "z2^-1*z1")),
+    (1, 1, ("p1^-1*z1", "q1^-1*z1^-1")),
+])
+def test_bivector_bracket_is_explicit_field_sum(genus, punctures, words):
+    sig = SurfaceSignature(genus, punctures)
+    alg = RepAlgebra(sig, 2)
+    biv = build_fusion_bivector(sig, 2)
+    a, b = (parse_word(text, sig) for text in words)
+    for k in range(2):
+        pt = sample_rep_point(trial_rng(31, "explicit-sum", k), sig, 2)
+        for P, Q in [(alg.entry(a, 1, 2), alg.entry(b, 2, 1)),
+                     (alg.entry(b, 1, 1), alg.entry(a, 2, 2))]:
+            assert bivector_bracket(alg, biv, P, Q, pt) == explicit_field_sum(alg, biv, P, Q, pt)
+
+
+def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
+    # the pointwise oracle must stay independent of the derivation-rule route
+    biv = build_fusion_bivector(SIG, 2)
+    P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
+    want = evaluate(ALG, ALG.qp_bracket(P, Q), point())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric oracle called the algebra")
+
+    for name in ("d_dvar", "adj_poly", "qp_bracket"):
+        monkeypatch.setattr(RepAlgebra, name, forbidden)
+    assert bivector_bracket(ALG, biv, P, Q, point()) == want
+    assert field_apply(ALG, TaggedField(0, CONJ, 0, 1), P, point()) != 0
+
+
+@pytest.mark.parametrize("case,pair", BIVECTOR_GOLDEN,
+                         ids=[f"{c['genus']}-{c['punctures']}-{p['left'][0]}-{p['right'][0]}"
+                              for c, p in BIVECTOR_GOLDEN])
+def test_bivector_bracket_matches_golden(case, pair):
+    sig = SurfaceSignature(case["genus"], case["punctures"])
+    alg = RepAlgebra(sig, case["dim"])
+    pt = RepPoint.from_lists(case["point"])
+    (wa, i, j), (wb, k, l) = pair["left"], pair["right"]
+    P = alg.entry(parse_word(wa, sig), i, j)
+    Q = alg.entry(parse_word(wb, sig), k, l)
+    got = bivector_bracket(alg, build_fusion_bivector(sig, case["dim"]), P, Q, pt)
+    assert str(got) == pair["value"]
+
+
 def test_compare_constructions_passes():
     for (g, m) in [(1, 0), (0, 1), (0, 2), (1, 1)]:
         rep = compare_constructions(SurfaceSignature(g, m), 2, trials=2, seed=11)
@@ -218,7 +313,6 @@ def test_symbolic_agreement_torus_and_annulus():
 
 def test_pointwise_group_equivariance():
     rng = random.Random(6)
-    from surfqp.matrices import mat_det
     for _ in range(10):
         while True:
             g = mat([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
