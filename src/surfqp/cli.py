@@ -80,6 +80,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# largest exponent k in an expression's x^k, checked before multiplying
+MAX_EXPONENT = 100_000
+
+
 class _ExprParser:
     """expr := term (('+'|'-') term)*, term := factor ('*' factor)*,
     factor := '-'? atom, atom := rational | entry | tr(word) | det(gen)
@@ -137,6 +141,8 @@ class _ExprParser:
             if kind != "num" or "/" in text:
                 raise ExprParseError("exponent must be a nonnegative integer", npos)
             power = int(text)
+            if power > MAX_EXPONENT:
+                raise ExprParseError(f"exponent larger than {MAX_EXPONENT}", npos)
             result = self.alg.one()
             for _ in range(power):
                 result = result * out
@@ -399,7 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WordParseError, ExprParseError) as exc:
         print(f"surfqp: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"surfqp: {exc}", file=sys.stderr)
         return 2
 

@@ -97,7 +97,7 @@ def _gradient(P: RepElem, pt: RepPoint) -> list[list[list[Fraction]]]:
     N = len(x[0])
     grad = [[[Fraction(0)] * N for _ in range(N)] for _ in x]
     num_val = Fraction(0)
-    for mono, coeff in P.num.items():
+    for mono, coeff in P.num.unpacked():
         powers = [x[u][i][j] ** e for (u, i, j), e in mono]
         num_val += coeff * prod(powers)
         for idx, ((u, i, j), e) in enumerate(mono):

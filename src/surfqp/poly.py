@@ -1,61 +1,124 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Variables are opaque sortable hashable keys (the representation algebra
-uses (generator, row, col) triples).  A monomial is a tuple of (variable,
-exponent) pairs sorted by variable with positive exponents; a polynomial
-is a LinComb mapping monomials to nonzero Fractions, so equality is
-structural.
+uses (generator, row, col) triples).  A module-level, append-only table
+gives each variable a field index the first time it is seen, and a
+monomial is one Python int holding the exponent of variable k in bits
+[32k, 32k + 32): the product of two monomials is their sum.  The top bit
+of each field is a guard bit that no stored monomial sets, so exponents
+stay below 2**31 and a sum of two fields never carries into its
+neighbour; a product that sets a guard bit raises OverflowError.
+
+A polynomial is a LinComb mapping monomials to nonzero coefficients, so
+equality is structural.  A coefficient is an int when it is integral and
+a Fraction only where a rational enters; const, var and scale normalise
+their scalars to that rule, and since 3 == Fraction(3) (with equal
+hashes and str) the mixture is invisible to equality and output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Mapping, Union
+from functools import reduce
+from operator import or_
+from typing import Hashable, Iterator, Mapping, Union
 
 from .algebra import LinComb
 
 Var = Hashable
-Monomial = tuple  # tuple[tuple[Var, int], ...]
+Monomial = int  # packed exponent fields, see the module docstring
 Scalar = Union[int, Fraction]
 
-ONE_MONOMIAL: Monomial = ()
+FIELD_BITS = 32
+MAX_FIELD_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent with a clear guard bit
+_MASK = (1 << FIELD_BITS) - 1
+
+ONE_MONOMIAL: Monomial = 0
+
+_VARS: list = []  # field index -> variable
+_FIELD: dict = {}  # variable -> field index
+_guards = 0  # the guard bits of every field handed out so far
+
+
+def _field(v: Var) -> int:
+    """The field index of v, handing out the next one on first sight."""
+    global _guards
+    idx = _FIELD.get(v)
+    if idx is None:
+        idx = _FIELD[v] = len(_VARS)
+        _VARS.append(v)
+        _guards |= 1 << (FIELD_BITS * idx + FIELD_BITS - 1)
+    return idx
 
 
 def monomial(*pairs: tuple[Var, int]) -> Monomial:
+    """The packed monomial of (variable, exponent) pairs; a repeated
+    variable's exponents add."""
     merged: dict = {}
     for v, e in pairs:
         merged[v] = merged.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in merged.items() if e))
+    m = 0
+    for v, e in merged.items():
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {v!r}")
+        if e > MAX_FIELD_EXPONENT:
+            raise OverflowError(f"exponent {e} of {v!r} exceeds {MAX_FIELD_EXPONENT}")
+        if e:
+            m |= e << (FIELD_BITS * _field(v))
+    return m
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for v, e in b:
-        acc = merged.get(v, 0) + e
-        if acc:
-            merged[v] = acc
-        else:
-            del merged[v]
-    return tuple(sorted(merged.items()))
+def unpack(m: Monomial) -> tuple[tuple[Var, int], ...]:
+    """The monomial as (variable, exponent) pairs sorted by variable."""
+    pairs = []
+    idx = 0
+    while m:
+        e = m & _MASK
+        if e:
+            pairs.append((_VARS[idx], e))
+        m >>= FIELD_BITS
+        idx += 1
+    try:
+        pairs.sort()
+    except TypeError:  # variables of different types: group them by type name
+        pairs.sort(key=lambda pair: (type(pair[0]).__name__, pair[0]))
+    return tuple(pairs)
+
+
+def _coeff(k: Scalar) -> Scalar:
+    """k as an int when it is integral, else as a Fraction."""
+    if isinstance(k, int):
+        return int(k)
+    k = Fraction(k)
+    return k.numerator if k.denominator == 1 else k
+
+
+def _wrap(terms: dict) -> "Poly":
+    """A Poly around a dict that already holds no zero coefficient."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    return out
 
 
 class Poly(LinComb):
-    """A sparse polynomial with Fraction coefficients."""
+    """A sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ()
 
     @staticmethod
     def const(k: Scalar) -> "Poly":
-        k = Fraction(k)
-        return Poly({ONE_MONOMIAL: k}) if k else Poly()
+        k = _coeff(k)
+        return _wrap({ONE_MONOMIAL: k}) if k else Poly()
 
     @staticmethod
     def var(v: Var) -> "Poly":
-        return Poly({((v, 1),): Fraction(1)})
+        return _wrap({1 << (FIELD_BITS * _field(v)): 1})
+
+    def scale(self, k: Scalar) -> "Poly":
+        k = _coeff(k)
+        if not k:
+            return Poly()
+        return _wrap({m: k * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -64,8 +127,13 @@ class Poly(LinComb):
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        return Poly.collect((mono_mul(m1, m2), c1 * c2) for m2, c2 in small.items()
-                            for m1, c1 in big.items())
+        out = Poly.collect((m1 + m2, c1 * c2) for m2, c2 in small.items()
+                           for m1, c1 in big.items())
+        # a cancelled product is exact even past a guard bit (no field
+        # carries), so checking the surviving monomials is enough
+        if reduce(or_, out.terms, 0) & _guards:
+            raise OverflowError(f"a product exponent exceeds {MAX_FIELD_EXPONENT}")
+        return out
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -75,24 +143,27 @@ class Poly(LinComb):
             out = out * self
         return out
 
-    def diff(self, v: Var) -> "Poly":
-        def terms():
-            for m, c in self.terms.items():
-                for idx, (var, exp) in enumerate(m):
-                    if var == v:
-                        rest = m[:idx] + ((var, exp - 1),) + m[idx + 1:] if exp > 1 else m[:idx] + m[idx + 1:]
-                        yield rest, c * exp
-                        break
+    def unpacked(self) -> Iterator[tuple[tuple[tuple[Var, int], ...], Scalar]]:
+        """The terms as (sorted (variable, exponent) pairs, coefficient)."""
+        return ((unpack(m), c) for m, c in self.terms.items())
 
-        return Poly.collect(terms())
+    def diff(self, v: Var) -> "Poly":
+        idx = _FIELD.get(v)
+        if idx is None:
+            return Poly()
+        shift = FIELD_BITS * idx
+        unit = 1 << shift
+        # distinct monomials stay distinct after one decrement, so no sums
+        return _wrap({m - unit: c * e for m, c in self.terms.items()
+                      if (e := (m >> shift) & _MASK)})
 
     def subs(self, images: Mapping[Var, "Poly"]) -> "Poly":
         """Substitute polynomials for variables; unmapped variables persist."""
         powers: dict[tuple[Var, int], Poly] = {}
 
-        def image(m: Monomial, c: Fraction) -> Poly:
+        def image(pairs: tuple, c: Scalar) -> Poly:
             term = Poly.const(c)
-            for v, e in m:
+            for v, e in pairs:
                 factor = powers.get((v, e))
                 if factor is None:
                     base = images.get(v)
@@ -103,20 +174,17 @@ class Poly(LinComb):
                 term = term * factor
             return term
 
-        return Poly.collect(pair for m, c in self.terms.items() for pair in image(m, c).items())
+        return Poly.collect(pair for pairs, c in self.unpacked()
+                            for pair in image(pairs, c).items())
 
     def evaluate(self, assign: Mapping[Var, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
+        total = 0
+        for pairs, c in self.unpacked():
             val = c
-            for v, e in m:
+            for v, e in pairs:
                 val *= assign[v] ** e
             total += val
-        return total
+        return Fraction(total)
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for v, _ in unpack(reduce(or_, self.terms, 0))}

@@ -366,7 +366,7 @@ class RepAlgebra:
 
     def to_json(self, P: RepElem) -> dict:
         terms = []
-        for mono, coeff in P.num.items():
+        for mono, coeff in P.num.unpacked():
             if mono:
                 text = "*".join(
                     self.var_name(v) + (f"^{e}" if e != 1 else "") for v, e in mono

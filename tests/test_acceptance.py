@@ -1,14 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line.  All comparisons are exact rational identities; the only numeric
 parameters are trial counts, seeds and the stated wall-clock budgets.
-Run with -s to see the lines; criterion 9's deep derivation-route leg needs
---runslow.
+Run with -s to see the lines.
 """
 
 import json
 import time
-
-import pytest
 
 from surfqp.algebra import AlgElem, Tensor2, m3
 from surfqp.dbracket import (SurfaceDoubleBracket, angle, dbl_from_pairing,
@@ -257,7 +254,6 @@ def test_criterion_09_moment_map():
            time.time() - t0, None)
 
 
-@pytest.mark.slow
 def test_criterion_09_moment_derivation_route_deep():
     # the partial-derivative bracket on entries of the full cubed boundary
     # word, including the fifteen-letter case; the default suite certifies
@@ -269,7 +265,7 @@ def test_criterion_09_moment_derivation_route_deep():
         rep = moment_suite(SurfaceSignature(g, m), dim=2, powers=(1, 2, 3),
                            trials=5, seed=SEED, deep=True)
         ok = ok and rep.ok
-    report(9, ok, "derivation-route moment check on longer powers (slow leg)",
+    report(9, ok, "derivation-route moment check on longer powers (deep leg)",
            time.time() - t0, None)
 
 

@@ -21,8 +21,10 @@ FAST = ["--trials", "15", "--max-word-len", "3"]
 
 # argv and the exact stdout of computation commands that together touch all
 # five sparse types (group algebra, tensor square and cube, conjugacy
-# classes, coordinate polynomials with det denominators)
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+# classes, coordinate polynomials with det denominators); "{data}" in an
+# argv stands for the tests/data directory
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -144,6 +146,19 @@ def test_expression_zero_denominator_position(capsys):
     assert "zero denominator (at position 9)" in err
 
 
+def test_expression_exponent_cap_position(capsys):
+    code, out, err = run(capsys, "rep-bracket", "p1_1_1 + p1_1_1^100001", "q1_1_1")
+    assert code == 2 and out == ""
+    assert "exponent larger than 100000 (at position 16)" in err
+
+
+def test_expression_exponent_overflow_is_usage_error(capsys):
+    # each factor is within the cap, the nested power passes 2**31 - 1
+    code, out, err = run(capsys, "rep-bracket", "(p1_1_1^100000)^100000", "q1_1_1")
+    assert code == 2 and out == ""
+    assert "exceeds 2147483647" in err and "Traceback" not in err
+
+
 def test_expression_entry_out_of_range(capsys):
     code, _, err = run(capsys, "rep-bracket", "--dim", "2", "p1_3_1", "q1_1_1")
     assert code == 2
@@ -152,7 +167,7 @@ def test_expression_entry_out_of_range(capsys):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][:1] + case["argv"][5:]))
 def test_cli_output_matches_golden(capsys, case):
-    code, out, _ = run(capsys, *case["argv"])
+    code, out, _ = run(capsys, *(arg.replace("{data}", str(DATA)) for arg in case["argv"]))
     assert code == 0
     assert out == case["stdout"]
 
