@@ -143,9 +143,16 @@ class _ExprParser:
             power = int(text)
             if power > MAX_EXPONENT:
                 raise ExprParseError(f"exponent larger than {MAX_EXPONENT}", npos)
+            # square and multiply, never squaring past the top bit of the
+            # exponent: an extra square could overflow a Poly exponent field
+            # that the answer itself fits in
             result = self.alg.one()
-            for _ in range(power):
-                result = result * out
+            while power:
+                if power & 1:
+                    result = result * out
+                power >>= 1
+                if power:
+                    out = out * out
             return result
         return out
 

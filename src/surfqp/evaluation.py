@@ -15,6 +15,12 @@ the values over all (r, s) are the matrices L = m^T G, R = -G m^T and
 C = L + R.  Every wedge term below pairs a field taking f_rs with one
 taking f_sr, summed over all r, s (the contraction of dual bases of the
 matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
+
+Each function's fields are computed once per point, from one gradient, as
+integer matrices over one common denominator; a bracket of two functions is
+then an integer sum of traces with a single division at the end.  Sampled
+points keep integer entries, so monomials and gradients are evaluated in
+ints; points read from lists or files may hold any rationals.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .matrices import Matrix, mat, mat_adjugate, mat_det, mat_mul
-from .poly import Poly
+from .poly import Poly, Scalar
 from .repalgebra import RepAlgebra, RepElem
 from .words import SurfaceSignature, Word, format_word, trial_rng
 
@@ -53,11 +59,11 @@ class RepPoint:
 def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int,
                      low: int = -3, high: int = 3) -> RepPoint:
     """Integer matrices with entries uniform on [low, high], resampled until
-    invertible."""
+    invertible.  The entries stay ints."""
     mats = []
     for _ in range(sig.rank):
         while True:
-            m = mat([[rng.randint(low, high) for _ in range(dim)] for _ in range(dim)])
+            m = tuple(tuple(rng.randint(low, high) for _ in range(dim)) for _ in range(dim))
             if mat_det(m):
                 break
         mats.append(m)
@@ -88,22 +94,24 @@ class TaggedField:
     s: int
 
 
-def _gradient(P: RepElem, pt: RepPoint) -> list[list[list[Fraction]]]:
-    """d ev(P) / d x^u_ij at pt, one N x N matrix per generator u, from one
-    pass over P's monomials (product rule) and its determinant denominator
-    (quotient rule, d det(x) / d x_ij = adj(x)_ji).  It never calls the
-    algebra's derivatives, so the oracle stays independent of the bracket."""
+def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]]]:
+    """(den, G) with d ev(P) / d x^u_ij = G[u][i][j] / den at pt, one N x N
+    matrix G[u] per generator u, from one pass over P's monomials (product
+    rule) and its determinant denominator (quotient rule, d det(x) / d x_ij
+    = adj(x)_ji).  At an integer point G is integral wherever P has no
+    denominator.  It never calls the algebra's derivatives, so the oracle
+    stays independent of the bracket."""
     x = pt.matrices
     N = len(x[0])
-    grad = [[[Fraction(0)] * N for _ in range(N)] for _ in x]
-    num_val = Fraction(0)
+    grad = [[[0] * N for _ in range(N)] for _ in x]
+    num_val = 0
     for mono, coeff in P.num.unpacked():
         powers = [x[u][i][j] ** e for (u, i, j), e in mono]
         num_val += coeff * prod(powers)
         for idx, ((u, i, j), e) in enumerate(mono):
             grad[u][i][j] += (coeff * e * x[u][i][j] ** (e - 1)
                               * prod(powers[:idx]) * prod(powers[idx + 1:]))
-    den_val = Fraction(1)
+    den_val = 1
     for u, k in enumerate(P.den):
         if k:
             d, adj = mat_det(x[u]), mat_adjugate(x[u])
@@ -111,31 +119,37 @@ def _gradient(P: RepElem, pt: RepPoint) -> list[list[list[Fraction]]]:
             for i in range(N):
                 for j in range(N):
                     grad[u][i][j] -= num_val * k * adj[j][i] / d
-    return [[[v / den_val for v in row] for row in g] for g in grad]
+    return den_val, grad
 
 
-def _fields(P: RepElem, pt: RepPoint) -> dict[tuple[int, str], Matrix]:
-    """The values of every tagged field on ev(P) at pt, keyed by (slot,
-    side), as matrices indexed [r][s]: L = m^T G, R = -G m^T, C = L + R."""
-    out = {}
-    for u, G in enumerate(_gradient(P, pt)):
+def _fields(P: RepElem, pt: RepPoint) -> tuple[int, dict[tuple[int, str], Matrix]]:
+    """The values of every tagged field on ev(P) at pt as (D, fields): D is
+    the lcm of the values' denominators and fields[slot, side][r][s] the
+    integer D * value along f_rs, for L = m^T G, R = -G m^T and C = L + R."""
+    den, grads = _gradient(P, pt)
+    raw = {}
+    for u, G in enumerate(grads):
         mt = tuple(zip(*pt.matrices[u]))
         left = mat_mul(mt, G)
         right = tuple(tuple(-v for v in row) for row in mat_mul(G, mt))
-        out[u, L], out[u, R] = left, right
-        out[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
+        raw[u, L], raw[u, R] = left, right
+        raw[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
                              for ra, rb in zip(left, right))
-    return out
+    exact = {key: [[Fraction(v, den) for v in row] for row in m] for key, m in raw.items()}
+    D = lcm(*(v.denominator for m in exact.values() for row in m for v in row))
+    return D, {key: tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in m)
+               for key, m in exact.items()}
 
 
-def _trace_product(A: Matrix, B: Matrix) -> Fraction:
+def _trace_product(A: Matrix, B: Matrix) -> int:
     """tr(AB) = sum_{r,s} A_rs B_sr."""
     return sum(a * b for row, col in zip(A, zip(*B)) for a, b in zip(row, col))
 
 
 def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fraction:
     """Directional derivative of the function ev(P) at pt along f."""
-    return _fields(P, pt)[f.slot, f.side][f.r][f.s]
+    D, fields = _fields(P, pt)
+    return Fraction(fields[f.slot, f.side][f.r][f.s], D)
 
 
 def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem) -> RepElem:
@@ -212,34 +226,44 @@ def build_fusion_bivector(sig: SurfaceSignature, dim: int,
     return FusionBivector(sig, dim, tuple(terms))
 
 
-def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
-                     Q: RepElem, pt: RepPoint) -> Fraction:
-    """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
-    function: every wedge term is coeff * (tr(V_P W_Q) - tr(V_Q W_P))."""
-    fp, fq = _fields(P, pt), _fields(Q, pt)
-    total = Fraction(0)
+def _wedge_sum(biv: FusionBivector, fields_P: tuple[int, dict],
+               fields_Q: tuple[int, dict]) -> Fraction:
+    """<dP ^ dQ, bivector> from the two functions' _fields: every wedge term
+    is coeff * (tr(V_P W_Q) - tr(V_Q W_P)), summed in integers and divided
+    once by both denominators."""
+    (dp, fp), (dq, fq) = fields_P, fields_Q
+    total = 0
     for t in biv.terms:
         v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
         total += t.coeff * (_trace_product(fp[v], fq[w]) - _trace_product(fq[v], fp[w]))
-    return total
+    return Fraction(total, dp * dq)
+
+
+def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
+                     Q: RepElem, pt: RepPoint) -> Fraction:
+    """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
+    function."""
+    return _wedge_sum(biv, _fields(P, pt), _fields(Q, pt))
 
 
 def bivector_bracket_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
                          Q: RepElem) -> RepElem:
     """Symbolic version of the bivector bracket, for outright polynomial
-    equality with the quasi-Poisson bracket."""
-    parts = []
+    equality with the quasi-Poisson bracket.  Each field is applied to each
+    function once."""
     N = alg.dim
+    sides = {side for t in biv.terms for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))}
+    fields = [TaggedField(slot, side, r, s)
+              for slot, side in sides for r in range(N) for s in range(N)]
+    on_p = {f: field_apply_sym(alg, f, P) for f in fields}
+    on_q = {f: field_apply_sym(alg, f, Q) for f in fields}
+    parts = []
     for term in biv.terms:
         for r in range(N):
             for s in range(N):
                 v = TaggedField(term.v_slot, term.v_side, r, s)
                 w = TaggedField(term.w_slot, term.w_side, s, r)
-                vp = field_apply_sym(alg, v, P)
-                wq = field_apply_sym(alg, w, Q)
-                vq = field_apply_sym(alg, v, Q)
-                wp = field_apply_sym(alg, w, P)
-                parts.append((vp * wq - vq * wp).scale(term.coeff))
+                parts.append((on_p[v] * on_q[w] - on_q[v] * on_p[w]).scale(term.coeff))
     return alg.accumulate(parts)
 
 
@@ -274,16 +298,16 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
         coords.append((wa, 1, dim))
         coords.append((wb, dim, 1))
     points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
+    funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
+    fields = [[_fields(P, pt) for pt in points] for P in funcs]
     pair_count = 0
-    for (wa, ia, ja) in coords:
-        Pa = alg.entry(wa, ia, ja)
-        for (wb, ib, jb) in coords:
-            Pb = alg.entry(wb, ib, jb)
+    for (wa, ia, ja), Pa, fields_a in zip(coords, funcs, fields):
+        for (wb, ib, jb), Pb, fields_b in zip(coords, funcs, fields):
             pair_count += 1
             bracket = alg.qp_bracket(Pa, Pb)
             for k, pt in enumerate(points):
                 lhs = evaluate(alg, bracket, pt)
-                rhs = bivector_bracket(alg, biv, Pa, Pb, pt)
+                rhs = _wedge_sum(biv, fields_a[k], fields_b[k])
                 if lhs != rhs:
                     return AksmReport(False, k + 1, pair_count, seed, witness={
                         "point_index": k,

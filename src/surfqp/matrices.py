@@ -1,6 +1,8 @@
 """Tiny exact linear algebra over Fractions: square matrices as nested
 tuples, with determinant, adjugate and inverse by cofactor expansion.
-Dimensions stay small (N <= 3 in practice), so no pivoting games."""
+Dimensions stay small (N <= 3 in practice), so no pivoting games.  The
+product of two integer matrices stays integral; determinants, adjugates and
+inverses are Fractions."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ def identity(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
 

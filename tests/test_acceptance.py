@@ -278,7 +278,7 @@ def test_criterion_10_aksm_equivalence():
         ok = ok and rep.ok
     report(10, ok, "fused bivector equals the bracket: 20 points x 4 signatures, "
            "symbolic on the one-handle and one-annulus surfaces",
-           time.time() - t0, 60.0)
+           time.time() - t0, 10.0)
 
 
 def test_criterion_11_single_bracket_defect():

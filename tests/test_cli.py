@@ -14,6 +14,7 @@ from surfqp.algebra import m2
 from surfqp.cli import main
 from surfqp.dbracket import dbl_from_pairing, project_cyclic
 from surfqp.foxpairing import SurfaceFoxPairing, rho_1, transpose_apply
+from surfqp.repalgebra import RepElem
 from surfqp.words import SurfaceSignature, format_cyclic, format_word, parse_word
 
 # keep CLI runs cheap
@@ -157,6 +158,26 @@ def test_expression_exponent_overflow_is_usage_error(capsys):
     code, out, err = run(capsys, "rep-bracket", "(p1_1_1^100000)^100000", "q1_1_1")
     assert code == 2 and out == ""
     assert "exceeds 2147483647" in err and "Traceback" not in err
+
+
+def test_expression_power_by_repeated_squaring(capsys, monkeypatch):
+    # x^k by square and multiply takes at most 2 log2(k) products, so the
+    # nested power reaches its overflow after a few dozen one-term products
+    # (one product per unit of exponent would take 21,475)
+    products = []
+    mul = RepElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RepElem, "__mul__", counted)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "rep-bracket", "(p1_1_1^100000)^100000", "q1_1_1")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == "" and "exceeds 2147483647" in err
+    assert len(products) <= 4 * 17
+    assert elapsed < 0.5, f"nested power took {elapsed:.2f}s"
 
 
 def test_expression_entry_out_of_range(capsys):

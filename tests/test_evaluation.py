@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from surfqp import evaluation
 from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, TaggedField,
                                WedgeTerm, bivector_bracket, bivector_bracket_sym,
                                build_fusion_bivector, compare_constructions, evaluate,
@@ -25,6 +26,11 @@ BIVECTOR_GOLDEN = [
     for case in json.loads((Path(__file__).parent / "data" / "bivector_golden.json").read_text())
     for pair in case["pairs"]
 ]
+
+# compare_constructions(...).to_dict() without the fusion terms, as sorted
+# JSON, recorded before sampled points kept int entries
+WITNESS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "aksm_witness_golden.json").read_text())
 
 
 def w(text, sig=SIG):
@@ -274,6 +280,71 @@ def test_bivector_bracket_matches_golden(case, pair):
     Q = alg.entry(parse_word(wb, sig), k, l)
     got = bivector_bracket(alg, build_fusion_bivector(sig, case["dim"]), P, Q, pt)
     assert str(got) == pair["value"]
+
+
+# entries with denominators, so every field set needs its D scaling
+RATIONAL_MATRICES = [
+    [[Fraction(1, 2), Fraction(-5, 3)], [2, 1]],
+    [[Fraction(-5, 3), 1], [Fraction(1, 2), 3]],
+    [[2, Fraction(1, 2)], [Fraction(-5, 3), -1]],
+]
+
+
+@pytest.mark.parametrize("genus,punctures,words", [
+    (1, 1, ("p1", "q1^-1*z1", "z1^-1")),
+    (0, 2, ("z1", "z2^-1", "z1^-1*z2")),
+])
+def test_agreement_at_a_rational_point(genus, punctures, words):
+    sig = SurfaceSignature(genus, punctures)
+    alg = RepAlgebra(sig, 2)
+    biv = build_fusion_bivector(sig, 2)
+    pt = RepPoint.from_lists(RATIONAL_MATRICES[:sig.rank])
+    funcs = [alg.entry(parse_word(text, sig), i, j)
+             for text in words for i, j in ((1, 2), (2, 1))]
+    values = []
+    for P in funcs:
+        for Q in funcs:
+            want = evaluate(alg, alg.qp_bracket(P, Q), pt)
+            got = bivector_bracket(alg, biv, P, Q, pt)
+            assert got == want
+            values.append(got)
+    assert any(v.denominator > 1 for v in values)
+    # exact values only, never a float from dividing two ints
+    sampled = sample_rep_point(random.Random(12), sig, 2)
+    assert all(type(x) is int for m in sampled.matrices for row in m for x in row)
+    f = TaggedField(sig.rank - 1, CONJ, 0, 1)
+    for at in (pt, sampled):
+        for P, Q in ((funcs[0], funcs[3]), (funcs[2], funcs[5])):
+            assert type(bivector_bracket(alg, biv, P, Q, at)) is Fraction
+            assert type(field_apply(alg, f, P, at)) is Fraction
+            assert type(evaluate(alg, P, at)) is Fraction
+
+
+@pytest.mark.parametrize("case", WITNESS_GOLDEN,
+                         ids=lambda c: f"{c['genus']}-{c['punctures']}")
+def test_aksm_witness_matches_golden(case):
+    sig = SurfaceSignature(case["genus"], case["punctures"])
+    nofuse = build_fusion_bivector(sig, case["dim"], with_fusion_terms=False)
+    rep = compare_constructions(sig, case["dim"], case["trials"], case["seed"], biv=nofuse)
+    assert json.dumps(rep.to_dict(), sort_keys=True) == case["report"]
+
+
+def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
+    # the fields of each coordinate function are computed once per point,
+    # not once for every pair it takes part in
+    calls = []
+    fields = evaluation._fields
+
+    def counted(P, pt):
+        calls.append(1)
+        return fields(P, pt)
+
+    monkeypatch.setattr(evaluation, "_fields", counted)
+    extra = [(w("p1*q1"), w("z1^-1"))]
+    rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
+    assert rep.ok, rep.witness
+    coords = SIG.rank * 2 * 2 + 2 * len(extra)
+    assert len(calls) == coords * 2
 
 
 def test_compare_constructions_passes():
