@@ -3,7 +3,11 @@ structure, and the tensor squares/cubes carrying the outer and inner
 bimodule actions used by double and triple brackets.
 
 All elements are LinComb instances: sparse maps from basis keys (words,
-or pairs/triples of words) to nonzero Fractions, so equality is structural.
+or pairs/triples of words) to nonzero coefficients, so equality is
+structural.  A coefficient is an int when it is integral and a Fraction
+only where a rational enters (the Goldman bracket's 1/2); _coeff is that
+rule, and the constructors and scale apply it.  Since 3 == Fraction(3),
+with equal hashes and str, the mixture is invisible to equality and output.
 """
 
 from __future__ import annotations
@@ -16,8 +20,12 @@ from .words import Word
 Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _coeff(k: Scalar) -> Scalar:
+    """k as an int when it is integral, else as a Fraction."""
+    if isinstance(k, int):
+        return int(k)
+    k = Fraction(k)
+    return k.numerator if k.denominator == 1 else k
 
 
 class LinComb:
@@ -44,8 +52,13 @@ class LinComb:
             else:
                 out.pop(k, None)
         # out holds no zero, so wrap it as it is instead of filtering again
+        return cls._wrap(out)
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An element around a dict that already holds no zero coefficient."""
         new = cls.__new__(cls)
-        new.terms = out
+        new.terms = terms
         return new
 
     @classmethod
@@ -65,13 +78,14 @@ class LinComb:
         return self.collect(((k, -c) for k, c in other.terms.items()), self.terms)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._wrap({k: -c for k, c in self.terms.items()})
 
     def scale(self, k: Scalar):
-        k = _frac(k)
+        k = _coeff(k)
         if not k:
             return self.zero()
-        return type(self)({key: k * c for key, c in self.terms.items()})
+        # k * c is nonzero when both are, so nothing needs filtering
+        return self._wrap({key: k * c for key, c in self.terms.items()})
 
     def __rmul__(self, other: Scalar):
         return self.scale(other)
@@ -90,11 +104,11 @@ class AlgElem(LinComb):
 
     @staticmethod
     def one() -> "AlgElem":
-        return AlgElem({Word.identity(): Fraction(1)})
+        return AlgElem({Word.identity(): 1})
 
     @staticmethod
     def from_word(w: Word, coeff: Scalar = 1) -> "AlgElem":
-        return AlgElem({w: _frac(coeff)})
+        return AlgElem({w: _coeff(coeff)})
 
     def __mul__(self, other):
         if isinstance(other, AlgElem):
@@ -102,8 +116,8 @@ class AlgElem(LinComb):
                                    for w, cw in other.terms.items())
         return self.scale(other)
 
-    def counit(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+    def counit(self) -> int | Fraction:
+        return sum(self.terms.values())
 
     def antipode(self) -> "AlgElem":
         return AlgElem({w.inverse(): c for w, c in self.terms.items()})
@@ -119,7 +133,7 @@ def as_elem(x: ElemLike) -> AlgElem:
     return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
-def counit(x: AlgElem) -> Fraction:
+def counit(x: AlgElem) -> int | Fraction:
     return x.counit()
 
 
@@ -135,7 +149,7 @@ class Tensor2(LinComb):
 
     @staticmethod
     def pure(w1: Word, w2: Word, coeff: Scalar = 1) -> "Tensor2":
-        return Tensor2({(w1, w2): _frac(coeff)})
+        return Tensor2({(w1, w2): _coeff(coeff)})
 
 
 class Tensor3(LinComb):
@@ -146,7 +160,7 @@ class Tensor3(LinComb):
 
     @staticmethod
     def pure(w1: Word, w2: Word, w3: Word, coeff: Scalar = 1) -> "Tensor3":
-        return Tensor3({(w1, w2, w3): _frac(coeff)})
+        return Tensor3({(w1, w2, w3): _coeff(coeff)})
 
 
 def tensor2(a: AlgElem, b: AlgElem) -> Tensor2:

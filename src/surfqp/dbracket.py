@@ -111,16 +111,16 @@ class SurfaceDoubleBracket:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
         a, b = as_elem(a), as_elem(b)
-        out = Tensor2.zero()
-        for v, cv in a.items():
-            for w, cw in b.items():
-                value = self._memo.get((v, w))
-                if value is None:
-                    if len(self._memo) >= MEMO_LIMIT:
-                        self._memo.clear()
-                    value = self._memo[(v, w)] = self._pair(v, w)
-                out = out + value.scale(cv * cw)
-        return out
+        return Tensor2.collect((key, cv * cw * c) for v, cv in a.items() for w, cw in b.items()
+                               for key, c in self._memoized(v, w).items())
+
+    def _memoized(self, v: Word, w: Word) -> Tensor2:
+        value = self._memo.get((v, w))
+        if value is None:
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
+            value = self._memo[(v, w)] = self._pair(v, w)
+        return value
 
     def _pair(self, v: Word, w: Word) -> Tensor2:
         """The closed double sum on one pair of words."""
@@ -208,12 +208,15 @@ def moment_power_rhs(mu: Word, a: Word, m: int) -> Tensor2:
     sigma_{k,m-k}, where sigma_{k,m-k} = a mu^k (x) mu^{m-k} - mu^k (x) mu^{m-k} a."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    out = Tensor2.zero()
-    for k in range(m + 1):
-        weight = 1 if k in (0, m) else 2
-        muk, murest = mu ** k, mu ** (m - k)
-        out = out + Tensor2.pure(a * muk, murest, weight) - Tensor2.pure(muk, murest * a, weight)
-    return out
+
+    def terms():
+        for k in range(m + 1):
+            weight = 1 if k in (0, m) else 2
+            muk, murest = mu ** k, mu ** (m - k)
+            yield (a * muk, murest), weight
+            yield (muk, murest * a), -weight
+
+    return Tensor2.collect(terms())
 
 
 def moment_rhs(mu: Word, a: Word) -> Tensor2:

@@ -37,13 +37,9 @@ def rho_1(a: ElemLike, b: ElemLike) -> AlgElem:
 def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
     """The transposed pairing: on group-likes, a S(rho(b, a)) b."""
     a, b = as_elem(a), as_elem(b)
-    out = AlgElem.zero()
-    for v, cv in a.items():
-        av = AlgElem.from_word(v)
-        for w, cw in b.items():
-            inner = rho(AlgElem.from_word(w), av).antipode()
-            out = out + (av * inner * AlgElem.from_word(w)).scale(cv * cw)
-    return out
+    return AlgElem.collect((v * u.inverse() * w, cv * cw * cu)
+                           for v, cv in a.items() for w, cw in b.items()
+                           for u, cu in rho(AlgElem.from_word(w), AlgElem.from_word(v)).items())
 
 
 class SurfaceFoxPairing:

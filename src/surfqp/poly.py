@@ -10,10 +10,9 @@ stay below 2**31 and a sum of two fields never carries into its
 neighbour; a product that sets a guard bit raises OverflowError.
 
 A polynomial is a LinComb mapping monomials to nonzero coefficients, so
-equality is structural.  A coefficient is an int when it is integral and
-a Fraction only where a rational enters; const, var and scale normalise
-their scalars to that rule, and since 3 == Fraction(3) (with equal
-hashes and str) the mixture is invisible to equality and output.
+equality is structural.  Coefficients follow the group algebra's scalar
+rule (algebra._coeff): an int when integral, a Fraction only where a
+rational enters; const, var and scale normalise their scalars to it.
 """
 
 from __future__ import annotations
@@ -21,13 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Hashable, Iterator, Mapping, Union
+from typing import Hashable, Iterator, Mapping
 
-from .algebra import LinComb
+from .algebra import LinComb, Scalar, _coeff
 
 Var = Hashable
 Monomial = int  # packed exponent fields, see the module docstring
-Scalar = Union[int, Fraction]
 
 FIELD_BITS = 32
 MAX_FIELD_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent with a clear guard bit
@@ -85,21 +83,6 @@ def unpack(m: Monomial) -> tuple[tuple[Var, int], ...]:
     return tuple(pairs)
 
 
-def _coeff(k: Scalar) -> Scalar:
-    """k as an int when it is integral, else as a Fraction."""
-    if isinstance(k, int):
-        return int(k)
-    k = Fraction(k)
-    return k.numerator if k.denominator == 1 else k
-
-
-def _wrap(terms: dict) -> "Poly":
-    """A Poly around a dict that already holds no zero coefficient."""
-    out = Poly.__new__(Poly)
-    out.terms = terms
-    return out
-
-
 class Poly(LinComb):
     """A sparse polynomial with int or Fraction coefficients."""
 
@@ -108,17 +91,17 @@ class Poly(LinComb):
     @staticmethod
     def const(k: Scalar) -> "Poly":
         k = _coeff(k)
-        return _wrap({ONE_MONOMIAL: k}) if k else Poly()
+        return Poly._wrap({ONE_MONOMIAL: k}) if k else Poly()
 
     @staticmethod
     def var(v: Var) -> "Poly":
-        return _wrap({1 << (FIELD_BITS * _field(v)): 1})
+        return Poly._wrap({1 << (FIELD_BITS * _field(v)): 1})
 
     def scale(self, k: Scalar) -> "Poly":
         k = _coeff(k)
         if not k:
             return Poly()
-        return _wrap({m: k * c for m, c in self.terms.items()})
+        return Poly._wrap({m: k * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -154,7 +137,7 @@ class Poly(LinComb):
         shift = FIELD_BITS * idx
         unit = 1 << shift
         # distinct monomials stay distinct after one decrement, so no sums
-        return _wrap({m - unit: c * e for m, c in self.terms.items()
+        return Poly._wrap({m - unit: c * e for m, c in self.terms.items()
                       if (e := (m >> shift) & _MASK)})
 
     def subs(self, images: Mapping[Var, "Poly"]) -> "Poly":

@@ -208,10 +208,8 @@ def quasi_poisson_suite(sig: SurfaceSignature, trials: int, seed: int,
         ca, cb, cc = CyclicWord.of(a), CyclicWord.of(b), CyclicWord.of(c)
 
         def gg(x: CyclicAlgElem, y: CyclicWord) -> CyclicAlgElem:
-            out = CyclicAlgElem.zero()
-            for cw, coeff in x.items():
-                out = out + goldman(dbl, cw, y).scale(coeff)
-            return out
+            return CyclicAlgElem.collect((z, coeff * c) for cw, coeff in x.items()
+                                         for z, c in goldman(dbl, cw, y).items())
 
         return (gg(goldman(dbl, ca, cb), cc)
                 + gg(goldman(dbl, cb, cc), ca)

@@ -127,13 +127,19 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        # only the seam can cancel when both factors are reduced
-        left = list(self.letters)
-        right = list(other.letters)
-        while left and right and left[-1][0] == right[0][0] and left[-1][1] == -right[0][1]:
-            left.pop()
-            right.pop(0)
-        return Word(tuple(left) + tuple(right), _reduced=True)
+        # only the seam can cancel when both factors are reduced: count the
+        # k cancelling letter pairs there, then slice once
+        left, right = self.letters, other.letters
+        if left and right and left[-1][0] == right[0][0] and left[-1][1] == -right[0][1]:
+            n, k, top = len(left), 1, min(len(left), len(right))
+            while k < top and left[n - 1 - k][0] == right[k][0] \
+                    and left[n - 1 - k][1] == -right[k][1]:
+                k += 1
+            left, right = left[:n - k], right[k:]
+        # the concatenation is reduced, so skip the constructor's check
+        out = Word.__new__(Word)
+        out.letters = left + right
+        return out
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)

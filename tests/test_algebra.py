@@ -181,3 +181,75 @@ def test_lincomb_stores_no_zero_coefficient(data):
     assert x + y == y + x and x - y == -(y - x)
     assert Tensor2() != Tensor3() and AlgElem.zero() != CyclicAlgElem.zero()
     assert all(x != other(x.terms) for other in KEYS if other is not cls)
+
+
+# --- int and Fraction coefficients against an all-Fraction reference ----------
+
+def ref_collect(pairs) -> dict:
+    """Sum (key, coefficient) pairs in Fractions, dropping zero sums."""
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out.get(k, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    return ref_collect((v * u, cv * cu) for v, cv in x.items() for u, cu in y.items())
+
+
+def ref_add(x: dict, y: dict) -> dict:
+    return ref_collect(list(x.items()) + list(y.items()))
+
+
+def ref_scale(x: dict, k) -> dict:
+    return ref_collect((key, Fraction(k) * c) for key, c in x.items())
+
+
+SCALARS = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Fraction),
+                    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]))
+ELEM_TERMS = st.lists(st.tuples(WORDS, SCALARS.filter(bool)), max_size=4)
+
+
+def elem_and_ref(pairs):
+    x = AlgElem.zero()
+    for word, c in pairs:
+        x = x + AlgElem.from_word(word, c)
+    return x, ref_collect(pairs)
+
+
+def integral(c) -> bool:
+    return Fraction(c).denominator == 1
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_mixed_coefficients_match_fraction_reference(data):
+    (x, rx), (y, ry), (z, rz) = (elem_and_ref(data.draw(ELEM_TERMS)) for _ in range(3))
+    k = data.draw(SCALARS)
+    one = AlgElem.one()
+    t = tensor2(x, y)
+    rt = ref_collect(((v, u), cv * cu) for v, cv in rx.items() for u, cu in ry.items())
+    rt_outer = ref_collect(((v * a, b * u), c * cv * cu) for (a, b), c in rt.items()
+                           for v, cv in rz.items() for u, cu in rx.items())
+    cases = [
+        (x * y, ref_mul(rx, ry)),
+        (x + y - z, ref_add(ref_add(rx, ry), ref_scale(rz, -1))),
+        (x.scale(k), ref_scale(rx, k)),
+        (one.scale(x.counit()), ref_collect([(Word.identity(), sum(rx.values(), Fraction(0)))])),
+        (t, rt),
+        (t.scale(k) - tensor2(z, x), ref_add(ref_scale(rt, k), ref_scale(
+            ref_collect(((v, u), cv * cu) for v, cv in rz.items() for u, cu in rx.items()), -1))),
+        (permute(t, (2, 1)), ref_collect(((b, a), c) for (a, b), c in rt.items())),
+        (outer_act(z, t, x), rt_outer),
+        (m2(outer_act(z, t, x)), ref_collect((a * b, c) for (a, b), c in rt_outer.items())),
+        # last, as the one case that brings in a rational
+        (x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 2)),
+         ref_scale(ref_add(rx, ry), Fraction(1, 2))),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        assert {key: str(c) for key, c in got.items()} == {key: str(c) for key, c in want.items()}
+    if all(integral(c) for r in (rx, ry, rz) for c in r.values()) and integral(k):
+        # integral data stays in ints: no Fraction is made on the way
+        assert all(type(c) is int for got, _ in cases[:-1] for _, c in got.items())

@@ -108,6 +108,20 @@ def test_cross_oracle_long_inverse_heavy_words(data):
     assert SurfaceDoubleBracket(sig)(a, b) == dbl_from_pairing(eta.skew, a, b)
 
 
+def test_integer_brackets_keep_int_coefficients():
+    # eta, eta^s and both brackets are defined over the integers, so no
+    # Fraction may appear in their values on words
+    for sig in (SurfaceSignature(1, 1), SIG, SurfaceSignature(0, 2)):
+        rng = random.Random(sig.rank)
+        eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+        for _ in range(20):
+            a, b, c = (sample_word(rng, sig, 4) for _ in range(3))
+            values = [eta(a, b), eta.skew(a, b), dbl(a, b),
+                      dbl(AlgElem.one() - AlgElem.from_word(a), b),
+                      dbl_from_pairing(eta.skew, a, b), triple(dbl, a, b, c)]
+            assert all(type(coeff) is int for v in values for _, coeff in v.items())
+
+
 def test_bracket_memo_is_bounded():
     sig = SurfaceSignature(1, 1)
     rng = random.Random(5000)

@@ -141,9 +141,9 @@ def test_field_values_on_determinants(dim):
                 for side, want in ((L, delta), (R, -delta), (CONJ, 0)):
                     f = TaggedField(u, side, r, s)
                     assert field_apply(alg, f, det, pt) == want
-                    assert field_apply(alg, f, alg.det_inverse(u), pt) == -want / d ** 2
+                    assert field_apply(alg, f, alg.det_inverse(u), pt) == Fraction(-want, d ** 2)
                     inv2 = alg.det_inverse(u) * alg.det_inverse(u)
-                    assert field_apply(alg, f, inv2, pt) == -2 * want / d ** 3
+                    assert field_apply(alg, f, inv2, pt) == Fraction(-2 * want, d ** 3)
                     other = TaggedField(1 - u, side, r, s)
                     assert field_apply(alg, other, det, pt) == 0
 

@@ -1,6 +1,7 @@
 """Free reduction, word arithmetic, conjugacy normal forms, the grammar."""
 
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,17 @@ def test_multiply():
     assert w("p1") * w("p1^-1") == Word.identity()
     assert w("p1*q1") * w("q1^-1*z1") == w("p1*z1")
     assert Word.identity() * w("q2*z1") == w("q2*z1")
+
+
+def test_long_cancelling_seam_is_linear():
+    n = 100_000
+    x = Word(((0, 1),) * n, _reduced=True)
+    start = time.perf_counter()
+    assert x * x.inverse() == Word.identity()
+    assert x * Word(((0, -1),) * (n // 2), _reduced=True) == Word(((0, 1),) * (n - n // 2))
+    assert x * Word(((0, -1),) * n + ((1, 1),), _reduced=True) == w("q1")
+    # a quadratic seam takes about a second per product at this length
+    assert time.perf_counter() - start < 0.5
 
 
 def test_invert():
