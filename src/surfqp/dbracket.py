@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute, tensor3
 from .foxpairing import Pairing, SurfaceFoxPairing
-from .words import CyclicWord, Letter, SurfaceSignature, Word, sample_word, trial_rng
+from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, sample_word,
+                    trial_rng)
 
 # SurfaceDoubleBracket empties its memo before an insertion past this size
 MEMO_LIMIT = 4096
@@ -62,13 +63,17 @@ class SurfaceDoubleBracket:
 
     The table stores the value on every ordered pair of positive generators:
     above the diagonal the displayed values, below it their skew-symmetric
-    images.  The inverse-letter rules dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2)
-    and dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1) extend it once to the table T
-    over all signed letter pairs.  The derivation rules in both slots then
-    integrate to a closed double sum over letter positions:
+    images.  Each a (x) b in the value on (x, y) is y^dj x^(1-di) (x) x^di y^(1-dj)
+    for a corner (di, dj) in {0,1}^2, and the inverse-letter rules
+    dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2), dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1)
+    flip di, resp. dj.  So the derivation rules integrate to a sum over cuts
 
-        dbl(x1...xn, y1...ym) = sum_{i,j} sum_{a (x) b in T(x_i, y_j)}
-                                (y_{<j} a x_{>i}) (x) (x_{<i} b y_{>j}).
+        dbl(x1...xn, y1...ym) = sum_{i', j'} W(i', j') F(i', j'),
+        F(i', j') = (y_{<j'} x_{>=i'}) (x) (x_{<i'} y_{>=j'}),
+
+    with integer weights W summed a row at a time, words built only where W is
+    nonzero.  A generic letter pair weighs -1, +1, +1, -1 on its corners, a
+    second difference -D^2 F whose interior cuts cancel as ints.
 
     The memo maps each whole word pair bracketed so far to its finished
     value, never a pair of suffixes; concurrent readers are safe.  It is
@@ -84,13 +89,8 @@ class SurfaceDoubleBracket:
         for i in range(sig.rank):
             for j in range(i):
                 self._table[(i, j)] = -permute(self._table[(j, i)], (2, 1))
-        self._signed: dict[tuple[Letter, Letter], tuple] = {}
-        for (i, j), t in self._table.items():
-            for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                x = Word.generator(i, -1) if ex < 0 else Word.identity()
-                y = Word.generator(j, -1) if ey < 0 else Word.identity()
-                self._signed[((i, ex), (j, ey))] = tuple(
-                    ((y * a1 * x, x * a2 * y), ex * ey * c) for (a1, a2), c in t.items())
+        self._corners = corner_table(self._table, lambda x, y, di, dj: (
+            y ** dj * x ** (1 - di), x ** di * y ** (1 - dj)))
         self._memo: dict[tuple[Word, Word], Tensor2] = {}
 
     def _display_value(self, i: int, j: int) -> Tensor2:
@@ -111,6 +111,10 @@ class SurfaceDoubleBracket:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
         a, b = as_elem(a), as_elem(b)
+        if len(a.terms) == len(b.terms) == 1:  # the memoised value itself: nothing mutates it
+            (v, cv), (w, cw) = *a.items(), *b.items()
+            value = self._memoized(v, w)
+            return value if cv * cw == 1 else value.scale(cv * cw)
         return Tensor2.collect((key, cv * cw * c) for v, cv in a.items() for w, cw in b.items()
                                for key, c in self._memoized(v, w).items())
 
@@ -123,17 +127,11 @@ class SurfaceDoubleBracket:
         return value
 
     def _pair(self, v: Word, w: Word) -> Tensor2:
-        """The closed double sum on one pair of words."""
+        """The cut-corner sum on one pair of words."""
         xs, ys = v.letters, w.letters
-        y_pre = [Word(ys[:j], _reduced=True) for j in range(len(ys))]
-        y_post = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
-        # lazy, so one prefix/suffix pair of v is alive at a time
-        x_cuts = ((x, Word(xs[:i], _reduced=True), Word(xs[i + 1:], _reduced=True))
-                  for i, x in enumerate(xs))
-        return Tensor2.collect(((ya * a1 * xb, xa * a2 * yb), c)
-                               for x, xa, xb in x_cuts
-                               for y, ya, yb in zip(ys, y_pre, y_post)
-                               for (a1, a2), c in self._signed[(x, y)])
+        return Tensor2.collect(((Word(ys[:j], _reduced=True) * Word(xs[i:], _reduced=True),
+                                 Word(xs[:i], _reduced=True) * Word(ys[j:], _reduced=True)), c)
+                               for i, j, c in corner_cuts(xs, ys, self._corners))
 
 
 def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .algebra import AlgElem, ElemLike, as_elem
-from .words import Letter, SurfaceSignature, Word
+from .words import SurfaceSignature, Word, corner_cuts, corner_table
 
 Pairing = Callable[[AlgElem, AlgElem], AlgElem]
 
@@ -45,31 +45,27 @@ def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
 class SurfaceFoxPairing:
     """The homotopy intersection pairing eta for a fixed signature.
 
-    The stored data is the value on ordered generator pairs x <= y only.
-    Construction extends it once to all signed letter pairs: x > y by the
-    transpose identity eta(x, y) = x S(etabar(y, x)) y, etabar = -eta - rho_1,
-    inverse letters by eta(x^-1, b) = -x^-1 eta(x, b) and
-    eta(a, y^-1) = -eta(a, y) y^-1.  The Fox rules integrate to the closed
-    double sum eta(x1...xn, y1...ym) = sum_{i,j} x_{<i} eta(x_i, y_j) y_{>j}
-    over letter positions, evaluated directly: no recursion and no cache.
+    The stored data is the value on ordered generator pairs x <= y only;
+    x > y follows by the transpose identity eta(x, y) = x S(etabar(y, x)) y,
+    etabar = -eta - rho_1.  Each word u of eta(x, y) is x^di y^(1-dj) for a
+    corner (di, dj) in {0,1}^2, flipped in di by eta(x^-1, b) = -x^-1 eta(x, b)
+    and in dj by eta(a, y^-1) = -eta(a, y) y^-1.  So the Fox rules integrate to
+    eta(x1...xn, y1...ym) = sum W(i', j') G(i', j') over the cuts
+    G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed a row at a
+    time: no recursion, no cache, and a word only where W is nonzero.
     """
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        self._table: dict[tuple[Letter, Letter], tuple] = {}
+        values = {}
         for i in range(sig.rank):
             for j in range(sig.rank):
-                x, y = Word.generator(i), Word.generator(j)
                 if i <= j:
-                    val = self.base(i, j)
+                    values[(i, j)] = self.base(i, j)
                 else:
-                    etabar = -self.base(j, i) - rho_1(y, x)
-                    val = AlgElem.from_word(x) * etabar.antipode() * AlgElem.from_word(y)
-                for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    left = x.inverse() if ex < 0 else Word.identity()
-                    right = y.inverse() if ey < 0 else Word.identity()
-                    self._table[((i, ex), (j, ey))] = tuple(
-                        (left * u * right, ex * ey * c) for u, c in val.items())
+                    x, y = (AlgElem.from_word(Word.generator(k)) for k in (i, j))
+                    values[(i, j)] = x * (-self.base(j, i) - rho_1(y, x)).antipode() * y
+        self._corners = corner_table(values, lambda x, y, di, dj: x ** di * y ** (1 - dj))
 
     def base(self, i: int, j: int) -> AlgElem:
         """Table value on the ordered generator pair (i, j), i <= j."""
@@ -91,19 +87,10 @@ class SurfaceFoxPairing:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         a, b = as_elem(a), as_elem(b)
-
-        def terms():
-            for v, cv in a.items():
-                for w, cw in b.items():
-                    ys, c = w.letters, cv * cw
-                    posts = [Word(ys[j + 1:], _reduced=True) for j in range(len(ys))]
-                    for i, x in enumerate(v.letters):
-                        pre = Word(v.letters[:i], _reduced=True)
-                        for y, post in zip(ys, posts):
-                            for u, cu in self._table[(x, y)]:
-                                yield pre * u * post, c * cu
-
-        return AlgElem.collect(terms())
+        return AlgElem.collect(
+            (Word(v.letters[:i], _reduced=True) * Word(w.letters[j:], _reduced=True), cv * cw * k)
+            for v, cv in a.items() for w, cw in b.items()
+            for i, j, k in corner_cuts(v.letters, w.letters, self._corners))
 
     def skew(self, a: ElemLike, b: ElemLike) -> AlgElem:
         """eta^s(a, b) = 2 eta(a, b) + (a - eps(a) 1)(b - eps(b) 1)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[int, int]
 
@@ -147,10 +147,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        # one free reduction of the n-fold concatenation, linear in its length
+        return Word(self.letters * n)
 
     def conjugate_by(self, u: "Word") -> "Word":
         return u * self * u.inverse()
@@ -226,6 +224,43 @@ def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 def conjugacy_class(word: Word) -> CyclicWord:
     return CyclicWord.of(word)
+
+
+# --- cut corners ----------------------------------------------------------
+
+def corner_table(values: Mapping, corner_key: Callable) -> dict:
+    """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of every
+    signed letter pair from the values on generator pairs (i, j): a term (key, c)
+    goes to the first corner with corner_key(x_i, x_j, di, dj) == key (equal keys
+    have equal cuts) or raises ValueError.  x^-1 flips di, y^-1 flips dj."""
+    corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
+    for (i, j), value in values.items():
+        keys = [corner_key(Word.generator(i), Word.generator(j), *d) for d in corners]
+        sums = [0] * 4
+        for key, c in value.items():
+            if key not in keys:
+                raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
+            sums[keys.index(key)] += c
+        for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            out.setdefault((i, ex), {})[(j, ey)] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
+                                                         for (di, dj), c in zip(corners, sums) if c)
+    return out
+
+
+def corner_cuts(xs: Sequence[Letter], ys: Sequence[Letter], table: Mapping) -> Iterator:
+    """(i', j', c) per nonzero weight c on the cuts, each letter pair (i, j) adding
+    the corners (di, dj, c) of table[x_i][y_j] at (i + di, j + dj); row i' is done,
+    and yielded, once letter i' has added to it, so two rows are alive at a time."""
+    row = [0] * (len(ys) + 1)
+    for i in range(len(xs) + 1):
+        nxt = [0] * (len(ys) + 1)
+        if i < len(xs):
+            rows, entries = (row, nxt), table[xs[i]]
+            for j, y in enumerate(ys):
+                for di, dj, c in entries[y]:
+                    rows[di][j + dj] += c
+        yield from ((i, j, c) for j, c in enumerate(row) if c)
+        row = nxt
 
 
 # --- parsing / formatting -------------------------------------------------

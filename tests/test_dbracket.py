@@ -13,7 +13,7 @@ from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_i
                              dbl_from_pairing, dbl_s_via_pairing, goldman,
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
                              moment_rhs, project_cyclic, triple, triple_e)
-from surfqp.foxpairing import SurfaceFoxPairing
+from surfqp.foxpairing import SurfaceFoxPairing, rho_1
 from surfqp.words import (CyclicWord, SurfaceSignature, Word, boundary_word,
                           parse_word, sample_word)
 
@@ -106,6 +106,113 @@ def test_cross_oracle_long_inverse_heavy_words(data):
     assert 10 <= len(a) <= 40 and 10 <= len(b) <= 40
     eta = SurfaceFoxPairing(sig)
     assert SurfaceDoubleBracket(sig)(a, b) == dbl_from_pairing(eta.skew, a, b)
+
+
+# --- the cut-corner sums against the letter-pair sums they replace ----------
+
+SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def letter_pair_tables(sig):
+    """Both generator tables extended to signed letter pairs term by term:
+    eta(x, y) as (u, c) and dbl(x, y) as ((a1, a2), c)."""
+    eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+    fox, bracket = {}, {}
+    for i in range(sig.rank):
+        for j in range(sig.rank):
+            x, y = Word.generator(i), Word.generator(j)
+            if i <= j:
+                val = eta.base(i, j)
+            else:
+                etabar = -eta.base(j, i) - rho_1(y, x)
+                val = AlgElem.from_word(x) * etabar.antipode() * AlgElem.from_word(y)
+            for ex, ey in SIGNS:
+                l = x.inverse() if ex < 0 else Word.identity()
+                r = y.inverse() if ey < 0 else Word.identity()
+                fox[((i, ex), (j, ey))] = [(l * u * r, ex * ey * c) for u, c in val.items()]
+                bracket[((i, ex), (j, ey))] = [((r * a1 * l, l * a2 * r), ex * ey * c)
+                                               for (a1, a2), c in dbl.base(i, j).items()]
+    return fox, bracket
+
+
+def letter_pair_sums(tables, v, w):
+    """eta(v, w) and dbl(v, w) as the closed sums over letter pairs (i, j):
+    x_{<i} u y_{>j} and (y_{<j} a1 x_{>i}) (x) (x_{<i} a2 y_{>j})."""
+    fox, bracket = tables
+    xs, ys = v.letters, w.letters
+    eta_out, dbl_out = {}, {}
+    for i, x in enumerate(xs):
+        xa, xb = Word(xs[:i]), Word(xs[i + 1:])
+        for j, y in enumerate(ys):
+            ya, yb = Word(ys[:j]), Word(ys[j + 1:])
+            for u, c in fox[(x, y)]:
+                key = xa * u * yb
+                eta_out[key] = eta_out.get(key, 0) + c
+            for (a1, a2), c in bracket[(x, y)]:
+                key = (ya * a1 * xb, xa * a2 * yb)
+                dbl_out[key] = dbl_out.get(key, 0) + c
+    return ({k: c for k, c in eta_out.items() if c},
+            {k: c for k, c in dbl_out.items() if c})
+
+
+CORNER_SIGS = tuple(SurfaceSignature(g, p) for g, p in
+                    ((0, 1), (1, 0), (1, 1), (2, 0), (0, 3), (2, 2)))
+REFERENCE_TABLES = {sig: letter_pair_tables(sig) for sig in CORNER_SIGS}
+
+
+@st.composite
+def random_words(draw, sig, max_len=40):
+    """Words from up to max_len uniform signed letters, freely reduced."""
+    return Word(draw(st.lists(st.tuples(st.integers(0, sig.rank - 1), st.sampled_from((1, -1))),
+                              max_size=max_len)))
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.data())
+def test_corner_sums_match_letter_pair_reference(data):
+    sig = data.draw(st.sampled_from(CORNER_SIGS))
+    words = st.one_of(random_words(sig), inverse_heavy_words(sig, min_len=0))
+    v, w = data.draw(words), data.draw(words)
+    want_eta, want_dbl = letter_pair_sums(REFERENCE_TABLES[sig], v, w)
+    eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+    assert eta(v, w).terms == want_eta
+    assert dbl(v, w).terms == want_dbl
+    # a scaled word and a two-word sum take the other paths through __call__
+    k = data.draw(st.sampled_from((-2, 3)))
+    assert eta(AlgElem.from_word(v, k), w).terms == {key: k * c for key, c in want_eta.items()}
+    assert dbl(AlgElem.from_word(v, k), w).terms == {key: k * c for key, c in want_dbl.items()}
+    u = data.draw(words)
+    want_u = letter_pair_sums(REFERENCE_TABLES[sig], u, w)[1]
+    both = {key: want_dbl.get(key, 0) - want_u.get(key, 0) for key in {**want_dbl, **want_u}}
+    assert dbl(AlgElem.from_word(v) - AlgElem.from_word(u), w).terms == \
+        {key: c for key, c in both.items() if c}
+
+
+def test_long_power_bracket_has_n_plus_three_terms():
+    assert len(DBL(w("p1^2000"), w("q1")).terms) == 2003
+
+
+def test_corner_weights_are_ints():
+    for sig in CORNER_SIGS:
+        for table in (SurfaceFoxPairing(sig)._corners, SurfaceDoubleBracket(sig)._corners):
+            assert len(table) == 2 * sig.rank
+            corners = [c for row in table.values() for entry in row.values() for c in entry]
+            assert corners
+            assert all(di in (0, 1) and dj in (0, 1) and type(c) is int and c
+                       for di, dj, c in corners)
+
+
+def test_table_term_at_no_corner_raises(monkeypatch):
+    # x^3 is no x^di y^(1-dj), and (x^2, x^2) no corner pair of (x, x)
+    cube = lambda self, i, j: AlgElem.from_word(Word.generator(i) ** 3)
+    monkeypatch.setattr(SurfaceFoxPairing, "base", cube)
+    with pytest.raises(ValueError, match="no cut corner"):
+        SurfaceFoxPairing(SurfaceSignature(0, 1))
+    square = lambda self, i, j: Tensor2.pure(Word.generator(i) ** 2, Word.generator(j) ** 2)
+    monkeypatch.setattr(SurfaceDoubleBracket, "_display_value", square)
+    with pytest.raises(ValueError, match="no cut corner"):
+        SurfaceDoubleBracket(SurfaceSignature(0, 1))
 
 
 def test_integer_brackets_keep_int_coefficients():

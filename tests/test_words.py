@@ -62,6 +62,27 @@ def test_power():
     assert w("z1") ** 0 == Word.identity()
 
 
+def test_long_power_is_linear():
+    n = 100_000
+    conj = w("p1*q1*p1^-1")
+    start = time.perf_counter()
+    assert (conj ** n).letters == ((0, 1),) + ((1, 1),) * n + ((0, -1),)
+    assert (conj ** -n).letters == ((0, 1),) + ((1, -1),) * n + ((0, -1),)
+    # n successive products take about a minute at this n
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["1", "p1", "p1*q1", "p1*q1*p1^-1", "z1^-1*q2*z1^2"])
+def test_power_is_repeated_product(text):
+    x = w(text)
+    for n in range(7):
+        want = Word.identity()
+        for _ in range(n):
+            want = want * x
+        assert x ** n == want
+        assert x ** -n == want.inverse()
+
+
 def test_conjugacy_class():
     assert conjugacy_class(w("q1*p1*q1^-1")) == conjugacy_class(w("p1"))
     assert conjugacy_class(Word.identity()) == CyclicWord(())
