@@ -17,8 +17,10 @@ taking f_sr, summed over all r, s (the contraction of dual bases of the
 matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 
 Each function's fields are computed once per point, from one gradient, as
-integer matrices over one common denominator; a bracket of two functions is
-then an integer sum of traces with a single division at the end.  Sampled
+integer matrices over one common denominator, and folded through the
+bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>); a
+bracket of two functions is then one integer dot product with the
+partner's flattened fields and a single division at the end.  Sampled
 points keep integer entries, so monomials and gradients are evaluated in
 ints; points read from lists or files may hold any rationals.
 """
@@ -29,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .matrices import Matrix, mat, mat_adjugate, mat_det, mat_mul
@@ -141,11 +144,6 @@ def _fields(P: RepElem, pt: RepPoint) -> tuple[int, dict[tuple[int, str], Matrix
                for key, m in exact.items()}
 
 
-def _trace_product(A: Matrix, B: Matrix) -> int:
-    """tr(AB) = sum_{r,s} A_rs B_sr."""
-    return sum(a * b for row, col in zip(A, zip(*B)) for a, b in zip(row, col))
-
-
 def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fraction:
     """Directional derivative of the function ev(P) at pt along f."""
     D, fields = _fields(P, pt)
@@ -156,11 +154,7 @@ def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem) -> RepElem:
     """The same derivation applied symbolically, for whole-polynomial
     comparisons.  Routed through the algebra's partial derivatives."""
     parts = []
-    for var in alg.variables(P):
-        d = alg.d_dvar(P, var)
-        if d.is_zero():
-            continue
-        u, i, j = var
+    for (u, i, j), d in alg.differential(P):
         if u != f.slot:
             continue
         val = Poly.zero()
@@ -226,45 +220,74 @@ def build_fusion_bivector(sig: SurfaceSignature, dim: int,
     return FusionBivector(sig, dim, tuple(terms))
 
 
-def _wedge_sum(biv: FusionBivector, fields_P: tuple[int, dict],
-               fields_Q: tuple[int, dict]) -> Fraction:
-    """<dP ^ dQ, bivector> from the two functions' _fields: every wedge term
-    is coeff * (tr(V_P W_Q) - tr(V_Q W_P)), summed in integers and divided
-    once by both denominators."""
-    (dp, fp), (dq, fq) = fields_P, fields_Q
-    total = 0
+def _sides(biv: FusionBivector) -> list[tuple[int, str]]:
+    """The (slot, side) keys the bivector's wedge terms use, sorted."""
+    return sorted({side for t in biv.terms
+                   for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))})
+
+
+def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list, list]:
+    """(D, K, flat) from one function's _fields at a point: flat lists the
+    field matrices over _sides(biv), and K folds in every wedge term,
+    K[w] += coeff V^T and K[v] -= coeff W^T, so by tr(AB) = <A^T, B> the
+    bracket <dP ^ dQ, bivector> is (K_P . flat_Q) / (D_P D_Q)."""
+    D, fp = fields
+    keys = _sides(biv)
+    size = len(fp[keys[0]]) ** 2
+    at = {key: n * size for n, key in enumerate(keys)}
+    K = [0] * (len(keys) * size)
     for t in biv.terms:
         v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
-        total += t.coeff * (_trace_product(fp[v], fq[w]) - _trace_product(fq[v], fp[w]))
-    return Fraction(total, dp * dq)
+        for dst, src, c in ((at[w], fp[v], t.coeff), (at[v], fp[w], -t.coeff)):
+            for n, x in enumerate((e for col in zip(*src) for e in col), dst):
+                K[n] += c * x
+    return D, K, [x for key in keys for row in fp[key] for x in row]
+
+
+def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fraction:
+    """<dP ^ dQ, bivector> at a point from two _covectors: one integer dot
+    product and one division."""
+    return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
 
 
 def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
                      Q: RepElem, pt: RepPoint) -> Fraction:
     """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
     function."""
-    return _wedge_sum(biv, _fields(P, pt), _fields(Q, pt))
+    return _pair(_covector(biv, _fields(P, pt)), _covector(biv, _fields(Q, pt)))
 
 
-def bivector_bracket_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
-                         Q: RepElem) -> RepElem:
-    """Symbolic version of the bivector bracket, for outright polynomial
-    equality with the quasi-Poisson bracket.  Each field is applied to each
-    function once."""
+def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[TaggedField, RepElem]:
+    """Every field the bivector's wedge terms use, over all (r, s), applied
+    symbolically to P once each."""
     N = alg.dim
-    sides = {side for t in biv.terms for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))}
-    fields = [TaggedField(slot, side, r, s)
-              for slot, side in sides for r in range(N) for s in range(N)]
-    on_p = {f: field_apply_sym(alg, f, P) for f in fields}
-    on_q = {f: field_apply_sym(alg, f, Q) for f in fields}
+    return {f: field_apply_sym(alg, f, P)
+            for f in (TaggedField(slot, side, r, s) for slot, side in _sides(biv)
+                      for r in range(N) for s in range(N))}
+
+
+def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict[TaggedField, RepElem],
+              on_q: dict[TaggedField, RepElem]) -> RepElem:
+    """The bivector contracted with two functions' fields_sym."""
+    N = alg.dim
     parts = []
     for term in biv.terms:
         for r in range(N):
             for s in range(N):
                 v = TaggedField(term.v_slot, term.v_side, r, s)
                 w = TaggedField(term.w_slot, term.w_side, s, r)
-                parts.append((on_p[v] * on_q[w] - on_q[v] * on_p[w]).scale(term.coeff))
+                for a, b, c in ((on_p[v], on_q[w], term.coeff), (on_q[v], on_p[w], -term.coeff)):
+                    if not (a.is_zero() or b.is_zero()):
+                        parts.append((a * b).scale(c))
     return alg.accumulate(parts)
+
+
+def bivector_bracket_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
+                         Q: RepElem) -> RepElem:
+    """Symbolic version of the bivector bracket, for outright polynomial
+    equality with the quasi-Poisson bracket: wedge_sym of the two functions'
+    fields_sym, which callers pairing many functions build once each."""
+    return wedge_sym(alg, biv, fields_sym(alg, biv, P), fields_sym(alg, biv, Q))
 
 
 @dataclass
@@ -287,27 +310,33 @@ class AksmReport:
 
 def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: int,
                           extra_words: Iterable[tuple[Word, Word]] = (),
-                          biv: Optional[FusionBivector] = None) -> AksmReport:
+                          biv: Optional[FusionBivector] = None,
+                          alg: Optional[RepAlgebra] = None) -> AksmReport:
     """At `trials` random rational points, compare the two brackets on every
-    ordered generator-entry pair, plus entries of any supplied word pairs."""
-    alg = RepAlgebra(sig, dim)
+    ordered generator-entry pair, plus entries of any supplied word pairs.
+    Each function's differential, Hamiltonian and folded fields are built
+    once; a pair is one pairing and one integer dot product per point."""
+    alg = alg if alg is not None else RepAlgebra(sig, dim)
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)
               for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
     for (wa, wb) in extra_words:
         coords.append((wa, 1, dim))
         coords.append((wb, dim, 1))
+    symbols = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
     points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
     funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
-    fields = [[_fields(P, pt) for pt in points] for P in funcs]
+    diffs = [alg.differential(P) for P in funcs]
+    covectors = [[_covector(biv, _fields(P, pt)) for pt in points] for P in funcs]
     pair_count = 0
-    for (wa, ia, ja), Pa, fields_a in zip(coords, funcs, fields):
-        for (wb, ib, jb), Pb, fields_b in zip(coords, funcs, fields):
+    for (wa, ia, ja), Pa, cov_a in zip(coords, funcs, covectors):
+        ham = alg.hamiltonian(Pa, symbols)
+        for (wb, ib, jb), dPb, cov_b in zip(coords, diffs, covectors):
             pair_count += 1
-            bracket = alg.qp_bracket(Pa, Pb)
+            bracket = alg.pair_hamiltonian(ham, dPb)
             for k, pt in enumerate(points):
                 lhs = evaluate(alg, bracket, pt)
-                rhs = _wedge_sum(biv, fields_a[k], fields_b[k])
+                rhs = _pair(cov_a[k], cov_b[k])
                 if lhs != rhs:
                     return AksmReport(False, k + 1, pair_count, seed, witness={
                         "point_index": k,

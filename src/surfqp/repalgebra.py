@@ -32,6 +32,9 @@ LieMatrix = Sequence[Sequence[Fraction]]
 # an entry symbol is keyed by (generator index, row, col), zero-based
 EntryVar = tuple[int, int, int]
 
+Hamiltonian = dict[EntryVar, dict[tuple[int, ...], Poly]]
+Differential = list[tuple[EntryVar, "RepElem"]]
+
 
 class RepElem:
     """num / prod_u det(x^u)^den[u], bound to its parent algebra."""
@@ -160,26 +163,24 @@ class RepAlgebra:
     # --- entries and traces -------------------------------------------
 
     def word_matrix(self, w: Word) -> tuple[tuple[RepElem, ...], ...]:
+        """w's entries, from its longest cached suffix a letter at a time leftwards."""
         hit = self._word_matrix.get(w)
         if hit is not None:
             return hit
-        N = self.dim
-        if w.is_identity():
-            out = tuple(tuple(self.scalar(1 if i == j else 0) for j in range(N))
-                        for i in range(N))
-        else:
-            (u, e) = w.letters[0]
-            head = self._letter_matrix(u, e)
-            rest = Word(w.letters[1:], _reduced=True)
-            if rest.is_identity():
-                out = head
-            else:
-                tail = self.word_matrix(rest)
-                out = tuple(
-                    tuple(_dot(head, tail, i, j, N) for j in range(N))
-                    for i in range(N)
-                )
-        self._word_matrix[w] = out
+        N, letters = self.dim, w.letters
+        if not letters:
+            self._word_matrix[w] = out = tuple(
+                tuple(self.scalar(1 if i == j else 0) for j in range(N)) for i in range(N))
+            return out
+        k = 1
+        while k < len(letters) and (
+                out := self._word_matrix.get(Word(letters[k:], _reduced=True))) is None:
+            k += 1
+        for k in range(k - 1, -1, -1):
+            head = self._letter_matrix(*letters[k])
+            out = head if k == len(letters) - 1 else tuple(
+                tuple(_dot(head, out, i, j, N) for j in range(N)) for i in range(N))
+            self._word_matrix[Word(letters[k:], _reduced=True)] = out
         return out
 
     def _letter_matrix(self, u: int, e: int) -> tuple[tuple[RepElem, ...], ...]:
@@ -241,6 +242,10 @@ class RepAlgebra:
                                 tuple(den))
         return out
 
+    def differential(self, P: RepElem) -> Differential:
+        """P's nonzero partial derivatives, by entry symbol."""
+        return [(a, d) for a in self.variables(P) if not (d := self.d_dvar(P, a)).is_zero()]
+
     def gen_bracket(self, a: EntryVar, b: EntryVar) -> RepElem:
         """Bracket of two generator entry symbols, from the double-bracket
         table of the corresponding generator pair."""
@@ -261,30 +266,41 @@ class RepAlgebra:
             out = out + (self.word_matrix(w1)[k][j] * self.word_matrix(w2)[i][l]).scale(c)
         return out
 
+    def hamiltonian(self, P: RepElem, symbols: Iterable[EntryVar]) -> Hamiltonian:
+        """P's contraction with the bracket: for each entry symbol b, the sum
+        over a of num(dP/da) num({a, b}), one polynomial per denominator
+        den(dP/da) + den({a, b}).  pair_hamiltonian turns it into {P, -}."""
+        dP = self.differential(P)
+        return {b: self._den_sums(dPa * g for a, dPa in dP
+                                  if not (g := self.gen_bracket(a, b)).is_zero())
+                for b in symbols}
+
+    def pair_hamiltonian(self, H: Hamiltonian, dQ: Differential) -> RepElem:
+        """sum over b of H[b] dQ/db, grouped by den + den(dQ/db)."""
+        return self.accumulate(RepElem(self, h, den) * dQb
+                               for b, dQb in dQ for den, h in H[b].items())
+
     def qp_bracket(self, P: RepElem, Q: RepElem) -> RepElem:
-        """The quasi-Poisson bracket, extended from generator entries as a
-        derivation in each slot (left-to-right over monomials)."""
-        dP = [(a, self.d_dvar(P, a)) for a in self.variables(P)]
-        dQ = [(b, self.d_dvar(Q, b)) for b in self.variables(Q)]
-        parts = []
-        for a, dPa in dP:
-            if dPa.is_zero():
-                continue
-            for b, dQb in dQ:
-                if dQb.is_zero():
-                    continue
-                parts.append(dPa * dQb * self.gen_bracket(a, b))
-        return self.accumulate(parts)
+        """The quasi-Poisson bracket sum over a, b of dP/da dQ/db {a, b}, the
+        derivation extension of the generator-entry brackets: P's Hamiltonian
+        paired with Q's differential (callers with many pairs build each once)."""
+        dQ = self.differential(Q)
+        return self.pair_hamiltonian(self.hamiltonian(P, [b for b, _ in dQ]), dQ)
+
+    @staticmethod
+    def _den_sums(parts: Iterable[RepElem]) -> dict[tuple[int, ...], Poly]:
+        """The nonzero sum of the numerators of each denominator group."""
+        groups: dict[tuple[int, ...], list[Poly]] = {}
+        for part in parts:
+            groups.setdefault(part.den, []).append(part.num)
+        sums = ((den, Poly.collect(pair for num in nums for pair in num.items()))
+                for den, nums in groups.items())
+        return {den: num for den, num in sums if not num.is_zero()}
 
     def accumulate(self, parts: Iterable[RepElem]) -> RepElem:
         """Sum many elements, aligning denominators once per distinct
         denominator instead of once per addition."""
-        groups: dict[tuple[int, ...], list[Poly]] = {}
-        for part in parts:
-            groups.setdefault(part.den, []).append(part.num)
-        sums = {den: Poly.collect(pair for num in nums for pair in num.items())
-                for den, nums in groups.items()}
-        sums = {den: num for den, num in sums.items() if not num.is_zero()}
+        sums = self._den_sums(parts)
         if not sums:
             return self.zero()
         target = tuple(max(den[u] for den in sums) for u in range(self.sig.rank))
@@ -315,12 +331,7 @@ class RepAlgebra:
         return RepElem(self, out, self.zero_den)
 
     def gl_action(self, w: LieMatrix, P: RepElem) -> RepElem:
-        parts = []
-        for var in self.variables(P):
-            d = self.d_dvar(P, var)
-            if not d.is_zero():
-                parts.append(d * self.lie_value(w, var))
-        return self.accumulate(parts)
+        return self.accumulate(d * self.lie_value(w, var) for var, d in self.differential(P))
 
     def elem_action(self, k: int, l: int, P: RepElem) -> RepElem:
         """Action of the elementary matrix with a single 1 at (k, l)."""

@@ -9,14 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import Optional, Sequence
 
 from .algebra import AlgElem, Tensor2, m3, permute, tensor2
 from .dbracket import (CyclicAlgElem, SurfaceDoubleBracket, angle, dbl_from_inner,
                        dbl_from_pairing, goldman, is_quasi_poisson, moment_neg_power_rhs,
                        moment_power_rhs, moment_rhs, project_cyclic, triple)
-from .evaluation import (bivector_bracket_sym, build_fusion_bivector,
-                         compare_constructions)
+from .evaluation import (build_fusion_bivector, compare_constructions, fields_sym,
+                         wedge_sym)
 from .foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
 from .matrices import mat, mat_det
 from .repalgebra import RepAlgebra
@@ -500,26 +501,18 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
     rng = trial_rng(seed, "aksm:words", 0)
     extra = [(sample_word(rng, sig, max_len), sample_word(rng, sig, max_len))
              for _ in range(extra_word_pairs)]
-    rep = compare_constructions(sig, dim, trials, seed, extra_words=extra)
+    alg = RepAlgebra(sig, dim)
+    biv = build_fusion_bivector(sig, dim)
+    rep = compare_constructions(sig, dim, trials, seed, extra_words=extra, biv=biv, alg=alg)
     checks.append(Check("pointwise-agreement", rep.ok, rep.to_dict()))
 
     if symbolic and (sig.genus, sig.punctures) in ((1, 0), (0, 1)):
-        alg = RepAlgebra(sig, dim)
-        biv = build_fusion_bivector(sig, dim)
-        bad = []
-        for u in range(sig.rank):
-            for v in range(sig.rank):
-                for i in range(dim):
-                    for j in range(dim):
-                        for k in range(dim):
-                            for l in range(dim):
-                                lhs = alg.qp_bracket(alg.sym(u, i, j), alg.sym(v, k, l))
-                                rhs = bivector_bracket_sym(
-                                    alg, biv,
-                                    alg.entry(Word.generator(u), i + 1, j + 1),
-                                    alg.entry(Word.generator(v), k + 1, l + 1))
-                                if lhs != rhs:
-                                    bad.append([u, v, i, j, k, l])
+        syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
+        on = {a: fields_sym(alg, biv, alg.entry(Word.generator(a[0]), a[1] + 1, a[2] + 1))
+              for a in syms}
+        bad = sorted([u, v, i, j, k, l] for (u, i, j), (v, k, l) in product(syms, syms)
+                     if alg.qp_bracket(alg.sym(u, i, j), alg.sym(v, k, l))
+                     != wedge_sym(alg, biv, on[u, i, j], on[v, k, l]))
         checks.append(Check("symbolic-agreement", not bad, {"failed": bad[:3]}))
 
     n_factors = sig.genus + sig.punctures
@@ -527,7 +520,7 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
         # the fusion terms vanish at degenerate points (z1 = -I): widen the search
         nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
         for points in range(1, FUSION_WITNESS_POINTS + 1):
-            rep = compare_constructions(sig, dim, points, seed, biv=nofuse)
+            rep = compare_constructions(sig, dim, points, seed, biv=nofuse, alg=alg)
             if not rep.ok:
                 break
         checks.append(Check("fusion-coupling-required", not rep.ok,

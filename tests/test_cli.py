@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from surfqp import cli
 from surfqp.algebra import m2
 from surfqp.cli import main
 from surfqp.dbracket import dbl_from_pairing, project_cyclic
@@ -297,3 +298,33 @@ def test_long_word_commands_match_oracles(capsys):
                for t in json.loads(out)}
         assert got == expected, command
     assert elapsed < 30.0, f"four 1200-letter commands took {elapsed:.1f}s"
+
+
+def test_long_word_trace_bracket(capsys):
+    # one letter at a time, not one stack frame per letter
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "trace-bracket", "--dim", "1", "p1^1500", "q1")
+    assert code == 0, err
+    assert out.strip() == ('{"den":[0,0,0],"terms":[{"coeff":"3000",'
+                           '"monomial":"p1_1_1^1500*q1_1_1"}]}')
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(2):
+        code, out, _ = run(capsys, "eta", "p1", "q1")
+        assert code == 0 and json.loads(out)
+    assert len(builds) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "p1"])
+    assert exc.value.code == 2
+    assert len(builds) == 1

@@ -347,6 +347,61 @@ def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
     assert len(calls) == coords * 2
 
 
+def test_compare_constructions_builds_one_hamiltonian_per_function(monkeypatch):
+    # the derivation route contracts each function with the bracket once
+    # and pairs that with every partner
+    calls = []
+    hamiltonian = RepAlgebra.hamiltonian
+
+    def counted(self, P, symbols):
+        calls.append(1)
+        return hamiltonian(self, P, symbols)
+
+    monkeypatch.setattr(RepAlgebra, "hamiltonian", counted)
+    extra = [(w("p1*q1"), w("z1^-1"))]
+    rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
+    assert rep.ok, rep.witness
+    assert len(calls) == SIG.rank * 2 * 2 + 2 * len(extra)
+
+
+def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
+    from surfqp.suites import aksm_suite
+    calls = []
+    apply = evaluation.field_apply_sym
+
+    def counted(alg, f, P):
+        calls.append(1)
+        return apply(alg, f, P)
+
+    monkeypatch.setattr(evaluation, "field_apply_sym", counted)
+    sig = SurfaceSignature(1, 0)
+    report = aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
+    assert next(c for c in report.checks if c.name == "symbolic-agreement").ok
+    sides = {side for t in build_fusion_bivector(sig, 2).terms
+             for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))}
+    functions, fields = sig.rank * 2 * 2, len(sides) * 2 * 2
+    assert len(calls) == functions * fields
+
+
+# genus 2 and dimension 3, beyond the verify matrix, and dimension 1 everywhere
+@pytest.mark.parametrize("genus,punctures,dim,trials", [
+    (2, 0, 2, 5), (2, 1, 2, 3), (1, 1, 3, 3),
+    (1, 0, 1, 3), (0, 1, 1, 3), (0, 2, 1, 3), (1, 1, 1, 3), (2, 0, 1, 3), (2, 1, 1, 3),
+])
+def test_pointwise_agreement_beyond_the_verify_matrix(genus, punctures, dim, trials):
+    rep = compare_constructions(SurfaceSignature(genus, punctures), dim, trials, seed=7)
+    assert rep.ok, rep.witness
+    assert rep.points == trials
+
+
+def test_genus_two_needs_the_fusion_coupling():
+    from surfqp.suites import aksm_suite
+    report = aksm_suite(SurfaceSignature(2, 1), 2, 1, 7, symbolic=False, extra_word_pairs=0)
+    assert [c.name for c in report.checks] == ["pointwise-agreement",
+                                               "fusion-coupling-required"]
+    assert report.ok
+
+
 def test_compare_constructions_passes():
     for (g, m) in [(1, 0), (0, 1), (0, 2), (1, 1)]:
         rep = compare_constructions(SurfaceSignature(g, m), 2, trials=2, seed=11)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfqp.dbracket import SurfaceDoubleBracket, angle, goldman
 from surfqp.matrices import identity, mat, mat_mul
@@ -191,6 +193,64 @@ def test_traces_satisfy_plain_jacobi():
                + ALG.qp_bracket(B, ALG.qp_bracket(C, A))
                + ALG.qp_bracket(C, ALG.qp_bracket(A, B)))
         assert lhs.is_zero()
+
+
+def flat_qp_bracket(alg, P, Q):
+    """The per-pair bracket the Hamiltonian split replaced: every product
+    dP/da dQ/db {a, b} formed separately, then one accumulate."""
+    dP = [(a, alg.d_dvar(P, a)) for a in alg.variables(P)]
+    dQ = [(b, alg.d_dvar(Q, b)) for b in alg.variables(Q)]
+    parts = []
+    for a, dPa in dP:
+        if dPa.is_zero():
+            continue
+        for b, dQb in dQ:
+            if dQb.is_zero():
+                continue
+            parts.append(dPa * dQb * alg.gen_bracket(a, b))
+    return alg.accumulate(parts)
+
+
+SPLIT_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                  for g, m in ((1, 1), (0, 2), (1, 0)) for dim in (1, 2, 3)}
+
+
+@st.composite
+def coordinate_functions(draw, alg, max_len):
+    """An entry or the trace of a random word with inverse letters."""
+    n = alg.sig.rank
+    letters = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+                            max_size=max_len))
+    word = Word(letters)
+    if draw(st.booleans()):
+        return alg.trace(word)
+    i, j = (draw(st.integers(1, alg.dim)) for _ in range(2))
+    return alg.entry(word, i, j)
+
+
+@seed(20240812)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_hamiltonian_split_matches_flat_bracket(data):
+    key = data.draw(st.sampled_from(sorted(SPLIT_ALGEBRAS)))
+    alg = SPLIT_ALGEBRAS[key]
+    max_len = 3 if alg.dim < 3 else 2
+    P = data.draw(coordinate_functions(alg, max_len))
+    Q = data.draw(coordinate_functions(alg, max_len))
+    got, want = alg.qp_bracket(P, Q), flat_qp_bracket(alg, P, Q)
+    assert got.den == want.den
+    assert dict(got.num.items()) == dict(want.num.items())
+
+
+def test_hamiltonian_pairs_with_every_partner():
+    rng = random.Random(17)
+    symbols = [(u, i, j) for u in range(SIG.rank) for i in range(2) for j in range(2)]
+    for _ in range(4):
+        P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
+        H = ALG.hamiltonian(P, symbols)
+        for _ in range(3):
+            Q = ALG.trace(sample_word(rng, SIG, 3))
+            assert ALG.pair_hamiltonian(H, ALG.differential(Q)) == flat_qp_bracket(ALG, P, Q)
 
 
 # --- actions -----------------------------------------------------------------
