@@ -108,7 +108,8 @@ class AlgElem(LinComb):
 
     @staticmethod
     def from_word(w: Word, coeff: Scalar = 1) -> "AlgElem":
-        return AlgElem({w: _coeff(coeff)})
+        k = _coeff(coeff)
+        return AlgElem._wrap({w: k} if k else {})
 
     def __mul__(self, other):
         if isinstance(other, AlgElem):

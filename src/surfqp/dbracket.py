@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute, tensor3
+from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute
 from .foxpairing import Pairing, SurfaceFoxPairing
-from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, sample_word,
-                    trial_rng)
+from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
+                    join, sample_word, trial_rng)
 
 # SurfaceDoubleBracket empties its memo before an insertion past this size
 MEMO_LIMIT = 4096
@@ -71,9 +71,10 @@ class SurfaceDoubleBracket:
         dbl(x1...xn, y1...ym) = sum_{i', j'} W(i', j') F(i', j'),
         F(i', j') = (y_{<j'} x_{>=i'}) (x) (x_{<i'} y_{>=j'}),
 
-    with integer weights W summed a row at a time, words built only where W is
-    nonzero.  A generic letter pair weighs -1, +1, +1, -1 on its corners, a
-    second difference -D^2 F whose interior cuts cancel as ints.
+    with integer weights W summed a row at a time; a row slices x once, and a
+    factor of F is one join of two slices, built only where W is nonzero.  A
+    generic letter pair weighs -1, +1, +1, -1 on its corners, a second
+    difference -D^2 F whose interior cuts cancel as ints.
 
     The memo maps each whole word pair bracketed so far to its finished
     value, never a pair of suffixes; concurrent readers are safe.  It is
@@ -129,9 +130,9 @@ class SurfaceDoubleBracket:
     def _pair(self, v: Word, w: Word) -> Tensor2:
         """The cut-corner sum on one pair of words."""
         xs, ys = v.letters, w.letters
-        return Tensor2.collect(((Word(ys[:j], _reduced=True) * Word(xs[i:], _reduced=True),
-                                 Word(xs[:i], _reduced=True) * Word(ys[j:], _reduced=True)), c)
-                               for i, j, c in corner_cuts(xs, ys, self._corners))
+        return Tensor2.collect(((join(ys[:j], tail), join(head, ys[j:])), c)
+                               for i, row in corner_cuts(xs, ys, self._corners)
+                               for head, tail in ((xs[:i], xs[i:]),) for j, c in row)
 
 
 def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:
@@ -143,21 +144,21 @@ def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor
 DoubleBracket = Callable[[ElemLike, ElemLike], Tensor2]
 
 
-def _left_extend(dbl: DoubleBracket, x: AlgElem, t: Tensor2) -> Tensor3:
-    """Apply dbl against the first factor of t, keep the second: the
-    building block of the triple bracket."""
-    return Tensor3.collect(((d1, d2, k2), c * d) for (k1, k2), c in t.items()
-                           for (d1, d2), d in dbl(x, AlgElem.from_word(k1)).items())
-
-
 def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     """Triple bracket of a double bracket: the cyclic sum
-    sum_i P_312^i (dbl (x) id)(id (x) dbl) P_312^-i applied to a (x) b (x) c."""
+    sum_i P_312^i (dbl (x) id)(id (x) dbl) P_312^-i applied to a (x) b (x) c,
+    in one collect, each leg's key cycled by its P_312^i as it is yielded."""
     a, b, c = as_elem(a), as_elem(b), as_elem(c)
-    t0 = _left_extend(dbl, a, dbl(b, c))
-    t1 = permute(_left_extend(dbl, b, dbl(c, a)), (3, 1, 2))
-    t2 = permute(_left_extend(dbl, c, dbl(a, b)), (2, 3, 1))
-    return t0 + t1 + t2
+
+    def terms():
+        for (k1, k2), ck in dbl(b, c).items():
+            yield from (((d1, d2, k2), ck * cd) for (d1, d2), cd in dbl(a, k1).items())
+        for (k1, k2), ck in dbl(c, a).items():
+            yield from (((k2, d1, d2), ck * cd) for (d1, d2), cd in dbl(b, k1).items())
+        for (k1, k2), ck in dbl(a, b).items():
+            yield from (((d2, k2, d1), ck * cd) for (d1, d2), cd in dbl(c, k1).items())
+
+    return Tensor3.collect(terms())
 
 
 def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
@@ -165,16 +166,10 @@ def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     a -> a (x) 1 - 1 (x) a; a quasi-Poisson double bracket must reproduce it."""
     a, b, c = as_elem(a), as_elem(b), as_elem(c)
     one = AlgElem.one()
-    return (
-        tensor3(a, one, b * c)
-        + tensor3(one, a * b, c)
-        + tensor3(c * a, b, one)
-        + tensor3(c, a, b)
-        - tensor3(one, a, b * c)
-        - tensor3(a, b, c)
-        - tensor3(c * a, one, b)
-        - tensor3(c, a * b, one)
-    )
+    terms = ((a, one, b * c, 1), (one, a * b, c, 1), (c * a, b, one, 1), (c, a, b, 1),
+            (one, a, b * c, -1), (a, b, c, -1), (c * a, one, b, -1), (c, a * b, one, -1))
+    return Tensor3.collect(((u, v, w), s * cu * cv * cw) for x, y, z, s in terms
+                           for u, cu in x.items() for v, cv in y.items() for w, cw in z.items())
 
 
 def angle(dbl: DoubleBracket, a: ElemLike, b: ElemLike) -> AlgElem:
@@ -239,7 +234,6 @@ class QuasiPoissonReport:
     witness: Optional[tuple[Word, Word, Word]] = None
 
     def to_dict(self, sig: SurfaceSignature) -> dict:
-        from .words import format_word
         out = {
             "ok": self.ok,
             "trials": self.trials,

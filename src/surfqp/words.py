@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[int, int]
@@ -37,14 +37,18 @@ class WordParseError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceSignature:
-    """Genus and puncture count; fixes the generator alphabet and its order."""
+    """Genus and puncture count; fixes the generator alphabet, its order and names."""
 
     genus: int
     punctures: int
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 0 or self.punctures < 0:
             raise ValueError("genus and punctures must be nonnegative")
+        object.__setattr__(self, "names", tuple(
+            [f"{kind}{u + 1}" for u in range(self.genus) for kind in "pq"]
+            + [f"z{v + 1}" for v in range(self.punctures)]))
 
     @property
     def rank(self) -> int:
@@ -53,13 +57,10 @@ class SurfaceSignature:
     def gen_name(self, index: int) -> str:
         if not 0 <= index < self.rank:
             raise IndexError(f"generator index {index} out of range")
-        if index < 2 * self.genus:
-            u, r = divmod(index, 2)
-            return f"{'pq'[r]}{u + 1}"
-        return f"z{index - 2 * self.genus + 1}"
+        return self.names[index]
 
     def gen_names(self) -> list[str]:
-        return [self.gen_name(i) for i in range(self.rank)]
+        return list(self.names)
 
     def gen_index(self, name: str) -> int:
         m = re.fullmatch(r"([pqz])([1-9][0-9]*)", name)
@@ -127,19 +128,7 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        # only the seam can cancel when both factors are reduced: count the
-        # k cancelling letter pairs there, then slice once
-        left, right = self.letters, other.letters
-        if left and right and left[-1][0] == right[0][0] and left[-1][1] == -right[0][1]:
-            n, k, top = len(left), 1, min(len(left), len(right))
-            while k < top and left[n - 1 - k][0] == right[k][0] \
-                    and left[n - 1 - k][1] == -right[k][1]:
-                k += 1
-            left, right = left[:n - k], right[k:]
-        # the concatenation is reduced, so skip the constructor's check
-        out = Word.__new__(Word)
-        out.letters = left + right
-        return out
+        return join(self.letters, other.letters)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)
@@ -167,6 +156,21 @@ class Word:
 
 
 _IDENTITY = Word((), _reduced=True)
+
+
+def join(left: tuple[Letter, ...], right: tuple[Letter, ...]) -> Word:
+    """The word of two reduced letter tuples laid end to end.  Only the seam
+    can cancel: count the k cancelling letter pairs there, then slice once."""
+    if left and right and left[-1][0] == right[0][0] and left[-1][1] == -right[0][1]:
+        n, k, top = len(left), 1, min(len(left), len(right))
+        while k < top and left[n - 1 - k][0] == right[k][0] \
+                and left[n - 1 - k][1] == -right[k][1]:
+            k += 1
+        left, right = left[:n - k], right[k:]
+    # the concatenation is reduced, so skip the constructor's check
+    out = Word.__new__(Word)
+    out.letters = left + right
+    return out
 
 
 def _letter_key(letter: Letter) -> tuple[int, int]:
@@ -248,9 +252,9 @@ def corner_table(values: Mapping, corner_key: Callable) -> dict:
 
 
 def corner_cuts(xs: Sequence[Letter], ys: Sequence[Letter], table: Mapping) -> Iterator:
-    """(i', j', c) per nonzero weight c on the cuts, each letter pair (i, j) adding
-    the corners (di, dj, c) of table[x_i][y_j] at (i + di, j + dj); row i' is done,
-    and yielded, once letter i' has added to it, so two rows are alive at a time."""
+    """(i', [(j', c), ...]) per row of cuts with a nonzero weight c, each letter pair
+    (i, j) adding the corners (di, dj, c) of table[x_i][y_j] at (i + di, j + dj);
+    row i' is done, and yielded, once letter i' has added to it."""
     row = [0] * (len(ys) + 1)
     for i in range(len(xs) + 1):
         nxt = [0] * (len(ys) + 1)
@@ -259,7 +263,8 @@ def corner_cuts(xs: Sequence[Letter], ys: Sequence[Letter], table: Mapping) -> I
             for j, y in enumerate(ys):
                 for di, dj, c in entries[y]:
                     rows[di][j + dj] += c
-        yield from ((i, j, c) for j, c in enumerate(row) if c)
+        if cuts := [(j, c) for j, c in enumerate(row) if c]:
+            yield i, cuts
         row = nxt
 
 
@@ -328,7 +333,7 @@ def format_word(word: Word, sig: SurfaceSignature) -> str:
 
 
 def _format_run(gen: int, exp: int, sig: SurfaceSignature) -> str:
-    name = sig.gen_name(gen)
+    name = sig.names[gen]
     return name if exp == 1 else f"{name}^{exp}"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from surfqp.algebra import AlgElem, Tensor2, Tensor3, m3, permute, tensor2, tensor3
+from surfqp.algebra import AlgElem, Tensor2, Tensor3, as_elem, m3, permute, tensor2, tensor3
 from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_inner,
                              dbl_from_pairing, dbl_s_via_pairing, goldman,
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
@@ -347,6 +347,78 @@ def test_triple_third_slot_derivation():
         lhs = triple(DBL, AlgElem.from_word(a), AlgElem.from_word(b), C * D)
         rhs = outer_act(C, triple(DBL, a, b, d), one) + outer_act(one, triple(DBL, a, b, c), D)
         assert lhs == rhs
+
+
+# --- the one-pass triple bracket against the three-step definition ------------
+
+def left_extend_reference(dbl, x, t):
+    """Apply dbl against the first factor of t, keep the second."""
+    return Tensor3.collect(((d1, d2, k2), c * d) for (k1, k2), c in t.items()
+                           for (d1, d2), d in dbl(x, AlgElem.from_word(k1)).items())
+
+
+def triple_reference(dbl, a, b, c):
+    """The triple bracket as three left extensions, two permutes and two sums."""
+    a, b, c = as_elem(a), as_elem(b), as_elem(c)
+    t0 = left_extend_reference(dbl, a, dbl(b, c))
+    t1 = permute(left_extend_reference(dbl, b, dbl(c, a)), (3, 1, 2))
+    t2 = permute(left_extend_reference(dbl, c, dbl(a, b)), (2, 3, 1))
+    return t0 + t1 + t2
+
+
+def recorded(dbl):
+    """dbl and the list of argument pairs it is called on, as AlgElems."""
+    calls = []
+
+    def call(a, b):
+        calls.append((as_elem(a), as_elem(b)))
+        return dbl(a, b)
+
+    return call, calls
+
+
+def assert_triple_matches_reference(dbl, a, b, c):
+    got, got_calls = recorded(dbl)
+    want, want_calls = recorded(dbl)
+    assert triple(got, a, b, c) == triple_reference(want, a, b, c)
+    assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("genus,punctures", [(1, 0), (1, 1), (0, 2), (2, 1)])
+def test_triple_matches_reference_on_words(genus, punctures):
+    sig = SurfaceSignature(genus, punctures)
+    dbl = SurfaceDoubleBracket(sig)
+    rng = random.Random(100 * genus + punctures)
+    for _ in range(25):
+        assert_triple_matches_reference(dbl, *(sample_word(rng, sig, 4) for _ in range(3)))
+
+
+def random_elem(rng, sig):
+    """A sum of one to three words with coefficients in {-2, -1, 1, 1/2, 3}."""
+    return AlgElem.collect((sample_word(rng, sig, 3), rng.choice((-2, -1, 1, Fraction(1, 2), 3)))
+                           for _ in range(rng.randint(1, 3)))
+
+
+def test_triple_matches_reference_on_sums():
+    sig = SurfaceSignature(1, 1)
+    dbl = SurfaceDoubleBracket(sig)
+    rng = random.Random(101)
+    for _ in range(15):
+        assert_triple_matches_reference(dbl, *(random_elem(rng, sig) for _ in range(3)))
+
+
+def test_triple_matches_reference_for_other_brackets():
+    sig = SurfaceSignature(1, 1)
+    eta = SurfaceFoxPairing(sig)
+    rng = random.Random(102)
+    e = random_elem(rng, sig)
+    brackets = (lambda a, b: Tensor2.zero(),
+                lambda a, b: dbl_from_pairing(eta, a, b),  # not skew-symmetric
+                lambda a, b: dbl_from_inner(e, a, b))
+    for dbl in brackets:
+        for _ in range(10):
+            assert_triple_matches_reference(dbl, *(sample_word(rng, sig, 3) for _ in range(3)))
+        assert_triple_matches_reference(dbl, *(random_elem(rng, sig) for _ in range(3)))
 
 
 def test_surface_bracket_is_quasi_poisson():

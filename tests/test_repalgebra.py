@@ -174,6 +174,61 @@ def test_dual_route_agreement():
             ALG.qp_bracket_entries(a, i, j, b, k, l)
 
 
+class TableOnly:
+    """The generator table of the surface double bracket and nothing else:
+    an algebra built on it has no double bracket of words to call."""
+
+    def __init__(self, sig):
+        self.base = SurfaceDoubleBracket(sig).base
+
+
+def refuse(*args):
+    raise AssertionError("one bracket route called into the other")
+
+
+def route_algebras(sig, dim):
+    """Two algebras for the two routes to {a_ij, b_kl}: qp_bracket over the
+    generator table, with qp_bracket_entries refused, and qp_bracket_entries
+    over the double bracket of words, with the table route refused."""
+    table = RepAlgebra(sig, dim, TableOnly(sig))
+    table.qp_bracket_entries = refuse
+    words = RepAlgebra(sig, dim)
+    words.qp_bracket = words.hamiltonian = words.gen_bracket = refuse
+    return table, words
+
+
+ROUTE_ALGEBRAS = {(g, m, dim): route_algebras(SurfaceSignature(g, m), dim)
+                  for g, m in ((1, 1), (0, 2), (1, 0)) for dim in (1, 2, 3)}
+
+
+@st.composite
+def route_words(draw, sig, max_len):
+    """A short power x^n of one letter, or a reduced word of up to max_len
+    letters with three in four inverted."""
+    if draw(st.booleans()):
+        return Word.generator(draw(st.integers(0, sig.rank - 1))) ** draw(st.integers(-3, 3))
+    letters = []
+    for _ in range(draw(st.integers(0, max_len))):
+        g, e = draw(st.integers(0, sig.rank - 1)), draw(st.sampled_from((-1, -1, -1, 1)))
+        if letters and letters[-1] == (g, -e):
+            e = -e  # repeat the previous letter rather than cancel it
+        letters.append((g, e))
+    return Word(letters)
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_entry_bracket_routes_agree_on_random_words(data):
+    key = data.draw(st.sampled_from(sorted(ROUTE_ALGEBRAS)))
+    table, words = ROUTE_ALGEBRAS[key]
+    max_len = 3 if table.dim < 3 else 2
+    a, b = (data.draw(route_words(table.sig, max_len)) for _ in range(2))
+    i, j, k, l = (data.draw(st.integers(1, table.dim)) for _ in range(4))
+    got = table.qp_bracket(table.entry(a, i, j), table.entry(b, k, l))
+    assert got == words.qp_bracket_entries(a, i, j, b, k, l)
+
+
 def test_quasi_jacobi_on_entries():
     rng = random.Random(4)
     for _ in range(25):

@@ -4,10 +4,12 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from surfqp.words import (CyclicWord, SurfaceSignature, Word, WordParseError,
                           boundary_word, conjugacy_class, format_cyclic, format_word,
-                          parse_word, sample_word)
+                          join, parse_word, sample_word)
 
 SIG = SurfaceSignature(2, 2)
 
@@ -25,6 +27,19 @@ def test_signature_alphabet_order():
         sig.gen_index("z2")
     with pytest.raises(ValueError):
         SurfaceSignature(-1, 0)
+
+
+def test_signature_names_are_fixed_at_construction():
+    sig = SurfaceSignature(2, 1)
+    assert sig.names == ("p1", "q1", "p2", "q2", "z1")
+    assert [sig.gen_name(i) for i in range(sig.rank)] == list(sig.names)
+    for bad in (-1, sig.rank):
+        with pytest.raises(IndexError):
+            sig.gen_name(bad)
+    # the name table is derived data: not in repr, equality or hash
+    assert repr(sig) == "SurfaceSignature(genus=2, punctures=1)"
+    assert sig == SurfaceSignature(2, 1) and hash(sig) == hash(SurfaceSignature(2, 1))
+    assert SurfaceSignature(0, 0).names == ()
 
 
 def test_reduce_cancellation():
@@ -48,6 +63,45 @@ def test_long_cancelling_seam_is_linear():
     assert x * Word(((0, -1),) * n + ((1, 1),), _reduced=True) == w("q1")
     # a quadratic seam takes about a second per product at this length
     assert time.perf_counter() - start < 0.5
+
+
+LETTERS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+REDUCED = st.lists(LETTERS, max_size=8).map(lambda xs: Word(xs).letters)
+
+
+def inverse_letters(xs):
+    return tuple((g, -e) for g, e in reversed(xs))
+
+
+@st.composite
+def seam_pairs(draw):
+    """Reduced letter tuples (l, r) that meet with no cancellation, with the
+    inverse of a suffix of l opening r, with r the inverse of l, or with one
+    side cancelled whole by the other."""
+    p, s, t = draw(REDUCED), draw(REDUCED), draw(REDUCED)
+    kind = draw(st.sampled_from(("free", "partial", "inverse", "eats-left", "eats-right")))
+    if kind == "free":
+        return p, t
+    if kind == "inverse":
+        return p, inverse_letters(p)
+    left = s if kind == "eats-left" else Word(p + s).letters
+    right = inverse_letters(s) if kind == "eats-right" else Word(inverse_letters(s) + t).letters
+    return left, right
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(seam_pairs())
+@example(((), ()))
+@example((((0, 1),), ()))
+@example(((), ((1, -1), (2, 1))))
+@example((((0, 1), (1, 1)), ((1, -1), (2, 1))))
+@example((((0, 1), (1, 1)), ((1, -1), (0, -1))))
+@example((((0, 1), (1, 1)), ((1, -1), (0, -1), (2, 1))))
+@example((((2, 1), (0, 1), (1, 1)), ((1, -1), (0, -1))))
+def test_join_is_the_reduced_concatenation(pair):
+    left, right = pair
+    assert join(left, right).letters == Word(left + right).letters
 
 
 def test_invert():
