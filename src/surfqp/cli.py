@@ -413,11 +413,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WordParseError, ExprParseError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # parse and JSON errors are ValueErrors
         print(f"surfqp: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
-        print(f"surfqp: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("surfqp: out of memory", file=sys.stderr)
         return 2
 
 

@@ -111,11 +111,9 @@ class SurfaceDoubleBracket:
         return self._table[(i, j)]
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
+        if isinstance(a, Word) and isinstance(b, Word):
+            return self._memoized(a, b)  # the memoised value itself: nothing mutates it
         a, b = as_elem(a), as_elem(b)
-        if len(a.terms) == len(b.terms) == 1:  # the memoised value itself: nothing mutates it
-            (v, cv), (w, cw) = *a.items(), *b.items()
-            value = self._memoized(v, w)
-            return value if cv * cw == 1 else value.scale(cv * cw)
         return Tensor2.collect((key, cv * cw * c) for v, cv in a.items() for w, cw in b.items()
                                for key, c in self._memoized(v, w).items())
 
@@ -148,7 +146,6 @@ def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3
     """Triple bracket of a double bracket: the cyclic sum
     sum_i P_312^i (dbl (x) id)(id (x) dbl) P_312^-i applied to a (x) b (x) c,
     in one collect, each leg's key cycled by its P_312^i as it is yielded."""
-    a, b, c = as_elem(a), as_elem(b), as_elem(c)
 
     def terms():
         for (k1, k2), ck in dbl(b, c).items():
@@ -174,7 +171,7 @@ def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
 
 def angle(dbl: DoubleBracket, a: ElemLike, b: ElemLike) -> AlgElem:
     """The induced single bracket: multiply the two output factors."""
-    return m2(dbl(as_elem(a), as_elem(b)))
+    return m2(dbl(a, b))
 
 
 class CyclicAlgElem(LinComb):

@@ -157,11 +157,8 @@ def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem) -> RepElem:
     for (u, i, j), d in alg.differential(P):
         if u != f.slot:
             continue
-        val = Poly.zero()
-        if f.side in (L, CONJ) and f.s == j:
-            val = val + Poly.var((u, i, f.r))
-        if f.side in (R, CONJ) and f.r == i:
-            val = val - Poly.var((u, f.s, j))
+        val = ((Poly.var((u, i, f.r)) if f.side in (L, CONJ) and f.s == j else Poly.zero())
+               - (Poly.var((u, f.s, j)) if f.side in (R, CONJ) and f.r == i else Poly.zero()))
         if not val.is_zero():
             parts.append(d * RepElem(alg, val, alg.zero_den))
     return alg.accumulate(parts)

@@ -21,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import ElemLike, LinComb, Tensor2, as_elem
+from .algebra import AlgElem, ElemLike, LinComb, Tensor2, as_elem
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_inv
-from .poly import Poly, Var
+from .poly import Poly
 from .words import SurfaceSignature, Word
 
 LieMatrix = Sequence[Sequence[Fraction]]
@@ -179,7 +179,8 @@ class RepAlgebra:
         for k in range(k - 1, -1, -1):
             head = self._letter_matrix(*letters[k])
             out = head if k == len(letters) - 1 else tuple(
-                tuple(_dot(head, out, i, j, N) for j in range(N)) for i in range(N))
+                tuple(self.accumulate(head[i][m] * out[m][j] for m in range(N))
+                      for j in range(N)) for i in range(N))
             self._word_matrix[Word(letters[k:], _reduced=True)] = out
         return out
 
@@ -199,23 +200,16 @@ class RepAlgebra:
         N = self.dim
         if not (1 <= i <= N and 1 <= j <= N):
             raise IndexError(f"entry index out of range for dim {N}: ({i}, {j})")
-        out = self.zero()
-        for w, c in as_elem(a).items():
-            out = out + self.word_matrix(w)[i - 1][j - 1].scale(c)
-        return out
+        return self.accumulate(self.word_matrix(w)[i - 1][j - 1].scale(c)
+                               for w, c in as_elem(a).items())
 
     def trace(self, a: ElemLike) -> RepElem:
-        out = self.zero()
-        for i in range(1, self.dim + 1):
-            out = out + self.entry(a, i, i)
-        return out
+        return self.accumulate(row[i].scale(c) for w, c in as_elem(a).items()
+                               for i, row in enumerate(self.word_matrix(w)))
 
     def trace_cyclic(self, x) -> RepElem:
         """Trace of a linear combination of conjugacy classes."""
-        out = self.zero()
-        for cw, c in x.items():
-            out = out + self.trace(cw.representative()).scale(c)
-        return out
+        return self.trace(AlgElem.collect((cw.representative(), c) for cw, c in x.items()))
 
     # --- the bracket ----------------------------------------------------
 
@@ -261,10 +255,8 @@ class RepAlgebra:
         """Send a tensor sum(c w1 (x) w2) to sum(c (w1)_kj (w2)_il); this is
         how a double bracket value becomes a bracket of entries.  Indices
         are zero-based here."""
-        out = self.zero()
-        for (w1, w2), c in t.items():
-            out = out + (self.word_matrix(w1)[k][j] * self.word_matrix(w2)[i][l]).scale(c)
-        return out
+        return self.accumulate((self.word_matrix(w1)[k][j] * self.word_matrix(w2)[i][l]).scale(c)
+                               for (w1, w2), c in t.items())
 
     def hamiltonian(self, P: RepElem, symbols: Iterable[EntryVar]) -> Hamiltonian:
         """P's contraction with the bracket: for each entry symbol b, the sum
@@ -298,11 +290,17 @@ class RepAlgebra:
         return {den: num for den, num in sums if not num.is_zero()}
 
     def accumulate(self, parts: Iterable[RepElem]) -> RepElem:
-        """Sum many elements, aligning denominators once per distinct
-        denominator instead of once per addition."""
+        """Sum many elements in one pass: numerators are summed per distinct
+        denominator, and only when several groups survive are they raised to
+        their common denominator and summed once more.  The result depends on
+        the parts, not on their order: a group that cancels to zero drops out
+        before the common denominator is taken."""
         sums = self._den_sums(parts)
         if not sums:
             return self.zero()
+        if len(sums) == 1:  # a lone group is already the sum
+            [(den, num)] = sums.items()
+            return RepElem(self, num, den)
         target = tuple(max(den[u] for den in sums) for u in range(self.sig.rank))
         total = Poly.collect(pair for den, num in sorted(sums.items())
                              for pair in self.raise_den(num, den, target).items())
@@ -321,14 +319,10 @@ class RepAlgebra:
     def lie_value(self, w: LieMatrix, var: EntryVar) -> RepElem:
         """Action of w on one entry symbol: (x^u w)_ij - (w x^u)_ij."""
         u, i, j = var
-        N = self.dim
-        out = Poly.zero()
-        for s in range(N):
-            if w[s][j]:
-                out = out + Poly.var((u, i, s)).scale(w[s][j])
-            if w[i][s]:
-                out = out - Poly.var((u, s, j)).scale(w[i][s])
-        return RepElem(self, out, self.zero_den)
+        return RepElem(self, Poly.collect(
+            pair for s in range(self.dim)
+            for v, c in (((u, i, s), w[s][j]), ((u, s, j), -w[i][s])) if c
+            for pair in Poly.var(v).scale(c).items()), self.zero_den)
 
     def gl_action(self, w: LieMatrix, P: RepElem) -> RepElem:
         return self.accumulate(d * self.lie_value(w, var) for var, d in self.differential(P))
@@ -344,18 +338,10 @@ class RepAlgebra:
         Determinants are fixed, so the denominator rides along."""
         ginv = mat_inv(g)  # raises on singular g
         N = self.dim
-        images: dict[Var, Poly] = {}
-        for var in P.num.variables():
-            u, i, j = var
-            img = Poly.zero()
-            for k in range(N):
-                if not ginv[i][k]:
-                    continue
-                for l in range(N):
-                    coeff = ginv[i][k] * g[l][j]
-                    if coeff:
-                        img = img + Poly.var((u, k, l)).scale(coeff)
-            images[var] = img
+        images = {(u, i, j): Poly.collect(
+                      pair for k in range(N) for l in range(N) if ginv[i][k] and g[l][j]
+                      for pair in Poly.var((u, k, l)).scale(ginv[i][k] * g[l][j]).items())
+                  for u, i, j in P.num.variables()}
         return RepElem(self, P.num.subs(images), P.den)
 
     def phi_action(self, P: RepElem, Q: RepElem, R: RepElem) -> RepElem:
@@ -402,23 +388,12 @@ def cartan_trivector(dim: int) -> dict[tuple[ElemMatrix, ElemMatrix, ElemMatrix]
                      (((j, k), (i, j), (k, i)), Fraction(1)))).terms
 
 
-def _dot(a, b, i: int, j: int, n: int) -> RepElem:
-    out = a[i][0] * b[0][j]
-    for k in range(1, n):
-        out = out + a[i][k] * b[k][j]
-    return out
-
-
 def _sym_det(m: list[list[Poly]]) -> Poly:
     n = len(m)
     if n == 1:
         return m[0][0]
-    out = Poly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _sym_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+    return Poly.collect(pair for j in range(n) for pair in (
+        m[0][j] * _sym_det([row[:j] + row[j + 1:] for row in m[1:]])).scale((-1) ** j).items())
 
 
 def _sym_adjugate(m: list[list[Poly]]) -> tuple[tuple[Poly, ...], ...]:

@@ -15,7 +15,7 @@ from surfqp.algebra import m2
 from surfqp.cli import main
 from surfqp.dbracket import dbl_from_pairing, project_cyclic
 from surfqp.foxpairing import SurfaceFoxPairing, rho_1, transpose_apply
-from surfqp.repalgebra import RepElem
+from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, format_cyclic, format_word, parse_word
 
 # keep CLI runs cheap
@@ -328,3 +328,15 @@ def test_parser_is_built_once(capsys, monkeypatch):
         main(["eta", "p1"])
     assert exc.value.code == 2
     assert len(builds) == 1
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    """Exit 1 means only that a verified property failed, so running out of
+    memory exits 2 with one line; the exhaustion here is simulated."""
+    def exhausted(self, w):
+        raise MemoryError
+
+    monkeypatch.setattr(RepAlgebra, "word_matrix", exhausted)
+    code, out, err = run(capsys, "rep-bracket", "--dim", "2", "tr(p1^1500)", "q1_1_1",
+                         "--genus", "1", "--punctures", "1")
+    assert (code, out, err) == (2, "", "surfqp: out of memory\n")

@@ -229,6 +229,20 @@ def test_integer_brackets_keep_int_coefficients():
             assert all(type(coeff) is int for v in values for _, coeff in v.items())
 
 
+def test_word_pairs_skip_the_group_algebra_wrap():
+    """Two words go straight to the memo; one-term elements, scaled or
+    not, sum through it to the same value."""
+    sig = SurfaceSignature(1, 1)
+    dbl = SurfaceDoubleBracket(sig)
+    rng = random.Random(5001)
+    for _ in range(20):
+        a, b = sample_word(rng, sig, 4), sample_word(rng, sig, 4)
+        value = dbl(a, b)
+        assert dbl(a, b) is value
+        assert dbl(as_elem(a), b) == value
+        assert dbl(AlgElem.from_word(a, 3), AlgElem.from_word(b, -2)) == value.scale(-6)
+
+
 def test_bracket_memo_is_bounded():
     sig = SurfaceSignature(1, 1)
     rng = random.Random(5000)

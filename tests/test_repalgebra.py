@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from surfqp.algebra import AlgElem, Tensor2
 from surfqp.dbracket import SurfaceDoubleBracket, angle, goldman
 from surfqp.matrices import identity, mat, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem, cartan_trivector
@@ -477,3 +478,148 @@ def test_trace_bracket_matches_goldman():
         assert lhs == ALG.trace(angle(dbl, a, b))
         gold = goldman(dbl, CyclicWord.of(a), CyclicWord.of(b))
         assert lhs == ALG.trace_cyclic(gold).scale(2)
+
+
+# --- one-pass sums --------------------------------------------------------------
+#
+# entry, trace and entry_pair_image sum their terms with one accumulate.  The
+# references below are the chained `out = out + ...` sums these replaced: on a
+# single word every term shares one denominator, so both must print the same
+# bytes, while a multi-word sum no longer depends on the order of its terms.
+
+def chained_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = m[0][0].zero()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * chained_det(minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def chained_letter_matrix(alg, u, e):
+    """x^u, or for e < 0 its adjugate over det(x^u)."""
+    N = alg.dim
+    x = [[alg.sym(u, i, j) for j in range(N)] for i in range(N)]
+    if e > 0:
+        return x
+    den = tuple(int(v == u) for v in range(alg.sig.rank))
+
+    def cofactor(r, c):
+        if N == 1:
+            return alg.one().num
+        minor = [[x[a][b].num for b in range(N) if b != c] for a in range(N) if a != r]
+        return chained_det(minor).scale((-1) ** (r + c))
+
+    return [[RepElem(alg, cofactor(j, i), den) for j in range(N)] for i in range(N)]
+
+
+def chained_dot(a, b, i, j, n):
+    out = a[i][0] * b[0][j]
+    for k in range(1, n):
+        out = out + a[i][k] * b[k][j]
+    return out
+
+
+def chained_word_matrix(alg, w):
+    N = alg.dim
+    out = tuple(tuple(alg.scalar(1 if i == j else 0) for j in range(N)) for i in range(N))
+    for k, (u, e) in enumerate(reversed(w.letters)):
+        head = chained_letter_matrix(alg, u, e)
+        out = head if k == 0 else tuple(
+            tuple(chained_dot(head, out, i, j, N) for j in range(N)) for i in range(N))
+    return out
+
+
+def chained_entry(alg, a, i, j):
+    out = alg.zero()
+    for v, c in (a.items() if isinstance(a, AlgElem) else ((a, 1),)):
+        out = out + chained_word_matrix(alg, v)[i - 1][j - 1].scale(c)
+    return out
+
+
+def chained_trace(alg, a):
+    out = alg.zero()
+    for i in range(1, alg.dim + 1):
+        out = out + chained_entry(alg, a, i, i)
+    return out
+
+
+ONE_PASS_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                     for g, m in ((1, 1), (0, 2), (2, 0)) for dim in (1, 2, 3)}
+
+
+def test_determinants_print_the_chained_bytes():
+    for alg in ONE_PASS_ALGEBRAS.values():
+        N = alg.dim
+        for u in range(alg.sig.rank):
+            want = chained_det([[alg.sym(u, i, j).num for j in range(N)] for i in range(N)])
+            assert alg.to_json(RepElem(alg, alg.det_poly(u), alg.zero_den)) == \
+                alg.to_json(RepElem(alg, want, alg.zero_den))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_single_word_sums_print_the_chained_bytes(data):
+    alg = ONE_PASS_ALGEBRAS[data.draw(st.sampled_from(sorted(ONE_PASS_ALGEBRAS)))]
+    word = data.draw(route_words(alg.sig, 6 if alg.dim < 3 else 3))
+    N = alg.dim
+    got, want = alg.word_matrix(word), chained_word_matrix(alg, word)
+    for i in range(N):
+        for j in range(N):
+            assert alg.to_json(got[i][j]) == alg.to_json(want[i][j])
+            assert alg.to_json(alg.entry(word, i + 1, j + 1)) == \
+                alg.to_json(chained_entry(alg, word, i + 1, j + 1))
+    assert alg.to_json(alg.trace(word)) == alg.to_json(chained_trace(alg, word))
+
+
+def test_multi_word_entry_is_term_order_free():
+    """p1 q1 p1^-1 - q1 + z1 at dim 1: summed left to right by `+`, the first
+    two terms cancel to a zero with no denominator, and the chained sum
+    printed z1 over no det; summed from the right it printed p1 z1 over
+    det(p1).  One pass prints the latter both ways."""
+    alg = ONE_PASS_ALGEBRAS[1, 1, 1]
+    terms = [(w("p1*q1*p1^-1"), 1), (w("q1"), -1), (w("z1"), 1)]
+    want = {"den": [1, 0, 0], "terms": [{"coeff": "1", "monomial": "p1_1_1*z1_1_1"}]}
+    for order in (terms, terms[::-1]):
+        assert alg.to_json(alg.entry(AlgElem(dict(order)), 1, 1)) == want
+    assert alg.to_json(chained_entry(alg, AlgElem(dict(terms)), 1, 1)) != want
+
+
+@st.composite
+def multi_word_terms(draw, sig, max_len, arity):
+    """Two or more distinct keys (tuples of arity words, inverse-heavy ones
+    included) with nonzero coefficients.  A key may bring a partner whose
+    first word is conjugated by a letter, at minus its coefficient: the two
+    cancel in a trace, and at dim 1 in every entry, but their denominators
+    differ when the letter is inverted."""
+    terms = {}
+    for key in draw(st.lists(st.tuples(*[route_words(sig, max_len)] * arity),
+                             min_size=2, max_size=3, unique=True)):
+        c = terms.setdefault(key, draw(st.sampled_from((-2, -1, 1, 3))))
+        if draw(st.booleans()):
+            x = Word.generator(draw(st.integers(0, sig.rank - 1)), draw(st.sampled_from((1, -1))))
+            terms.setdefault((x * key[0] * x.inverse(),) + key[1:], -c)
+    return list(terms.items())
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_multi_word_sums_are_term_order_free(data):
+    dim = data.draw(st.sampled_from((1, 2)))
+    alg = ONE_PASS_ALGEBRAS[data.draw(st.sampled_from(((1, 1), (0, 2), (2, 0)))) + (dim,)]
+    terms = data.draw(multi_word_terms(alg.sig, 3, 1))
+    a, b = (AlgElem({v: c for (v,), c in order})
+            for order in (terms, data.draw(st.permutations(terms))))
+    i, j = data.draw(st.integers(1, dim)), data.draw(st.integers(1, dim))
+    assert alg.to_json(alg.entry(a, i, j)) == alg.to_json(alg.entry(b, i, j))
+    assert alg.to_json(alg.trace(a)) == alg.to_json(alg.trace(b))
+    pairs = data.draw(multi_word_terms(alg.sig, 3, 2))
+    t, u = (Tensor2(dict(order)) for order in (pairs, data.draw(st.permutations(pairs))))
+    k, l = (data.draw(st.integers(0, dim - 1)) for _ in range(2))
+    assert alg.to_json(alg.entry_pair_image(t, i - 1, j - 1, k, l)) == \
+        alg.to_json(alg.entry_pair_image(u, i - 1, j - 1, k, l))

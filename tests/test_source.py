@@ -1,4 +1,5 @@
-"""Static checks on the package source: every module reads what it imports."""
+"""Static checks on the package source: every module reads what it imports,
+and the representation layer sums in one pass."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,49 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# sums here are one accumulate or collect; a chain of `+` re-copies its
+# running total at every step
+ONE_PASS_MODULES = ("repalgebra.py", "evaluation.py")
+
+
+def chained_sums(source: str) -> list[int]:
+    """Lines where a loop rebinds a name to itself plus or minus something
+    (`out = out + term`).  Augmented scalar counters such as `k += 1` are
+    not sums of sparse values and are left alone."""
+    lines = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            name = node.targets[0].id
+            if any(isinstance(op, ast.BinOp) and isinstance(op.op, (ast.Add, ast.Sub))
+                   and any(isinstance(side, ast.Name) and side.id == name
+                           for side in (op.left, op.right))
+                   for op in ast.walk(node.value)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_sees_a_chained_sum():
+    source = ("def f(xs, n):\n"
+              "    out = 0\n"
+              "    for x in xs:\n"
+              "        out = out + x\n"
+              "    while n:\n"
+              "        out = x - out if n % 2 else out - x\n"
+              "        n -= 1\n"
+              "    total = out + 1\n"
+              "    for x in xs:\n"
+              "        k = out + x\n"
+              "    return total\n")
+    assert chained_sums(source) == [4, 6]
+
+
+@pytest.mark.parametrize("module", ONE_PASS_MODULES)
+def test_module_sums_in_one_pass(module):
+    assert chained_sums((PACKAGE / module).read_text()) == []
