@@ -104,8 +104,7 @@ def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]
     = adj(x)_ji).  At an integer point G is integral wherever P has no
     denominator.  It never calls the algebra's derivatives, so the oracle
     stays independent of the bracket."""
-    x = pt.matrices
-    N = len(x[0])
+    x, N = pt.matrices, P.alg.dim
     grad = [[[0] * N for _ in range(N)] for _ in x]
     num_val = 0
     for mono, coeff in P.num.unpacked():
@@ -121,7 +120,7 @@ def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]
             den_val *= d ** k
             for i in range(N):
                 for j in range(N):
-                    grad[u][i][j] -= num_val * k * adj[j][i] / d
+                    grad[u][i][j] -= Fraction(num_val * k * adj[j][i], d)
     return den_val, grad
 
 
@@ -230,7 +229,7 @@ def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list,
     bracket <dP ^ dQ, bivector> is (K_P . flat_Q) / (D_P D_Q)."""
     D, fp = fields
     keys = _sides(biv)
-    size = len(fp[keys[0]]) ** 2
+    size = biv.dim ** 2
     at = {key: n * size for n, key in enumerate(keys)}
     K = [0] * (len(keys) * size)
     for t in biv.terms:

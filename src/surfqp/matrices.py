@@ -1,16 +1,21 @@
-"""Tiny exact linear algebra over Fractions: square matrices as nested
-tuples, with determinant, adjugate and inverse by cofactor expansion.
-Dimensions stay small (N <= 3 in practice), so no pivoting games.  The
-product of two integer matrices stays integral; determinants, adjugates and
-inverses are Fractions."""
+"""Tiny exact linear algebra: square matrices as nested tuples, with one
+cofactor expansion for the determinant and adjugate over any entry ring
+whose elements add, multiply and multiply by ints.  Integer matrices give
+ints, Fraction matrices Fractions, and matrices of entry-symbol Polys the
+symbolic determinant and adjugate.  The expansion sums at most N terms with
+`+` at each level, and it runs once per generator per algebra (the Polys
+are cached) and once per point at N <= 3 (dimensions stay small), so it is
+not one of the hot sums that are built with one collect.  The inverse
+divides exactly, by Fraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Any, Sequence
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[Any, ...], ...]  # the entries share one ring
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -29,53 +34,30 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_det(a: Matrix) -> Fraction:
-    n = len(a)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= a[i][perm[i]]
-        total += sign * prod
-    return total
+def _minor(a: Matrix, i: int, j: int) -> Matrix:
+    """a without row i and column j."""
+    return tuple(row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def mat_det(a: Matrix):
+    """Cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return reduce(add, (a[0][j] * mat_det(_minor(a, 0, j)) * (-1) ** j
+                        for j in range(len(a))))
 
 
 def mat_adjugate(a: Matrix) -> Matrix:
+    """The transposed cofactor matrix; at N = 1 the entry ring's one."""
     n = len(a)
     if n == 1:
-        return ((Fraction(1),),)
-    cof = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * mat_det(minor)
-    # adjugate = transposed cofactor matrix
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+        return ((a[0][0] ** 0,),)
+    return tuple(tuple(mat_det(_minor(a, j, i)) * (-1) ** (i + j) for j in range(n))
+                 for i in range(n))
 
 
 def mat_inv(a: Matrix) -> Matrix:
     d = mat_det(a)
     if not d:
         raise ZeroDivisionError("matrix is singular")
-    adj = mat_adjugate(a)
-    return tuple(tuple(x / d for x in row) for row in adj)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in mat_adjugate(a))

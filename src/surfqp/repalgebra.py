@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, as_elem
 from .dbracket import SurfaceDoubleBracket
-from .matrices import Matrix, mat_inv
+from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
 from .poly import Poly
 from .words import SurfaceSignature, Word
 
@@ -139,18 +139,18 @@ class RepAlgebra:
     def det_poly(self, u: int) -> Poly:
         hit = self._det.get(u)
         if hit is None:
-            hit = _sym_det([[Poly.var((u, i, j)) for j in range(self.dim)]
-                            for i in range(self.dim)])
-            self._det[u] = hit
+            hit = self._det[u] = mat_det(self._sym_matrix(u))
         return hit
 
     def adj_poly(self, u: int) -> tuple[tuple[Poly, ...], ...]:
         hit = self._adj.get(u)
         if hit is None:
-            hit = _sym_adjugate([[Poly.var((u, i, j)) for j in range(self.dim)]
-                                 for i in range(self.dim)])
-            self._adj[u] = hit
+            hit = self._adj[u] = mat_adjugate(self._sym_matrix(u))
         return hit
+
+    def _sym_matrix(self, u: int) -> tuple[tuple[Poly, ...], ...]:
+        N = self.dim
+        return tuple(tuple(Poly.var((u, i, j)) for j in range(N)) for i in range(N))
 
     def raise_den(self, num: Poly, frm: tuple[int, ...], to: tuple[int, ...]) -> Poly:
         for u, (a, b) in enumerate(zip(frm, to)):
@@ -188,10 +188,7 @@ class RepAlgebra:
         N = self.dim
         if e > 0:
             return tuple(tuple(self.sym(u, i, j) for j in range(N)) for i in range(N))
-        adj = self.adj_poly(u)
-        den = list(self.zero_den)
-        den[u] = 1
-        den = tuple(den)
+        adj, den = self.adj_poly(u), self.det_inverse(u).den
         return tuple(tuple(RepElem(self, adj[i][j], den) for j in range(N))
                      for i in range(N))
 
@@ -281,11 +278,13 @@ class RepAlgebra:
 
     @staticmethod
     def _den_sums(parts: Iterable[RepElem]) -> dict[tuple[int, ...], Poly]:
-        """The nonzero sum of the numerators of each denominator group."""
+        """The nonzero sum of the numerators of each denominator group; a
+        lone numerator is its own sum, shared as it is (Polys never mutate)."""
         groups: dict[tuple[int, ...], list[Poly]] = {}
         for part in parts:
             groups.setdefault(part.den, []).append(part.num)
-        sums = ((den, Poly.collect(pair for num in nums for pair in num.items()))
+        sums = ((den, nums[0] if len(nums) == 1 else
+                 Poly.collect(pair for num in nums for pair in num.items()))
                 for den, nums in groups.items())
         return {den: num for den, num in sums if not num.is_zero()}
 
@@ -387,26 +386,3 @@ def cartan_trivector(dim: int) -> dict[tuple[ElemMatrix, ElemMatrix, ElemMatrix]
         for pair in ((((i, j), (j, k), (k, i)), Fraction(-1)),
                      (((j, k), (i, j), (k, i)), Fraction(1)))).terms
 
-
-def _sym_det(m: list[list[Poly]]) -> Poly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    return Poly.collect(pair for j in range(n) for pair in (
-        m[0][j] * _sym_det([row[:j] + row[j + 1:] for row in m[1:]])).scale((-1) ** j).items())
-
-
-def _sym_adjugate(m: list[list[Poly]]) -> tuple[tuple[Poly, ...], ...]:
-    n = len(m)
-    if n == 1:
-        return ((Poly.const(1),),)
-    adj = [[Poly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            cof = _sym_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return tuple(tuple(row) for row in adj)

@@ -16,6 +16,7 @@ from surfqp.cli import main
 from surfqp.dbracket import dbl_from_pairing, project_cyclic
 from surfqp.foxpairing import SurfaceFoxPairing, rho_1, transpose_apply
 from surfqp.repalgebra import RepAlgebra, RepElem
+from surfqp.suites import SUITE_NAMES
 from surfqp.words import SurfaceSignature, format_cyclic, format_word, parse_word
 
 # keep CLI runs cheap
@@ -340,3 +341,28 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "rep-bracket", "--dim", "2", "tr(p1^1500)", "q1_1_1",
                          "--genus", "1", "--punctures", "1")
     assert (code, out, err) == (2, "", "surfqp: out of memory\n")
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+@pytest.mark.parametrize("genus,punctures", [("0", "0"), ("0", "1")])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_small_surfaces_pass(capsys, suite, genus, punctures, dim):
+    """The rank-0 surface and the annulus at dims 1 and 2: no suite may
+    crash, and exit 1 would mean a verified property failed."""
+    code, out, err = run(capsys, "verify", suite, "--json", "--genus", genus,
+                         "--punctures", punctures, "--dim", dim, "--trials", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+
+
+def test_fusion_coupling_is_checked_only_from_dim_two(capsys):
+    """At N = 1 the conjugation field is zero, so the fusion terms vanish
+    and no witness against dropping them can exist."""
+    names = {}
+    for dim in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "aksm", "--json", "--genus", "1",
+                           "--punctures", "1", "--dim", dim, "--trials", "1")
+        assert code == 0
+        names[dim] = [c["name"] for c in json.loads(out)["checks"]]
+    assert "fusion-coupling-required" not in names["1"]
+    assert "fusion-coupling-required" in names["2"]

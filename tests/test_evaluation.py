@@ -329,6 +329,17 @@ def test_aksm_witness_matches_golden(case):
     assert json.dumps(rep.to_dict(), sort_keys=True) == case["report"]
 
 
+def test_rank_zero_surface_has_no_fields():
+    # no generators: the point holds no matrices and the bivector no sides,
+    # so every function is constant and every bracket is zero
+    sig = SurfaceSignature(0, 0)
+    alg = RepAlgebra(sig, 2)
+    P = alg.entry(Word.identity(), 1, 1)
+    assert evaluation._gradient(P, RepPoint(())) == (1, [])
+    rep = compare_constructions(sig, 2, trials=2, seed=3, extra_words=[(Word.identity(),) * 2])
+    assert rep.ok and rep.pairs == 4
+
+
 def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
     # the fields of each coordinate function are computed once per point,
     # not once for every pair it takes part in

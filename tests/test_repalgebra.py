@@ -623,3 +623,12 @@ def test_multi_word_sums_are_term_order_free(data):
     k, l = (data.draw(st.integers(0, dim - 1)) for _ in range(2))
     assert alg.to_json(alg.entry_pair_image(t, i - 1, j - 1, k, l)) == \
         alg.to_json(alg.entry_pair_image(u, i - 1, j - 1, k, l))
+
+
+def test_lone_numerator_is_not_copied():
+    # a denominator group of one numerator needs no sum, so accumulate hands
+    # that Poly back as it is
+    P = ALG.word_matrix(w("p1*q1^-1*z1"))[0][1]
+    assert ALG.accumulate([P]).num is P.num
+    assert ALG.accumulate([P, ALG.zero()]).num is P.num
+    assert ALG.accumulate([P, P]) == P.scale(2)
