@@ -82,6 +82,8 @@ class LinComb:
 
     def scale(self, k: Scalar):
         k = _coeff(k)
+        if k == 1:  # elements never mutate, so self serves as the copy
+            return self
         if not k:
             return self.zero()
         # k * c is nonzero when both are, so nothing needs filtering

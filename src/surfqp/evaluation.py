@@ -35,8 +35,8 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .matrices import Matrix, mat, mat_adjugate, mat_det, mat_mul
-from .poly import Poly, Scalar
-from .repalgebra import RepAlgebra, RepElem
+from .poly import Scalar
+from .repalgebra import Differential, RepAlgebra, RepElem
 from .words import SurfaceSignature, Word, format_word, trial_rng
 
 L, R, CONJ = "L", "R", "C"
@@ -149,18 +149,15 @@ def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fr
     return Fraction(fields[f.slot, f.side][f.r][f.s], D)
 
 
-def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem) -> RepElem:
+def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem | Differential) -> RepElem:
     """The same derivation applied symbolically, for whole-polynomial
-    comparisons.  Routed through the algebra's partial derivatives."""
-    parts = []
-    for (u, i, j), d in alg.differential(P):
-        if u != f.slot:
-            continue
-        val = ((Poly.var((u, i, f.r)) if f.side in (L, CONJ) and f.s == j else Poly.zero())
-               - (Poly.var((u, f.s, j)) if f.side in (R, CONJ) and f.r == i else Poly.zero()))
-        if not val.is_zero():
-            parts.append(d * RepElem(alg, val, alg.zero_den))
-    return alg.accumulate(parts)
+    comparisons.  Routed through the algebra's partial derivatives; P may
+    come as its differential, which fields_sym builds once for all fields."""
+    dP = alg.differential(P) if isinstance(P, RepElem) else P
+    return alg.accumulate_products(
+        (c, d, alg.sym(*x)) for (u, i, j), d in dP if u == f.slot
+        for c, x, on in ((1, (u, i, f.r), f.side in (L, CONJ) and f.s == j),
+                         (-1, (u, f.s, j), f.side in (R, CONJ) and f.r == i)) if on)
 
 
 @dataclass(frozen=True)
@@ -255,9 +252,9 @@ def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
 
 def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[TaggedField, RepElem]:
     """Every field the bivector's wedge terms use, over all (r, s), applied
-    symbolically to P once each."""
-    N = alg.dim
-    return {f: field_apply_sym(alg, f, P)
+    symbolically to P once each, from one differential."""
+    N, dP = alg.dim, alg.differential(P)
+    return {f: field_apply_sym(alg, f, dP)
             for f in (TaggedField(slot, side, r, s) for slot, side in _sides(biv)
                       for r in range(N) for s in range(N))}
 
@@ -266,16 +263,11 @@ def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict[TaggedField, RepE
               on_q: dict[TaggedField, RepElem]) -> RepElem:
     """The bivector contracted with two functions' fields_sym."""
     N = alg.dim
-    parts = []
-    for term in biv.terms:
-        for r in range(N):
-            for s in range(N):
-                v = TaggedField(term.v_slot, term.v_side, r, s)
-                w = TaggedField(term.w_slot, term.w_side, s, r)
-                for a, b, c in ((on_p[v], on_q[w], term.coeff), (on_q[v], on_p[w], -term.coeff)):
-                    if not (a.is_zero() or b.is_zero()):
-                        parts.append((a * b).scale(c))
-    return alg.accumulate(parts)
+    pairs = [(t.coeff, TaggedField(t.v_slot, t.v_side, r, s), TaggedField(t.w_slot, t.w_side, s, r))
+             for t in biv.terms for r in range(N) for s in range(N)]
+    return alg.accumulate_products((c, a, b) for k, v, w in pairs
+                                   for a, b, c in ((on_p[v], on_q[w], k), (on_q[v], on_p[w], -k))
+                                   if not (a.is_zero() or b.is_zero()))
 
 
 def bivector_bracket_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem,

@@ -9,6 +9,12 @@ of each field is a guard bit that no stored monomial sets, so exponents
 stay below 2**31 and a sum of two fields never carries into its
 neighbour; a product that sets a guard bit raises OverflowError.
 
+Poly.dot, the one multiply loop, adds c * p * q over many triples into one
+dict and drops zeros once, at the end; a product is its one-triple case or,
+with a one-term factor, a shifted copy.  Guard bits are checked on surviving
+monomials only, even for fused sums: no m1 + m2 carries between fields, so a
+key that sets a guard bit and then cancels leaves an exact sum behind.
+
 A polynomial is a LinComb mapping monomials to nonzero coefficients, so
 equality is structural.  Coefficients follow the group algebra's scalar
 rule (algebra._coeff): an int when integral, a Fraction only where a
@@ -20,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .algebra import LinComb, Scalar, _coeff
 
@@ -97,26 +103,37 @@ class Poly(LinComb):
     def var(v: Var) -> "Poly":
         return Poly._wrap({1 << (FIELD_BITS * _field(v)): 1})
 
-    def scale(self, k: Scalar) -> "Poly":
-        k = _coeff(k)
-        if not k:
-            return Poly()
-        return Poly._wrap({m: k * c for m, c in self.terms.items()})
+    scale = LinComb.scale  # in Poly's own namespace, where perfbench/tracer.py looks
+
+    @staticmethod
+    def dot(triples: Iterable[tuple[Scalar, "Poly", "Poly"]]) -> "Poly":
+        """The sum of c * p * q over the (c, p, q) triples, in one dict."""
+        out: dict = {}
+        get = out.get
+        for c, p, q in triples:
+            small, big = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
+            for m2, c2 in small.items():
+                k = c * c2
+                for m1, c1 in big.items():
+                    m = m1 + m2
+                    out[m] = get(m, 0) + k * c1
+        return Poly._checked({m: c for m, c in out.items() if c})
+
+    @staticmethod
+    def _checked(terms: dict) -> "Poly":
+        if reduce(or_, terms, 0) & _guards:
+            raise OverflowError(f"a product exponent exceeds {MAX_FIELD_EXPONENT}")
+        return Poly._wrap(terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        out = Poly.collect((m1 + m2, c1 * c2) for m2, c2 in small.items()
-                           for m1, c1 in big.items())
-        # a cancelled product is exact even past a guard bit (no field
-        # carries), so checking the surviving monomials is enough
-        if reduce(or_, out.terms, 0) & _guards:
-            raise OverflowError(f"a product exponent exceeds {MAX_FIELD_EXPONENT}")
-        return out
+        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(small.terms) != 1:
+            return Poly.dot(((1, self, other),))
+        # one monomial times distinct monomials stays distinct and nonzero
+        [(m2, c2)] = small.terms.items()
+        return Poly._checked({m1 + m2: c1 * c2 for m1, c1 in big.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -19,9 +19,10 @@ determinant denominators ride along via {1/d, -} = -(1/d^2) {d, -}.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgElem, ElemLike, LinComb, Tensor2, as_elem
+from .algebra import AlgElem, ElemLike, LinComb, Scalar, Tensor2, as_elem
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
 from .poly import Poly
@@ -179,7 +180,7 @@ class RepAlgebra:
         for k in range(k - 1, -1, -1):
             head = self._letter_matrix(*letters[k])
             out = head if k == len(letters) - 1 else tuple(
-                tuple(self.accumulate(head[i][m] * out[m][j] for m in range(N))
+                tuple(self.accumulate_products((1, head[i][m], out[m][j]) for m in range(N))
                       for j in range(N)) for i in range(N))
             self._word_matrix[Word(letters[k:], _reduced=True)] = out
         return out
@@ -229,8 +230,7 @@ class RepAlgebra:
             # d(det^-k)/dx_ij = -k det^-(k+1) adj_ji
             den = list(P.den)
             den[u] += 1
-            out = out + RepElem(self, P.num * self.adj_poly(u)[j][i] * Fraction(-k),
-                                tuple(den))
+            out = out + RepElem(self, Poly.dot(((-k, P.num, self.adj_poly(u)[j][i]),)), tuple(den))
         return out
 
     def differential(self, P: RepElem) -> Differential:
@@ -252,22 +252,21 @@ class RepAlgebra:
         """Send a tensor sum(c w1 (x) w2) to sum(c (w1)_kj (w2)_il); this is
         how a double bracket value becomes a bracket of entries.  Indices
         are zero-based here."""
-        return self.accumulate((self.word_matrix(w1)[k][j] * self.word_matrix(w2)[i][l]).scale(c)
-                               for (w1, w2), c in t.items())
+        return self.accumulate_products((c, self.word_matrix(w1)[k][j], self.word_matrix(w2)[i][l])
+                                        for (w1, w2), c in t.items())
 
     def hamiltonian(self, P: RepElem, symbols: Iterable[EntryVar]) -> Hamiltonian:
         """P's contraction with the bracket: for each entry symbol b, the sum
         over a of num(dP/da) num({a, b}), one polynomial per denominator
         den(dP/da) + den({a, b}).  pair_hamiltonian turns it into {P, -}."""
         dP = self.differential(P)
-        return {b: self._den_sums(dPa * g for a, dPa in dP
-                                  if not (g := self.gen_bracket(a, b)).is_zero())
+        return {b: self._product_sums((1, dPa, self.gen_bracket(a, b)) for a, dPa in dP)
                 for b in symbols}
 
     def pair_hamiltonian(self, H: Hamiltonian, dQ: Differential) -> RepElem:
         """sum over b of H[b] dQ/db, grouped by den + den(dQ/db)."""
-        return self.accumulate(RepElem(self, h, den) * dQb
-                               for b, dQb in dQ for den, h in H[b].items())
+        return self.accumulate_products((1, RepElem(self, h, den), dQb)
+                                        for b, dQb in dQ for den, h in H[b].items())
 
     def qp_bracket(self, P: RepElem, Q: RepElem) -> RepElem:
         """The quasi-Poisson bracket sum over a, b of dP/da dQ/db {a, b}, the
@@ -288,13 +287,30 @@ class RepAlgebra:
                 for den, nums in groups.items())
         return {den: num for den, num in sums if not num.is_zero()}
 
+    @staticmethod
+    def _product_sums(triples: Iterable[tuple[Scalar, RepElem, RepElem]]) -> dict[tuple[int, ...], Poly]:
+        """The nonzero sum of c num(a) num(b) over each group of (c, a, b)
+        triples with one denominator a.den + b.den, one Poly.dot per group."""
+        groups: dict[tuple[int, ...], list] = {}
+        for c, a, b in triples:
+            groups.setdefault(tuple(map(add, a.den, b.den)), []).append((c, a.num, b.num))
+        sums = ((den, Poly.dot(group)) for den, group in groups.items())
+        return {den: num for den, num in sums if not num.is_zero()}
+
     def accumulate(self, parts: Iterable[RepElem]) -> RepElem:
         """Sum many elements in one pass: numerators are summed per distinct
         denominator, and only when several groups survive are they raised to
         their common denominator and summed once more.  The result depends on
         the parts, not on their order: a group that cancels to zero drops out
         before the common denominator is taken."""
-        sums = self._den_sums(parts)
+        return self._over_common_den(self._den_sums(parts))
+
+    def accumulate_products(self, triples: Iterable[tuple[Scalar, RepElem, RepElem]]) -> RepElem:
+        """The sum of c a b over (c, a, b) triples, as accumulate sums, with
+        each denominator group's products fused into one Poly.dot."""
+        return self._over_common_den(self._product_sums(triples))
+
+    def _over_common_den(self, sums: dict[tuple[int, ...], Poly]) -> RepElem:
         if not sums:
             return self.zero()
         if len(sums) == 1:  # a lone group is already the sum
@@ -324,7 +340,8 @@ class RepAlgebra:
             for pair in Poly.var(v).scale(c).items()), self.zero_den)
 
     def gl_action(self, w: LieMatrix, P: RepElem) -> RepElem:
-        return self.accumulate(d * self.lie_value(w, var) for var, d in self.differential(P))
+        return self.accumulate_products((1, d, self.lie_value(w, var))
+                                        for var, d in self.differential(P))
 
     def elem_action(self, k: int, l: int, P: RepElem) -> RepElem:
         """Action of the elementary matrix with a single 1 at (k, l)."""
@@ -347,12 +364,10 @@ class RepAlgebra:
         """The Cartan trivector acting on a triple: the cyclic-Jacobi defect
         of the bracket."""
         N = self.dim
-        eP = {(k, l): self.elem_action(k, l, P) for k in range(N) for l in range(N)}
-        eQ = {(k, l): self.elem_action(k, l, Q) for k in range(N) for l in range(N)}
-        eR = {(k, l): self.elem_action(k, l, R) for k in range(N) for l in range(N)}
-        parts = [(eP[t1] * eQ[t2] * eR[t3]).scale(c)
-                 for (t1, t2, t3), c in cartan_trivector(N).items()]
-        return self.accumulate(parts)
+        eP, eQ, eR = ({(k, l): self.elem_action(k, l, X) for k in range(N) for l in range(N)}
+                      for X in (P, Q, R))
+        return self.accumulate_products((c, eP[t1] * eQ[t2], eR[t3])
+                                        for (t1, t2, t3), c in cartan_trivector(N).items())
 
     # --- serialization ----------------------------------------------------
 
@@ -377,12 +392,11 @@ class RepAlgebra:
 ElemMatrix = tuple[int, int]  # elementary matrix, 1 at (row, col)
 
 
-def cartan_trivector(dim: int) -> dict[tuple[ElemMatrix, ElemMatrix, ElemMatrix], Fraction]:
+def cartan_trivector(dim: int) -> dict[tuple[ElemMatrix, ElemMatrix, ElemMatrix], int]:
     """The skew invariant trivector dual to (u, v, w) -> tr(u [v, w]) under
     the trace pairing, expanded over elementary-matrix triples:
     sum over i,j,k of  -f_ij (x) f_jk (x) f_ki  +  f_jk (x) f_ij (x) f_ki."""
     return LinComb.collect(
         pair for i in range(dim) for j in range(dim) for k in range(dim)
-        for pair in ((((i, j), (j, k), (k, i)), Fraction(-1)),
-                     (((j, k), (i, j), (k, i)), Fraction(1)))).terms
+        for pair in ((((i, j), (j, k), (k, i)), -1), (((j, k), (i, j), (k, i)), 1))).terms
 

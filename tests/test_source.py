@@ -80,3 +80,36 @@ def test_checker_sees_a_chained_sum():
 @pytest.mark.parametrize("module", ONE_PASS_MODULES)
 def test_module_sums_in_one_pass(module):
     assert chained_sums((PACKAGE / module).read_text()) == []
+
+
+def products_in_accumulate(source: str) -> list[int]:
+    """Lines of `*` products formed inside the arguments of an `accumulate`
+    call.  A sum of products goes through `accumulate_products`, which
+    fuses them into one multiply-accumulate instead of building each one."""
+    lines = set()
+    for call in ast.walk(ast.parse(source)):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        if name != "accumulate":
+            continue
+        for arg in call.args + [keyword.value for keyword in call.keywords]:
+            lines.update(node.lineno for node in ast.walk(arg)
+                         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+    return sorted(lines)
+
+
+def test_checker_sees_a_product_in_accumulate():
+    source = ("def f(self, alg, xs, ys):\n"
+              "    a = self.accumulate(x * y for x, y in zip(xs, ys))\n"
+              "    b = alg.accumulate_products((1, x, y) for x, y in zip(xs, ys))\n"
+              "    c = accumulate([x.scale(2) for x in xs])\n"
+              "    return alg.accumulate(\n"
+              "        [x,\n"
+              "         2 * y])\n")
+    assert products_in_accumulate(source) == [2, 7]
+
+
+@pytest.mark.parametrize("module", ONE_PASS_MODULES)
+def test_module_builds_no_product_inside_accumulate(module):
+    assert products_in_accumulate((PACKAGE / module).read_text()) == []
