@@ -18,11 +18,13 @@ matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 
 Each function's fields are computed once per point, from one gradient, as
 integer matrices over one common denominator, and folded through the
-bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>); a
-bracket of two functions is then one integer dot product with the
-partner's flattened fields and a single division at the end.  Sampled
-points keep integer entries, so monomials and gradients are evaluated in
-ints; points read from lists or files may hold any rationals.
+bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
+derivation rule's side evaluates the generator-entry brackets once per
+point and contracts each function's partials with them once.  On either
+side a bracket of two functions at a point is then one integer dot product
+and a single division.  Sampled points keep integer entries, so monomials
+and gradients are evaluated in ints; points read from lists or files may
+hold any rationals.
 """
 
 from __future__ import annotations
@@ -73,17 +75,39 @@ def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int,
     return RepPoint(tuple(mats))
 
 
+def _at(pt: RepPoint) -> tuple[dict, list]:
+    """Every entry symbol's value at pt, in symbol order, and the determinants."""
+    return ({(u, i, j): x for u, m in enumerate(pt.matrices)
+             for i, row in enumerate(m) for j, x in enumerate(row)},
+            [mat_det(m) for m in pt.matrices])
+
+
 def evaluate(alg: RepAlgebra, P: RepElem, pt: RepPoint) -> Fraction:
     """Evaluate at a point; determinant denominators become exact divisions."""
-    assign = {}
-    for var in P.num.variables():
-        u, i, j = var
-        assign[var] = pt.matrices[u][i][j]
-    value = P.num.evaluate(assign)
-    for u, k in enumerate(P.den):
-        if k:
-            value /= mat_det(pt.matrices[u]) ** k
-    return value
+    assign, dets = _at(pt)
+    return Fraction(P.num.evaluate(assign), prod(map(pow, dets, P.den)))
+
+
+def _bracket_columns(alg: RepAlgebra, at: tuple[dict, list]) -> list[list[Scalar]]:
+    """The matrix B[a][b] = {a, b} of generator-entry brackets at a point, by
+    columns.  The table's words have no inverse letters, so no bracket has a
+    denominator and B is integral at an integer point."""
+    cols = [[alg.gen_bracket(a, b) for a in at[0]] for b in at[0]]
+    assert not any(any(x.den) for col in cols for x in col)
+    return [[x.num.evaluate(at[0]) for x in col] for col in cols]
+
+
+def _contraction(dP: Differential, at: tuple[dict, list], cols: list) -> tuple[Scalar, list, list]:
+    """(D, h, g) for one function at a point, in _pair's shape: g lists its
+    partials times D = prod_u det(x^u)^(max den_u), ints at an integer point,
+    and h = g^T B, so the derivation rule {P, Q} = sum_ab dP/da dQ/db {a, b}
+    is (h_P . g_Q) / (D_P D_Q)."""
+    (assign, dets), parts = at, dict(dP)
+    top = [max((d.den[u] for d in parts.values()), default=0) for u in range(len(dets))]
+    g = [0 if (d := parts.get(a)) is None else
+         d.num.evaluate(assign) * prod(x ** (t - k) for x, t, k in zip(dets, top, d.den))
+         for a in assign]
+    return prod(map(pow, dets, top)), [sum(map(mul, g, col)) for col in cols], g
 
 
 @dataclass(frozen=True)
@@ -238,8 +262,8 @@ def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list,
 
 
 def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fraction:
-    """<dP ^ dQ, bivector> at a point from two _covectors: one integer dot
-    product and one division."""
+    """A bracket at a point from two (D, row, col) triples, _covectors or
+    _contractions: one integer dot product and one division."""
     return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
 
 
@@ -302,8 +326,9 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
                           alg: Optional[RepAlgebra] = None) -> AksmReport:
     """At `trials` random rational points, compare the two brackets on every
     ordered generator-entry pair, plus entries of any supplied word pairs.
-    Each function's differential, Hamiltonian and folded fields are built
-    once; a pair is one pairing and one integer dot product per point."""
+    Per point the bracket matrix is evaluated once, and per function and
+    point the contraction of its differential with it and its folded fields;
+    a pair at a point is then one integer dot product on each side."""
     alg = alg if alg is not None else RepAlgebra(sig, dim)
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)
@@ -311,19 +336,18 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
     for (wa, wb) in extra_words:
         coords.append((wa, 1, dim))
         coords.append((wb, dim, 1))
-    symbols = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
     points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
     funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
-    diffs = [alg.differential(P) for P in funcs]
     covectors = [[_covector(biv, _fields(P, pt)) for pt in points] for P in funcs]
+    brackets = [(at, _bracket_columns(alg, at)) for at in map(_at, points)]
+    contractions = [[_contraction(dP, at, cols) for at, cols in brackets]
+                    for dP in map(alg.differential, funcs)]
     pair_count = 0
-    for (wa, ia, ja), Pa, cov_a in zip(coords, funcs, covectors):
-        ham = alg.hamiltonian(Pa, symbols)
-        for (wb, ib, jb), dPb, cov_b in zip(coords, diffs, covectors):
+    for (wa, ia, ja), con_a, cov_a in zip(coords, contractions, covectors):
+        for (wb, ib, jb), con_b, cov_b in zip(coords, contractions, covectors):
             pair_count += 1
-            bracket = alg.pair_hamiltonian(ham, dPb)
             for k, pt in enumerate(points):
-                lhs = evaluate(alg, bracket, pt)
+                lhs = _pair(con_a[k], con_b[k])
                 rhs = _pair(cov_a[k], cov_b[k])
                 if lhs != rhs:
                     return AksmReport(False, k + 1, pair_count, seed, witness={

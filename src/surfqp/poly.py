@@ -23,7 +23,6 @@ rational enters; const, var and scale normalise their scalars to it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -177,14 +176,15 @@ class Poly(LinComb):
         return Poly.collect(pair for pairs, c in self.unpacked()
                             for pair in image(pairs, c).items())
 
-    def evaluate(self, assign: Mapping[Var, Fraction]) -> Fraction:
+    def evaluate(self, assign: Mapping[Var, Scalar]) -> Scalar:
+        """The exact value: an int when the coefficients and values are."""
         total = 0
         for pairs, c in self.unpacked():
             val = c
             for v, e in pairs:
                 val *= assign[v] ** e
             total += val
-        return Fraction(total)
+        return total
 
     def variables(self) -> set:
         return {v for v, _ in unpack(reduce(or_, self.terms, 0))}

@@ -319,9 +319,8 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
             b = sample_word(rng, sig, max_len)
             i, j = rng.randrange(1, dim + 1), rng.randrange(1, dim + 1)
             lhs = alg.entry(a * b, i, j)
-            rhs = alg.zero()
-            for l in range(1, dim + 1):
-                rhs = rhs + alg.entry(a, i, l) * alg.entry(b, l, j)
+            rhs = alg.accumulate_products((1, alg.entry(a, i, l), alg.entry(b, l, j))
+                                          for l in range(1, dim + 1))
             if lhs != rhs:
                 return False
             S = rand_sym(rng) if sig.rank else alg.one()
@@ -399,13 +398,10 @@ def _displayed_power_bracket(alg: RepAlgebra, mu: Word, a: Word, m: int,
     element against a, written out in entries (one-based indices)."""
     w = mu.inverse() if inverse else mu
     sign = -1 if inverse else 1
-    out = alg.zero()
-    for k in range(m + 1):
-        weight = sign * (1 if k in (0, m) else 2)
-        wk, wrest = w ** k, w ** (m - k)
-        out = out + (alg.entry(a * wk, u, j) * alg.entry(wrest, i, v)).scale(weight)
-        out = out - (alg.entry(wk, u, j) * alg.entry(wrest * a, i, v)).scale(weight)
-    return out
+    return alg.accumulate_products(
+        (c * (1 if k in (0, m) else 2), alg.entry(x, u, j), alg.entry(y, i, v))
+        for k in range(m + 1) for wk, wrest in ((w ** k, w ** (m - k)),)
+        for c, x, y in ((sign, a * wk, wrest), (-sign, wk, wrest * a)))
 
 
 def moment_suite(sig: SurfaceSignature, dim: int, powers: Sequence[int], trials: int,

@@ -185,17 +185,12 @@ class CyclicWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Sequence[Letter], *, _canonical: bool = False):
-        if _canonical:
-            self.letters = tuple(letters)
-            return
-        reduced = list(_free_reduce(letters))
-        while len(reduced) > 1 and reduced[0][0] == reduced[-1][0] and reduced[0][1] == -reduced[-1][1]:
-            reduced = reduced[1:-1]
-        self.letters = _min_rotation(tuple(reduced))
+        self.letters = tuple(letters) if _canonical else _cyclic_normal(_free_reduce(letters))
 
     @staticmethod
     def of(word: Word) -> "CyclicWord":
-        return CyclicWord(word.letters)
+        # a Word is reduced already
+        return CyclicWord(_cyclic_normal(word.letters), _canonical=True)
 
     def representative(self) -> Word:
         return Word(self.letters, _reduced=True)
@@ -216,13 +211,23 @@ class CyclicWord:
         return f"CyclicWord({self.letters!r})"
 
 
+def _cyclic_normal(reduced: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The least rotation of the cyclic reduction: count the k cancelling end
+    pairs of a reduced word, then slice once."""
+    k = 0
+    while len(reduced) - 2 * k > 1 and reduced[k] == (reduced[~k][0], -reduced[~k][1]):
+        k += 1
+    return _min_rotation(reduced[k:len(reduced) - k])
+
+
 def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     n = len(letters)
     if n < 2:
         return letters
-    # int keys ordered as _letter_key; min holds one rotation's keys at a time
+    # int keys ordered as _letter_key; a least rotation starts at a least letter
     keys = [2 * g + (e < 0) for g, e in letters] * 2
-    best = min(range(n), key=lambda i: keys[i:i + n])
+    least = min(keys)
+    best = min((i for i in range(n) if keys[i] == least), key=lambda i: keys[i:i + n])
     return letters[best:] + letters[:best]
 
 

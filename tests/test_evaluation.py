@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfqp import evaluation
 from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, TaggedField,
@@ -31,6 +33,15 @@ BIVECTOR_GOLDEN = [
 # JSON, recorded before sampled points kept int entries
 WITNESS_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "aksm_witness_golden.json").read_text())
+
+
+def derivation_bracket(alg, P, Q, pt):
+    """compare_constructions' derivation side for one pair: each function's
+    partials contracted with the generator-entry brackets at pt."""
+    at = evaluation._at(pt)
+    cols = evaluation._bracket_columns(alg, at)
+    return evaluation._pair(*(evaluation._contraction(alg.differential(X), at, cols)
+                              for X in (P, Q)))
 
 
 def w(text, sig=SIG):
@@ -268,6 +279,40 @@ def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
     assert field_apply(ALG, TaggedField(0, CONJ, 0, 1), P, point()) != 0
 
 
+def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
+    # the mirror of the test above: the derivation rule at a point stays
+    # independent of the fused-bivector oracle
+    P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
+    want = evaluate(ALG, ALG.qp_bracket(P, Q), point())
+    assert want != 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("derivation side called the numeric oracle")
+
+    for name in ("_gradient", "_fields", "_covector"):
+        monkeypatch.setattr(evaluation, name, forbidden)
+    assert derivation_bracket(ALG, P, Q, point()) == want
+
+
+# one algebra per case, so each keeps its generator brackets across examples
+DERIVATION_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                       for g, m in ((1, 1), (0, 2), (2, 1)) for dim in (1, 2, 3)}
+
+
+@seed(20261023)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated(data):
+    alg = DERIVATION_ALGEBRAS[data.draw(st.sampled_from(sorted(DERIVATION_ALGEBRAS)))]
+    sig, dim = alg.sig, alg.dim
+    letters = st.tuples(st.integers(0, sig.rank - 1), st.sampled_from((1, -1)))
+    P, Q = (alg.entry(Word(data.draw(st.lists(letters, max_size=3 if dim < 3 else 2))),
+                      data.draw(st.integers(1, dim)), data.draw(st.integers(1, dim)))
+            for _ in range(2))
+    pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), sig, dim)
+    assert derivation_bracket(alg, P, Q, pt) == evaluate(alg, alg.qp_bracket(P, Q), pt)
+
+
 @pytest.mark.parametrize("case,pair", BIVECTOR_GOLDEN,
                          ids=[f"{c['genus']}-{c['punctures']}-{p['left'][0]}-{p['right'][0]}"
                               for c, p in BIVECTOR_GOLDEN])
@@ -358,21 +403,27 @@ def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
     assert len(calls) == coords * 2
 
 
-def test_compare_constructions_builds_one_hamiltonian_per_function(monkeypatch):
-    # the derivation route contracts each function with the bracket once
-    # and pairs that with every partner
-    calls = []
-    hamiltonian = RepAlgebra.hamiltonian
+def test_compare_constructions_differentiates_once_and_evaluates_one_bracket_matrix(monkeypatch):
+    # the derivation route differentiates each function once, and evaluates
+    # the generator-entry brackets once per point, not once for every pair
+    diffs, matrices = [], []
+    differential, columns = RepAlgebra.differential, evaluation._bracket_columns
 
-    def counted(self, P, symbols):
-        calls.append(1)
-        return hamiltonian(self, P, symbols)
+    def counted_differential(self, P):
+        diffs.append(1)
+        return differential(self, P)
 
-    monkeypatch.setattr(RepAlgebra, "hamiltonian", counted)
+    def counted_columns(alg, at):
+        matrices.append(1)
+        return columns(alg, at)
+
+    monkeypatch.setattr(RepAlgebra, "differential", counted_differential)
+    monkeypatch.setattr(evaluation, "_bracket_columns", counted_columns)
     extra = [(w("p1*q1"), w("z1^-1"))]
     rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
     assert rep.ok, rep.witness
-    assert len(calls) == SIG.rank * 2 * 2 + 2 * len(extra)
+    assert len(diffs) == SIG.rank * 2 * 2 + 2 * len(extra)
+    assert len(matrices) == 2
 
 
 def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):

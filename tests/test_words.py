@@ -104,6 +104,42 @@ def test_join_is_the_reduced_concatenation(pair):
     assert join(left, right).letters == Word(left + right).letters
 
 
+def old_cyclic_letters(letters):
+    """CyclicWord's normal form as first written: one slice per cancelled
+    end pair, then every rotation compared."""
+    reduced = list(Word(letters).letters)
+    while len(reduced) > 1 and reduced[0][0] == reduced[-1][0] and reduced[0][1] == -reduced[-1][1]:
+        reduced = reduced[1:-1]
+    n = len(reduced)
+    if n < 2:
+        return tuple(reduced)
+    keys = [2 * g + (e < 0) for g, e in reduced] * 2
+    best = min(range(n), key=lambda i: keys[i:i + n])
+    return tuple(reduced[best:] + reduced[:best])
+
+
+@st.composite
+def cyclic_inputs(draw):
+    """Letter lists over two generators, often a conjugate u x^k u^-1, so
+    that end pairs cancel and rotations tie."""
+    letter = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+    u, x = draw(st.lists(letter, max_size=6)), draw(st.lists(letter, max_size=5))
+    if draw(st.booleans()):
+        return u + x * draw(st.integers(1, 4)) + [(g, -e) for g, e in reversed(u)]
+    return u + x
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cyclic_inputs())
+@example([(0, 1), (1, 1), (0, -1)])
+@example([(1, 1), (0, 1), (1, 1), (0, 1)])
+def test_cyclic_normal_form_matches_the_old_code(letters):
+    want = old_cyclic_letters(letters)
+    assert CyclicWord(letters).letters == want
+    assert CyclicWord.of(Word(letters)).letters == want
+
+
 def test_invert():
     assert w("p1*q1").inverse() == w("q1^-1*p1^-1")
     assert Word.identity().inverse() == Word.identity()
