@@ -20,11 +20,12 @@ Each function's fields are computed once per point, from one gradient, as
 integer matrices over one common denominator, and folded through the
 bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
 derivation rule's side evaluates the generator-entry brackets once per
-point and contracts each function's partials with them once.  On either
-side a bracket of two functions at a point is then one integer dot product
-and a single division.  Sampled points keep integer entries, so monomials
-and gradients are evaluated in ints; points read from lists or files may
-hold any rationals.
+point, from the double-bracket table's words multiplied out there, and
+contracts each function's partials with them once.  On either side a
+bracket of two functions at a point is then one integer dot product and a
+single division.  Sampled points keep integer entries, so brackets and
+gradients are evaluated in ints; points from lists or files may hold any
+rationals.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from functools import reduce
+from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -75,34 +77,41 @@ def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int,
     return RepPoint(tuple(mats))
 
 
-def _at(pt: RepPoint) -> tuple[dict, list]:
-    """Every entry symbol's value at pt, in symbol order, and the determinants."""
+def _at(pt: RepPoint) -> tuple[dict, list, tuple[Matrix, ...]]:
+    """Every entry symbol's value at pt in symbol order, the dets, the matrices."""
     return ({(u, i, j): x for u, m in enumerate(pt.matrices)
              for i, row in enumerate(m) for j, x in enumerate(row)},
-            [mat_det(m) for m in pt.matrices])
+            [mat_det(m) for m in pt.matrices], pt.matrices)
 
 
 def evaluate(alg: RepAlgebra, P: RepElem, pt: RepPoint) -> Fraction:
     """Evaluate at a point; determinant denominators become exact divisions."""
-    assign, dets = _at(pt)
+    assign, dets, _ = _at(pt)
     return Fraction(P.num.evaluate(assign), prod(map(pow, dets, P.den)))
 
 
-def _bracket_columns(alg: RepAlgebra, at: tuple[dict, list]) -> list[list[Scalar]]:
+def _bracket_columns(alg: RepAlgebra, at: tuple[dict, list, tuple]) -> list[list[Scalar]]:
     """The matrix B[a][b] = {a, b} of generator-entry brackets at a point, by
-    columns.  The table's words have no inverse letters, so no bracket has a
-    denominator and B is integral at an integer point."""
-    cols = [[alg.gen_bracket(a, b) for a in at[0]] for b in at[0]]
-    assert not any(any(x.den) for col in cols for x in col)
-    return [[x.num.evaluate(at[0]) for x in col] for col in cols]
+    columns: for a = x^u_ij and b = x^v_kl, the sum of c (w1)_kj (w2)_il over
+    the table dbl(x^u, x^v), each word a product of the point's matrices, with
+    no inverse letters, so B is integral at an integer point."""
+    assign, _, xs = at
+    one = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
+    tables = {(u, v): alg.dbl.base(u, v).items() for u in range(len(xs)) for v in range(len(xs))}
+    words = {w for t in tables.values() for pair, _ in t for w in pair}
+    assert all(e > 0 for w in words for _, e in w.letters)
+    value = {w: reduce(mat_mul, (xs[u] for u, _ in w.letters), one) for w in words}
+    terms = {uv: [(c, value[w1], value[w2]) for (w1, w2), c in t] for uv, t in tables.items()}
+    return [[sum(c * w1[k][j] * w2[i][l] for c, w1, w2 in terms[u, v]) for u, i, j in assign]
+            for v, k, l in assign]
 
 
-def _contraction(dP: Differential, at: tuple[dict, list], cols: list) -> tuple[Scalar, list, list]:
+def _contraction(dP: Differential, at: tuple, cols: list) -> tuple[Scalar, list, list]:
     """(D, h, g) for one function at a point, in _pair's shape: g lists its
     partials times D = prod_u det(x^u)^(max den_u), ints at an integer point,
     and h = g^T B, so the derivation rule {P, Q} = sum_ab dP/da dQ/db {a, b}
     is (h_P . g_Q) / (D_P D_Q)."""
-    (assign, dets), parts = at, dict(dP)
+    (assign, dets, _), parts = at, dict(dP)
     top = [max((d.den[u] for d in parts.values()), default=0) for u in range(len(dets))]
     g = [0 if (d := parts.get(a)) is None else
          d.num.evaluate(assign) * prod(x ** (t - k) for x, t, k in zip(dets, top, d.den))
@@ -125,33 +134,34 @@ def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]
     """(den, G) with d ev(P) / d x^u_ij = G[u][i][j] / den at pt, one N x N
     matrix G[u] per generator u, from one pass over P's monomials (product
     rule) and its determinant denominator (quotient rule, d det(x) / d x_ij
-    = adj(x)_ji).  At an integer point G is integral wherever P has no
-    denominator.  It never calls the algebra's derivatives, so the oracle
-    stays independent of the bracket."""
+    = adj(x)_ji), over den = prod det(x^u)^(den_u + 1) on P's denominator,
+    so G is integral at an integer point.  It never calls the algebra's
+    derivatives, so the oracle stays independent of the bracket."""
     x, N = pt.matrices, P.alg.dim
+    dets = {u: mat_det(x[u]) for u, k in enumerate(P.den) if k}
+    extra = prod(dets.values())
     grad = [[[0] * N for _ in range(N)] for _ in x]
     num_val = 0
     for mono, coeff in P.num.unpacked():
         powers = [x[u][i][j] ** e for (u, i, j), e in mono]
         num_val += coeff * prod(powers)
         for idx, ((u, i, j), e) in enumerate(mono):
-            grad[u][i][j] += (coeff * e * x[u][i][j] ** (e - 1)
+            grad[u][i][j] += (coeff * extra * e * x[u][i][j] ** (e - 1)
                               * prod(powers[:idx]) * prod(powers[idx + 1:]))
-    den_val = 1
-    for u, k in enumerate(P.den):
-        if k:
-            d, adj = mat_det(x[u]), mat_adjugate(x[u])
-            den_val *= d ** k
-            for i in range(N):
-                for j in range(N):
-                    grad[u][i][j] -= Fraction(num_val * k * adj[j][i], d)
-    return den_val, grad
+    for u in dets:
+        adj = mat_adjugate(x[u])
+        term = num_val * P.den[u] * prod(o for v, o in dets.items() if v != u)
+        for i in range(N):
+            for j in range(N):
+                grad[u][i][j] -= term * adj[j][i]
+    return prod(d ** (P.den[u] + 1) for u, d in dets.items()), grad
 
 
-def _fields(P: RepElem, pt: RepPoint) -> tuple[int, dict[tuple[int, str], Matrix]]:
+def _fields(P: RepElem, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Matrix]]:
     """The values of every tagged field on ev(P) at pt as (D, fields): D is
-    the lcm of the values' denominators and fields[slot, side][r][s] the
-    integer D * value along f_rs, for L = m^T G, R = -G m^T and C = L + R."""
+    a common denominator of the values and fields[slot, side][r][s] D times
+    the value along f_rs, an int at an integer point, for L = m^T G,
+    R = -G m^T and C = L + R."""
     den, grads = _gradient(P, pt)
     raw = {}
     for u, G in enumerate(grads):
@@ -161,10 +171,7 @@ def _fields(P: RepElem, pt: RepPoint) -> tuple[int, dict[tuple[int, str], Matrix
         raw[u, L], raw[u, R] = left, right
         raw[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
                              for ra, rb in zip(left, right))
-    exact = {key: [[Fraction(v, den) for v in row] for row in m] for key, m in raw.items()}
-    D = lcm(*(v.denominator for m in exact.values() for row in m for v in row))
-    return D, {key: tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in m)
-               for key, m in exact.items()}
+    return den, raw
 
 
 def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fraction:
@@ -329,6 +336,8 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
     Per point the bracket matrix is evaluated once, and per function and
     point the contraction of its differential with it and its folded fields;
     a pair at a point is then one integer dot product on each side."""
+    if trials < 1:
+        raise ValueError(f"need at least one point to compare at, got trials={trials}")
     alg = alg if alg is not None else RepAlgebra(sig, dim)
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, TaggedField
                                WedgeTerm, bivector_bracket, bivector_bracket_sym,
                                build_fusion_bivector, compare_constructions, evaluate,
                                field_apply, field_apply_sym, sample_rep_point)
-from surfqp.matrices import identity, mat, mat_det, mat_inv, mat_mul
+from surfqp.matrices import identity, mat, mat_adjugate, mat_det, mat_inv, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
 
@@ -311,6 +312,131 @@ def test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated(data):
             for _ in range(2))
     pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), sig, dim)
     assert derivation_bracket(alg, P, Q, pt) == evaluate(alg, alg.qp_bracket(P, Q), pt)
+
+
+# one algebra per case, so each keeps its symbolic generator brackets
+BRACKET_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                    for g, m in ((1, 0), (1, 1), (0, 2), (2, 1)) for dim in (1, 2, 3)}
+
+
+def checked_columns(alg, pt):
+    """_bracket_columns at pt, after checking it entry by entry against the
+    symbolic generator brackets evaluated there."""
+    at = evaluation._at(pt)
+    cols = evaluation._bracket_columns(alg, at)
+    symbols = list(at[0])
+    assert len(cols) == len(symbols) and all(len(col) == len(symbols) for col in cols)
+    for b, col in zip(symbols, cols):
+        for a, got in zip(symbols, col):
+            want = alg.gen_bracket(a, b)
+            assert not any(want.den)
+            assert got == want.num.evaluate(at[0]), (a, b)
+    return cols
+
+
+@pytest.mark.parametrize("case", sorted(BRACKET_ALGEBRAS), ids=lambda c: "-".join(map(str, c)))
+@seed(20261019)
+@settings(max_examples=5, deadline=None, database=None)
+@given(point_seed=st.integers(0, 2 ** 32))
+def test_bracket_columns_are_the_symbolic_table_evaluated(case, point_seed):
+    alg = BRACKET_ALGEBRAS[case]
+    pt = sample_rep_point(random.Random(point_seed), alg.sig, alg.dim)
+    assert all(type(x) is int for col in checked_columns(alg, pt) for x in col)
+
+
+def test_bracket_columns_at_a_rational_point():
+    alg = BRACKET_ALGEBRAS[1, 1, 2]
+    checked_columns(alg, RepPoint.from_lists(RATIONAL_MATRICES))
+
+
+def test_compare_constructions_never_builds_symbolic_brackets(monkeypatch):
+    # the derivation side multiplies the table's words out at each point;
+    # the symbolic generator brackets stay for the Hamiltonian route
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pointwise check built a symbolic bracket")
+
+    for name in ("gen_bracket", "entry_pair_image"):
+        monkeypatch.setattr(RepAlgebra, name, forbidden)
+    for sig in (SIG, SurfaceSignature(2, 1)):
+        rep = compare_constructions(sig, 2, trials=2, seed=5,
+                                    extra_words=[(w("p1*q1", sig), w("q1^-1", sig))])
+        assert rep.ok, rep.witness
+
+
+def test_compare_constructions_needs_a_point():
+    # with no points there is no pair to check, which must not read as a pass
+    from surfqp.suites import aksm_suite
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            compare_constructions(SIG, 2, trials, seed=3)
+    with pytest.raises(ValueError):
+        aksm_suite(SIG, 2, 0, 3, extra_word_pairs=0)
+
+
+def fraction_gradient(P, pt):
+    """The gradient as it was computed before it went over one integer
+    denominator: the quotient-rule term divided by its own determinant as a
+    Fraction, over den = prod_u det(x^u)^den_u."""
+    x, N = pt.matrices, P.alg.dim
+    grad = [[[0] * N for _ in range(N)] for _ in x]
+    num_val = 0
+    for mono, coeff in P.num.unpacked():
+        powers = [x[u][i][j] ** e for (u, i, j), e in mono]
+        num_val += coeff * prod(powers)
+        for idx, ((u, i, j), e) in enumerate(mono):
+            grad[u][i][j] += (coeff * e * x[u][i][j] ** (e - 1)
+                              * prod(powers[:idx]) * prod(powers[idx + 1:]))
+    den_val = 1
+    for u, k in enumerate(P.den):
+        if k:
+            d, adj = mat_det(x[u]), mat_adjugate(x[u])
+            den_val *= d ** k
+            for i in range(N):
+                for j in range(N):
+                    grad[u][i][j] -= Fraction(num_val * k * adj[j][i], d)
+    return den_val, grad
+
+
+def fraction_fields(P, pt):
+    """The fields from fraction_gradient, over the lcm of their denominators."""
+    den, grads = fraction_gradient(P, pt)
+    exact = {}
+    for u, G in enumerate(grads):
+        mt = tuple(zip(*pt.matrices[u]))
+        left = [[Fraction(v, den) for v in row] for row in mat_mul(mt, G)]
+        right = [[-Fraction(v, den) for v in row] for row in mat_mul(G, mt)]
+        exact[u, L], exact[u, R] = left, right
+        exact[u, CONJ] = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]
+    D = lcm(*(v.denominator for m in exact.values() for row in m for v in row))
+    return D, {key: [[v * D for v in row] for row in m] for key, m in exact.items()}
+
+
+# denominators in two generators, and in one generator next to another's entries
+GRADIENT_WORDS = ("p1^-1*q1^-2", "z1^-1*p1", "q1*z1^-1*p1^-1", "p1^-2*z1^-1*q1")
+
+
+@pytest.mark.parametrize("text", GRADIENT_WORDS)
+def test_integer_gradient_matches_the_fraction_gradient(text):
+    rng = random.Random(17)
+    rational = RepPoint.from_lists(RATIONAL_MATRICES)
+    for pt in [point(rng) for _ in range(4)] + [rational]:
+        integral = pt is not rational
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            P = ALG.entry(w(text), i, j)
+            den, grad = evaluation._gradient(P, pt)
+            old_den, old_grad = fraction_gradient(P, pt)
+            assert [[[Fraction(v, den) for v in row] for row in G] for G in grad] == \
+                [[[Fraction(v, old_den) for v in row] for row in G] for G in old_grad]
+            D, fields = evaluation._fields(P, pt)
+            old_D, old_fields = fraction_fields(P, pt)
+            assert fields.keys() == old_fields.keys()
+            for key, m in fields.items():
+                assert [[Fraction(v, D) for v in row] for row in m] == \
+                    [[Fraction(v, old_D) for v in row] for row in old_fields[key]]
+            if integral:
+                assert type(den) is int and type(D) is int
+                assert all(type(v) is int for G in grad for row in G for v in row)
+                assert all(type(v) is int for m in fields.values() for row in m for v in row)
 
 
 @pytest.mark.parametrize("case,pair", BIVECTOR_GOLDEN,
