@@ -109,7 +109,10 @@ class RepAlgebra:
         self.zero_den = (0,) * sig.rank
         self._det: dict[int, Poly] = {}
         self._adj: dict[int, tuple[tuple[Poly, ...], ...]] = {}
-        self._word_matrix: dict[Word, tuple[tuple[RepElem, ...], ...]] = {}
+        # suffix trie: a node is (matrix of a suffix, children by the letter
+        # that extends it leftwards); the root is the empty word's identity
+        self._trie = (tuple(tuple(self.scalar(1 if i == j else 0) for j in range(dim))
+                            for i in range(dim)), {})
         self._gen_bracket: dict[tuple[EntryVar, EntryVar], RepElem] = {}
 
     # --- element constructors ----------------------------------------
@@ -164,26 +167,20 @@ class RepAlgebra:
     # --- entries and traces -------------------------------------------
 
     def word_matrix(self, w: Word) -> tuple[tuple[RepElem, ...], ...]:
-        """w's entries, from its longest cached suffix a letter at a time leftwards."""
-        hit = self._word_matrix.get(w)
-        if hit is not None:
-            return hit
-        N, letters = self.dim, w.letters
-        if not letters:
-            self._word_matrix[w] = out = tuple(
-                tuple(self.scalar(1 if i == j else 0) for j in range(N)) for i in range(N))
-            return out
-        k = 1
-        while k < len(letters) and (
-                out := self._word_matrix.get(Word(letters[k:], _reduced=True))) is None:
-            k += 1
-        for k in range(k - 1, -1, -1):
-            head = self._letter_matrix(*letters[k])
-            out = head if k == len(letters) - 1 else tuple(
-                tuple(self.accumulate_products((1, head[i][m], out[m][j]) for m in range(N))
-                      for j in range(N)) for i in range(N))
-            self._word_matrix[Word(letters[k:], _reduced=True)] = out
-        return out
+        """w's entries, walking the suffix trie from w's last letter leftwards;
+        a missing node is one product, its letter's matrix times its parent's
+        (a child of the root is the letter's matrix)."""
+        N, node = self.dim, self._trie
+        for letter in reversed(w.letters):
+            if (child := node[1].get(letter)) is None:
+                head, tail = self._letter_matrix(*letter), node[0]
+                if node is not self._trie:
+                    head = tuple(tuple(self.accumulate_products((1, head[i][m], tail[m][j])
+                                                                for m in range(N))
+                                       for j in range(N)) for i in range(N))
+                child = node[1][letter] = (head, {})
+            node = child
+        return node[0]
 
     def _letter_matrix(self, u: int, e: int) -> tuple[tuple[RepElem, ...], ...]:
         N = self.dim
@@ -195,11 +192,13 @@ class RepAlgebra:
 
     def entry(self, a: ElemLike, i: int, j: int) -> RepElem:
         """The (i, j) entry coordinate of a, one-based indices."""
-        N = self.dim
-        if not (1 <= i <= N and 1 <= j <= N):
-            raise IndexError(f"entry index out of range for dim {N}: ({i}, {j})")
+        self._check_entry(i, j)
         return self.accumulate(self.word_matrix(w)[i - 1][j - 1].scale(c)
                                for w, c in as_elem(a).items())
+
+    def _check_entry(self, i: int, j: int) -> None:
+        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+            raise IndexError(f"entry index out of range for dim {self.dim}: ({i}, {j})")
 
     def trace(self, a: ElemLike) -> RepElem:
         return self.accumulate(row[i].scale(c) for w, c in as_elem(a).items()
@@ -326,6 +325,8 @@ class RepAlgebra:
         """Alternative route for {a_ij, b_kl}: evaluate the double bracket of
         the group-algebra elements, then take entries.  One-based indices.
         Must agree with qp_bracket on the corresponding entry coordinates."""
+        self._check_entry(i, j)
+        self._check_entry(k, l)
         t = self.dbl(as_elem(a), as_elem(b))
         return self.entry_pair_image(t, i - 1, j - 1, k - 1, l - 1)
 

@@ -148,9 +148,6 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(_letter_key(l) for l in self.letters))
-
     def __repr__(self) -> str:
         return f"Word({self.letters!r})"
 
@@ -171,12 +168,6 @@ def join(left: tuple[Letter, ...], right: tuple[Letter, ...]) -> Word:
     out = Word.__new__(Word)
     out.letters = left + right
     return out
-
-
-def _letter_key(letter: Letter) -> tuple[int, int]:
-    # x < x^-1 for each generator, generators by global index
-    gen, exp = letter
-    return (gen, 0 if exp > 0 else 1)
 
 
 class CyclicWord:
@@ -204,9 +195,6 @@ class CyclicWord:
     def __hash__(self) -> int:
         return hash(("cyc", self.letters))
 
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(_letter_key(l) for l in self.letters))
-
     def __repr__(self) -> str:
         return f"CyclicWord({self.letters!r})"
 
@@ -224,7 +212,8 @@ def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     n = len(letters)
     if n < 2:
         return letters
-    # int keys ordered as _letter_key; a least rotation starts at a least letter
+    # one int key per letter, generators by global index and x before x^-1;
+    # a least rotation starts at a least letter
     keys = [2 * g + (e < 0) for g, e in letters] * 2
     least = min(keys)
     best = min((i for i in range(n) if keys[i] == least), key=lambda i: keys[i:i + n])

@@ -3,7 +3,7 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
-                     help="run checks marked slow (none at present)")
+                     help="run checks marked slow")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -301,14 +301,42 @@ def test_long_word_commands_match_oracles(capsys):
     assert elapsed < 30.0, f"four 1200-letter commands took {elapsed:.1f}s"
 
 
+def power_trace_bracket(n):
+    """The dim-1 trace bracket {tr(p1^n), tr(q1)} in closed form, 2n p^n q."""
+    return ('{"den":[0,0,0],"terms":[{"coeff":"%d","monomial":"p1_1_1^%d*q1_1_1"}]}'
+            % (2 * n, n))
+
+
 def test_long_word_trace_bracket(capsys):
-    # one letter at a time, not one stack frame per letter
+    # one letter at a time: no stack frame, and no suffix word built or
+    # hashed, per letter
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "trace-bracket", "--dim", "1", "p1^1500", "q1")
+    code, out, err = run(capsys, "trace-bracket", "--dim", "1", "p1^20000", "q1")
     assert code == 0, err
-    assert out.strip() == ('{"den":[0,0,0],"terms":[{"coeff":"3000",'
-                           '"monomial":"p1_1_1^1500*q1_1_1"}]}')
+    assert out.strip() == power_trace_bracket(20000)
     assert time.perf_counter() - t0 < 3.0
+
+
+# The child runs under a 1 GiB address-space cap, set in that child only.  At
+# the parse limit of 100,000 letters the trace bracket took about 2 s and
+# 100 MB on a 2-core VM; 10 s and 1 GiB leave room for a slower machine,
+# while a word-matrix cache that grows faster than linearly in the word
+# blows through both.
+CAPPED_CHILD = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from surfqp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.slow
+def test_trace_bracket_at_the_parse_limit_under_a_memory_cap():
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD, "trace-bracket", "--dim", "1",
+                           "p1^100000", "q1"], capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == power_trace_bracket(100000)
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 actions, the Cartan trivector, and the moment-map coordinate formulas."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,15 @@ def test_entry_index_bounds():
         ALG.entry(w("p1"), 0, 1)
     with pytest.raises(IndexError):
         ALG.entry(w("p1"), 1, 3)
+
+
+@pytest.mark.parametrize("i, j, k, l, bad", [(0, 1, 1, 1, "(0, 1)"), (3, 1, 1, 1, "(3, 1)"),
+                                              (1, 1, 1, 0, "(1, 0)"), (1, 1, 2, 3, "(2, 3)")])
+def test_bracket_entry_index_bounds(i, j, k, l, bad):
+    # unchecked, index 0 would wrap round to the last row and index 3 would
+    # raise a bare "tuple index out of range"; both slots fail as entry does
+    with pytest.raises(IndexError, match=f"^entry index out of range for dim 2: {re.escape(bad)}$"):
+        ALG.qp_bracket_entries(w("p1"), i, j, w("q1"), k, l)
 
 
 def test_trace_of_unit_is_dimension():
@@ -574,6 +584,47 @@ def test_single_word_sums_print_the_chained_bytes(data):
             assert alg.to_json(alg.entry(word, i + 1, j + 1)) == \
                 alg.to_json(chained_entry(alg, word, i + 1, j + 1))
     assert alg.to_json(alg.trace(word)) == alg.to_json(chained_trace(alg, word))
+
+
+def counted_letter_matrices(alg, monkeypatch):
+    """Wrap alg._letter_matrix; each call is one new node of the suffix trie."""
+    calls = []
+    letter_matrix = alg._letter_matrix
+
+    def counted(u, e):
+        calls.append((u, e))
+        return letter_matrix(u, e)
+
+    monkeypatch.setattr(alg, "_letter_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_word_matrix_shares_suffixes(monkeypatch, k):
+    alg = RepAlgebra(SIG, 2)
+    calls = counted_letter_matrices(alg, monkeypatch)
+    power = w("p1") ** k
+    alg.word_matrix(power)
+    assert len(calls) == k  # one step per letter, right to left
+    longer = w("q1") * power
+    got = alg.word_matrix(longer)
+    assert calls[k:] == [(1, 1)]  # p1^k is a cached suffix: one new step
+    want = chained_word_matrix(alg, longer)
+    assert [[alg.to_json(x) for x in row] for row in got] == \
+        [[alg.to_json(x) for x in row] for row in want]
+    for word in (power, longer, w("p1") ** (k // 2)):
+        assert alg.word_matrix(word) is alg.word_matrix(word)
+    assert len(calls) == k + 1  # repeated words and suffixes make none
+
+
+def test_word_matrix_of_the_empty_word_is_the_identity(monkeypatch):
+    for dim in (1, 2, 3):
+        alg = RepAlgebra(SIG, dim)
+        calls = counted_letter_matrices(alg, monkeypatch)
+        got = alg.word_matrix(Word.identity())
+        assert [[alg.to_json(x) for x in row] for row in got] == \
+            [[alg.to_json(alg.scalar(int(i == j))) for j in range(dim)] for i in range(dim)]
+        assert calls == []
 
 
 def test_multi_word_entry_is_term_order_free():
