@@ -6,9 +6,8 @@ from .algebra import AlgElem, Tensor2, Tensor3, inner_act, m2, m3, outer_act, pe
 from .dbracket import (CyclicAlgElem, SurfaceDoubleBracket, angle, dbl_from_inner,
                        dbl_from_pairing, goldman, is_quasi_poisson, moment_neg_power_rhs,
                        moment_power_rhs, moment_rhs, project_cyclic, triple, triple_e)
-from .evaluation import (FusionBivector, RepPoint, TaggedField, bivector_bracket,
-                         bivector_bracket_sym, build_fusion_bivector, compare_constructions,
-                         evaluate, field_apply, field_apply_sym, sample_rep_point)
+from .evaluation import (FusionBivector, RepPoint, bivector_bracket, build_fusion_bivector,
+                         compare_constructions, evaluate, sample_rep_point)
 from .foxpairing import SurfaceFoxPairing, eta, eta_base, eta_s, inner_pairing, rho_1, transpose_apply
 from .repalgebra import RepAlgebra, RepElem
 from .words import (CyclicWord, SurfaceSignature, Word, WordParseError, boundary_word,
@@ -19,11 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgElem", "CyclicAlgElem", "CyclicWord", "FusionBivector", "RepAlgebra", "RepElem",
     "RepPoint", "SurfaceDoubleBracket", "SurfaceFoxPairing", "SurfaceSignature",
-    "TaggedField", "Tensor2", "Tensor3", "Word", "WordParseError", "angle",
-    "bivector_bracket", "bivector_bracket_sym", "boundary_word", "build_fusion_bivector",
-    "compare_constructions", "conjugacy_class", "dbl_from_inner", "dbl_from_pairing",
-    "eta", "eta_base", "eta_s", "evaluate", "field_apply", "field_apply_sym",
-    "format_cyclic", "format_word", "goldman", "inner_act", "inner_pairing",
+    "Tensor2", "Tensor3", "Word", "WordParseError", "angle", "bivector_bracket",
+    "boundary_word", "build_fusion_bivector", "compare_constructions",
+    "conjugacy_class", "dbl_from_inner", "dbl_from_pairing", "eta", "eta_base", "eta_s",
+    "evaluate", "format_cyclic", "format_word", "goldman", "inner_act", "inner_pairing",
     "is_quasi_poisson", "m2", "m3", "moment_neg_power_rhs", "moment_power_rhs",
     "moment_rhs", "outer_act", "parse_word", "permute", "project_cyclic", "rho_1",
     "sample_rep_point", "sample_word", "tensor2", "tensor3", "transpose_apply",

@@ -82,6 +82,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # largest exponent k in an expression's x^k, checked before multiplying
 MAX_EXPONENT = 100_000
+# deepest nesting of parentheses and unary minus signs; each level costs the
+# recursive parser up to four stack frames, and this keeps it well inside
+# Python's default recursion limit of 1000
+_MAX_NESTING = 200
 
 
 class _ExprParser:
@@ -94,6 +98,7 @@ class _ExprParser:
         self.alg = alg
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -102,6 +107,12 @@ class _ExprParser:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
+
+    def enter(self, pos: int):
+        """Open one more level of nesting at pos; the caller closes it."""
+        if self.depth == _MAX_NESTING:
+            raise ExprParseError(f"expression nested deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
 
     def expect(self, value: str):
         kind, text, pos = self.next()
@@ -132,8 +143,10 @@ class _ExprParser:
 
     def factor(self) -> RepElem:
         if self.peek()[1] == "-":
-            self.next()
-            return -self.factor()
+            self.enter(self.next()[2])
+            out = -self.factor()
+            self.depth -= 1
+            return out
         out = self.atom()
         if self.peek()[1] == "^":
             _, _, pos = self.next()
@@ -190,8 +203,10 @@ class _ExprParser:
                 raise ExprParseError(f"unknown generator {name!r} in det()", pos) from None
             return RepElem(alg, alg.det_poly(u), alg.zero_den)
         if text == "(":
+            self.enter(pos)
             out = self.expr()
             self.expect(")")
+            self.depth -= 1
             return out
         if kind == "gen":
             raise ExprParseError(
@@ -205,7 +220,10 @@ def parse_expression(text: str, alg: RepAlgebra) -> RepElem:
 
 def load_rep_point(path: str, sig: SurfaceSignature, dim: int) -> RepPoint:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("point file: JSON nested too deeply") from None
     if not isinstance(data, list) or len(data) != sig.rank:
         raise ValueError(f"point file must hold {sig.rank} matrices")
     mats = []

@@ -26,6 +26,9 @@ bracket of two functions at a point is then one integer dot product and a
 single division.  Sampled points keep integer entries, so brackets and
 gradients are evaluated in ints; points from lists or files may hold any
 rationals.
+
+The symbolic leg, fields_sym and wedge_sym, builds the same (slot, side)
+matrices of polynomials from the algebra's partials, never from the gradient.
 """
 
 from __future__ import annotations
@@ -119,17 +122,6 @@ def _contraction(dP: Differential, at: tuple, cols: list) -> tuple[Scalar, list,
     return prod(map(pow, dets, top)), [sum(map(mul, g, col)) for col in cols], g
 
 
-@dataclass(frozen=True)
-class TaggedField:
-    """A vector field acting on one generator slot by side L, R or C, with a
-    fixed elementary matrix f_rs."""
-
-    slot: int
-    side: str
-    r: int
-    s: int
-
-
 def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]]]:
     """(den, G) with d ev(P) / d x^u_ij = G[u][i][j] / den at pt, one N x N
     matrix G[u] per generator u, from one pass over P's monomials (product
@@ -158,7 +150,7 @@ def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]
 
 
 def _fields(P: RepElem, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Matrix]]:
-    """The values of every tagged field on ev(P) at pt as (D, fields): D is
+    """The values of every field on ev(P) at pt as (D, fields): D is
     a common denominator of the values and fields[slot, side][r][s] D times
     the value along f_rs, an int at an integer point, for L = m^T G,
     R = -G m^T and C = L + R."""
@@ -172,23 +164,6 @@ def _fields(P: RepElem, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Mat
         raw[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
                              for ra, rb in zip(left, right))
     return den, raw
-
-
-def field_apply(alg: RepAlgebra, f: TaggedField, P: RepElem, pt: RepPoint) -> Fraction:
-    """Directional derivative of the function ev(P) at pt along f."""
-    D, fields = _fields(P, pt)
-    return Fraction(fields[f.slot, f.side][f.r][f.s], D)
-
-
-def field_apply_sym(alg: RepAlgebra, f: TaggedField, P: RepElem | Differential) -> RepElem:
-    """The same derivation applied symbolically, for whole-polynomial
-    comparisons.  Routed through the algebra's partial derivatives; P may
-    come as its differential, which fields_sym builds once for all fields."""
-    dP = alg.differential(P) if isinstance(P, RepElem) else P
-    return alg.accumulate_products(
-        (c, d, alg.sym(*x)) for (u, i, j), d in dP if u == f.slot
-        for c, x, on in ((1, (u, i, f.r), f.side in (L, CONJ) and f.s == j),
-                         (-1, (u, f.s, j), f.side in (R, CONJ) and f.r == i)) if on)
 
 
 @dataclass(frozen=True)
@@ -281,32 +256,34 @@ def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
     return _pair(_covector(biv, _fields(P, pt)), _covector(biv, _fields(Q, pt)))
 
 
-def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[TaggedField, RepElem]:
-    """Every field the bivector's wedge terms use, over all (r, s), applied
-    symbolically to P once each, from one differential."""
+def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], list]:
+    """_fields applied symbolically: fields_sym(...)[slot, side][r][s] is the
+    field along f_rs on P, over _sides(biv), each entry one product sum over
+    the partials of one differential, (1, dP/dx_is, x_ir) for L and
+    (-1, dP/dx_rj, x_sj) for R, both for C."""
     N, dP = alg.dim, alg.differential(P)
-    return {f: field_apply_sym(alg, f, dP)
-            for f in (TaggedField(slot, side, r, s) for slot, side in _sides(biv)
-                      for r in range(N) for s in range(N))}
+
+    def entry(slot: int, side: str, r: int, s: int) -> RepElem:
+        return alg.accumulate_products(
+            (c, d, alg.sym(*x)) for (u, i, j), d in dP if u == slot
+            for c, x, on in ((1, (u, i, r), side != R and j == s),
+                             (-1, (u, s, j), side != L and i == r)) if on)
+
+    return {(slot, side): [[entry(slot, side, r, s) for s in range(N)] for r in range(N)]
+            for slot, side in _sides(biv)}
 
 
-def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict[TaggedField, RepElem],
-              on_q: dict[TaggedField, RepElem]) -> RepElem:
-    """The bivector contracted with two functions' fields_sym."""
-    N = alg.dim
-    pairs = [(t.coeff, TaggedField(t.v_slot, t.v_side, r, s), TaggedField(t.w_slot, t.w_side, s, r))
-             for t in biv.terms for r in range(N) for s in range(N)]
-    return alg.accumulate_products((c, a, b) for k, v, w in pairs
-                                   for a, b, c in ((on_p[v], on_q[w], k), (on_q[v], on_p[w], -k))
-                                   if not (a.is_zero() or b.is_zero()))
-
-
-def bivector_bracket_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
-                         Q: RepElem) -> RepElem:
-    """Symbolic version of the bivector bracket, for outright polynomial
-    equality with the quasi-Poisson bracket: wedge_sym of the two functions'
-    fields_sym, which callers pairing many functions build once each."""
-    return wedge_sym(alg, biv, fields_sym(alg, biv, P), fields_sym(alg, biv, Q))
+def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict, on_q: dict) -> RepElem:
+    """The bivector contracted with two functions' fields_sym, for outright
+    polynomial equality with the quasi-Poisson bracket."""
+    N, triples = range(alg.dim), []
+    for t in biv.terms:
+        v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
+        triples += [(c, a, b) for r in N for s in N
+                    for c, a, b in ((t.coeff, on_p[v][r][s], on_q[w][s][r]),
+                                    (-t.coeff, on_q[v][r][s], on_p[w][s][r]))
+                    if not (a.is_zero() or b.is_zero())]
+    return alg.accumulate_products(triples)
 
 
 @dataclass

@@ -131,6 +131,39 @@ def test_ev_rejects_malformed_point(tmp_path, capsys, data, where):
     assert where in err and "Traceback" not in err
 
 
+def test_ev_rejects_deeply_nested_point_file(tmp_path, capsys):
+    # json.load recurses once per bracket and would overflow the stack
+    pt = tmp_path / "pt.json"
+    pt.write_text("[" * 100_000)
+    code, out, err = run(capsys, "ev", "--dim", "2", "tr(p1)", str(pt))
+    assert code == 2 and out == ""
+    assert "point file:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(" * 250 + "p1_1_1" + ")" * 250, 200),
+    ("-" * 1000 + "p1_1_1", 200),
+    ("p1_1_1 * " + "-(" * 150 + "1" + ")" * 150, 209),
+])
+def test_expression_nesting_cap_position(capsys, text, position):
+    # the recursive parser refuses nesting the stack cannot hold, at the
+    # first level too many, rather than overflowing it
+    for args in (("rep-bracket", "--", text, "q1_1_1"), ("ev", "--", text, "unread.json")):
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"nested deeper than 200 levels (at position {position})" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["(" * 200 + "p1_1_1" + ")" * 200, "-" * 200 + "p1_1_1",
+                                  "-(" * 100 + "p1_1_1" + ")" * 100])
+def test_expression_nesting_within_the_cap_answers(capsys, text):
+    # an even number of minus signs: each text is p1_1_1
+    want = run(capsys, "rep-bracket", "p1_1_1", "q1_1_1")
+    assert want[0] == 0
+    assert run(capsys, "rep-bracket", "--", text, "q1_1_1") == want
+
+
 def test_word_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eta", "p1*w2", "q1")
     assert code == 2

@@ -11,10 +11,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from surfqp import evaluation
-from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, TaggedField,
-                               WedgeTerm, bivector_bracket, bivector_bracket_sym,
-                               build_fusion_bivector, compare_constructions, evaluate,
-                               field_apply, field_apply_sym, sample_rep_point)
+from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _fields,
+                               _sides, bivector_bracket, build_fusion_bivector,
+                               compare_constructions, evaluate, fields_sym, sample_rep_point,
+                               wedge_sym)
 from surfqp.matrices import identity, mat, mat_adjugate, mat_det, mat_inv, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
@@ -51,6 +51,12 @@ def w(text, sig=SIG):
 
 def point(rng=None, sig=SIG, dim=2):
     return sample_rep_point(rng or random.Random(99), sig, dim)
+
+
+def field_values(P, pt):
+    """_fields at pt as exact values: {(slot, side): [[value along f_rs]]}."""
+    D, fields = _fields(P, pt)
+    return {key: [[Fraction(v, D) for v in row] for row in m] for key, m in fields.items()}
 
 
 def test_rep_point_requires_invertible():
@@ -92,19 +98,17 @@ def test_evaluate_is_multiplicative():
 def test_field_actions_on_entries():
     pt = point()
     m = pt.matrices[2]
-    for r in range(2):
-        for s in range(2):
-            for i in range(2):
-                for j in range(2):
-                    ent = ALG.sym(2, i, j)
+    for i in range(2):
+        for j in range(2):
+            on = field_values(ALG.sym(2, i, j), pt)
+            for r in range(2):
+                for s in range(2):
                     # right-translation field along f_rs
-                    got = field_apply(ALG, TaggedField(2, L, r, s), ent, pt)
-                    assert got == (m[i][r] if s == j else 0)
+                    assert on[2, L][r][s] == (m[i][r] if s == j else 0)
                     # left-translation field along f_rs, with its sign
-                    got = field_apply(ALG, TaggedField(2, R, r, s), ent, pt)
-                    assert got == (-m[s][j] if r == i else 0)
+                    assert on[2, R][r][s] == (-m[s][j] if r == i else 0)
                     # fields on other slots ignore this entry
-                    assert field_apply(ALG, TaggedField(0, L, r, s), ent, pt) == 0
+                    assert on[0, L][r][s] == 0
 
 
 def test_conjugation_fields_kill_traces():
@@ -116,24 +120,37 @@ def test_conjugation_fields_kill_traces():
     for _ in range(20):
         a = sample_word(rng, SIG, 4)
         r, s = rng.randrange(2), rng.randrange(2)
-        total = sum(field_apply(ALG, TaggedField(u, CONJ, r, s), ALG.trace(a), pt)
-                    for u in range(SIG.rank))
-        assert total == 0
+        on = field_values(ALG.trace(a), pt)
+        assert sum(on[u, CONJ][r][s] for u in range(SIG.rank)) == 0
     for _ in range(10):
         k = rng.randint(-3, 3)
-        word = Word.generator(2) ** k
-        f = TaggedField(2, CONJ, rng.randrange(2), rng.randrange(2))
-        assert field_apply(ALG, f, ALG.trace(word), pt) == 0
+        on = field_values(ALG.trace(Word.generator(2) ** k), pt)
+        assert on[2, CONJ][rng.randrange(2)][rng.randrange(2)] == 0
 
 
-def test_field_apply_matches_symbolic():
-    rng = random.Random(3)
-    pt = point(rng)
-    for _ in range(30):
-        P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
-        f = TaggedField(rng.randrange(3), rng.choice((L, R, CONJ)),
-                        rng.randrange(2), rng.randrange(2))
-        assert field_apply(ALG, f, P, pt) == evaluate(ALG, field_apply_sym(ALG, f, P), pt)
+def test_every_symbolic_field_is_the_pointwise_field():
+    # every (slot, side, r, s) on (1,1) at dims 1 to 3, on words with inverse
+    # letters and on an element with a determinant denominator
+    for dim in (1, 2, 3):
+        alg = RepAlgebra(SIG, dim)
+        biv = build_fusion_bivector(SIG, dim)
+        pt = sample_rep_point(trial_rng(3, "fields", dim), SIG, dim)
+        funcs = [alg.entry(w(text), i, j) for text in ("p1*q1^-1", "z1^-2*p1", "q1^-1*z1*p1^-1")
+                 for i, j in ((1, dim), (dim, 1))]
+        funcs.append(alg.entry(w("p1"), 1, 1) * alg.det_inverse(2))
+        assert any(funcs[-1].den)
+        keys = _sides(biv)
+        assert len(keys) == 3 * SIG.rank  # every slot with L, R and C
+        for P in funcs:
+            D, fields = _fields(P, pt)
+            on = fields_sym(alg, biv, P)
+            assert list(on) == keys
+            for slot, side in keys:
+                assert len(on[slot, side]) == dim and all(len(row) == dim for row in on[slot, side])
+                for r in range(dim):
+                    for s in range(dim):
+                        assert Fraction(fields[slot, side][r][s], D) == \
+                            evaluate(alg, on[slot, side][r][s], pt), (slot, side, r, s)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -147,17 +164,16 @@ def test_field_values_on_determinants(dim):
     for u in range(sig.rank):
         d = mat_det(pt.matrices[u])
         det = RepElem(alg, alg.det_poly(u), alg.zero_den)
+        on_det, on_inv = field_values(det, pt), field_values(alg.det_inverse(u), pt)
+        on_inv2 = field_values(alg.det_inverse(u) * alg.det_inverse(u), pt)
         for r in range(dim):
             for s in range(dim):
                 delta = d if r == s else 0
                 for side, want in ((L, delta), (R, -delta), (CONJ, 0)):
-                    f = TaggedField(u, side, r, s)
-                    assert field_apply(alg, f, det, pt) == want
-                    assert field_apply(alg, f, alg.det_inverse(u), pt) == Fraction(-want, d ** 2)
-                    inv2 = alg.det_inverse(u) * alg.det_inverse(u)
-                    assert field_apply(alg, f, inv2, pt) == Fraction(-2 * want, d ** 3)
-                    other = TaggedField(1 - u, side, r, s)
-                    assert field_apply(alg, other, det, pt) == 0
+                    assert on_det[u, side][r][s] == want
+                    assert on_inv[u, side][r][s] == Fraction(-want, d ** 2)
+                    assert on_inv2[u, side][r][s] == Fraction(-2 * want, d ** 3)
+                    assert on_det[1 - u, side][r][s] == 0
 
 
 def test_annulus_bivector_is_single_wedge():
@@ -235,15 +251,14 @@ def test_coupling_term_reproduces_cross_factor_bracket():
 
 def explicit_field_sum(alg, biv, P, Q, pt):
     """The bivector pairing written out field by field."""
+    on_p, on_q = field_values(P, pt), field_values(Q, pt)
     total = Fraction(0)
     for term in biv.terms:
+        v, w = (term.v_slot, term.v_side), (term.w_slot, term.w_side)
         for r in range(alg.dim):
             for s in range(alg.dim):
-                v = TaggedField(term.v_slot, term.v_side, r, s)
-                w = TaggedField(term.w_slot, term.w_side, s, r)
-                total += term.coeff * (
-                    field_apply(alg, v, P, pt) * field_apply(alg, w, Q, pt)
-                    - field_apply(alg, v, Q, pt) * field_apply(alg, w, P, pt))
+                total += term.coeff * (on_p[v][r][s] * on_q[w][s][r]
+                                       - on_q[v][r][s] * on_p[w][s][r])
     return total
 
 
@@ -277,7 +292,7 @@ def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
     for name in ("d_dvar", "adj_poly", "qp_bracket"):
         monkeypatch.setattr(RepAlgebra, name, forbidden)
     assert bivector_bracket(ALG, biv, P, Q, point()) == want
-    assert field_apply(ALG, TaggedField(0, CONJ, 0, 1), P, point()) != 0
+    assert field_values(P, point())[0, CONJ][0][1] != 0
 
 
 def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
@@ -293,6 +308,20 @@ def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
     for name in ("_gradient", "_fields", "_covector"):
         monkeypatch.setattr(evaluation, name, forbidden)
     assert derivation_bracket(ALG, P, Q, point()) == want
+
+
+def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
+    # fields_sym differentiates through the algebra; the gradient route at a
+    # point must not stand in for it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic leg called the pointwise fields")
+
+    for name in ("_gradient", "_fields", "_covector"):
+        monkeypatch.setattr(evaluation, name, forbidden)
+    biv = build_fusion_bivector(SIG, 2)
+    P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
+    got = wedge_sym(ALG, biv, fields_sym(ALG, biv, P), fields_sym(ALG, biv, Q))
+    assert got == ALG.qp_bracket(P, Q) and not got.is_zero()
 
 
 # one algebra per case, so each keeps its generator brackets across examples
@@ -483,11 +512,12 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     # exact values only, never a float from dividing two ints
     sampled = sample_rep_point(random.Random(12), sig, 2)
     assert all(type(x) is int for m in sampled.matrices for row in m for x in row)
-    f = TaggedField(sig.rank - 1, CONJ, 0, 1)
     for at in (pt, sampled):
         for P, Q in ((funcs[0], funcs[3]), (funcs[2], funcs[5])):
             assert type(bivector_bracket(alg, biv, P, Q, at)) is Fraction
-            assert type(field_apply(alg, f, P, at)) is Fraction
+            D, fields = _fields(P, at)
+            assert {type(x) for m in fields.values() for row in m for x in row} | {type(D)} \
+                <= {int, Fraction}
             assert type(evaluate(alg, P, at)) is Fraction
 
 
@@ -553,22 +583,21 @@ def test_compare_constructions_differentiates_once_and_evaluates_one_bracket_mat
 
 
 def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
-    from surfqp.suites import aksm_suite
+    from surfqp import suites
     calls = []
-    apply = evaluation.field_apply_sym
 
-    def counted(alg, f, P):
-        calls.append(1)
-        return apply(alg, f, P)
+    def counted(alg, biv, P):
+        calls.append(P)
+        return fields_sym(alg, biv, P)
 
-    monkeypatch.setattr(evaluation, "field_apply_sym", counted)
+    monkeypatch.setattr(suites, "fields_sym", counted)
     sig = SurfaceSignature(1, 0)
-    report = aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
+    report = suites.aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
     assert next(c for c in report.checks if c.name == "symbolic-agreement").ok
-    sides = {side for t in build_fusion_bivector(sig, 2).terms
-             for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))}
-    functions, fields = sig.rank * 2 * 2, len(sides) * 2 * 2
-    assert len(calls) == functions * fields
+    # one field set per generator entry, each entry once
+    alg = calls[0].alg
+    assert [P.num for P in calls] == [alg.sym(u, i, j).num for u in range(sig.rank)
+                                      for i in range(2) for j in range(2)]
 
 
 # genus 2 and dimension 3, beyond the verify matrix, and dimension 1 everywhere
@@ -618,10 +647,9 @@ def test_symbolic_agreement_torus_and_annulus():
                         for k in range(2):
                             for l in range(2):
                                 lhs = alg.qp_bracket(alg.sym(u, i, j), alg.sym(v, k, l))
-                                rhs = bivector_bracket_sym(
-                                    alg, biv,
-                                    alg.entry(Word.generator(u), i + 1, j + 1),
-                                    alg.entry(Word.generator(v), k + 1, l + 1))
+                                rhs = wedge_sym(alg, biv, *(
+                                    fields_sym(alg, biv, alg.entry(Word.generator(x), a + 1, b + 1))
+                                    for x, a, b in ((u, i, j), (v, k, l))))
                                 assert lhs == rhs
 
 

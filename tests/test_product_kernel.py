@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import surfqp.poly as poly
 from surfqp.algebra import AlgElem
-from surfqp.evaluation import (CONJ, L, R, TaggedField, _sides, build_fusion_bivector,
-                               fields_sym, wedge_sym)
+from surfqp.evaluation import CONJ, L, R, _sides, build_fusion_bivector, fields_sym, wedge_sym
 from surfqp.poly import MAX_FIELD_EXPONENT, Poly, monomial
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word
@@ -131,25 +130,28 @@ def ref_qp_bracket(alg, P, Q):
 
 
 def ref_field_apply_sym(alg, f, P):
+    """The field f = (slot, side, r, s) applied to P, one product at a time."""
+    slot, side, r, s = f
     parts = []
     for (u, i, j), d in ref_differential(alg, P):
-        if u != f.slot:
+        if u != slot:
             continue
-        val = ((Poly.var((u, i, f.r)) if f.side in (L, CONJ) and f.s == j else Poly.zero())
-               - (Poly.var((u, f.s, j)) if f.side in (R, CONJ) and f.r == i else Poly.zero()))
+        val = ((Poly.var((u, i, r)) if side in (L, CONJ) and s == j else Poly.zero())
+               - (Poly.var((u, s, j)) if side in (R, CONJ) and r == i else Poly.zero()))
         if not val.is_zero():
             parts.append(ref_prod(d, RepElem(alg, val, alg.zero_den)))
     return ref_accumulate(alg, parts)
 
 
 def ref_wedge_sym(alg, biv, on_p, on_q):
+    """The wedge sum over fields keyed (slot, side, r, s), one product at a time."""
     N = alg.dim
     parts = []
     for term in biv.terms:
         for r in range(N):
             for s in range(N):
-                v = TaggedField(term.v_slot, term.v_side, r, s)
-                w = TaggedField(term.w_slot, term.w_side, s, r)
+                v = (term.v_slot, term.v_side, r, s)
+                w = (term.w_slot, term.w_side, s, r)
                 for a, b, c in ((on_p[v], on_q[w], term.coeff), (on_q[v], on_p[w], -term.coeff)):
                     if not (a.is_zero() or b.is_zero()):
                         parts.append(ref_prod(a, b, c))
@@ -250,11 +252,15 @@ def test_symbolic_fields_print_the_reference_bytes(genus, punctures, dim, texts)
     alg, biv = RepAlgebra(sig, dim), build_fusion_bivector(sig, dim)
     P, Q = (alg.entry(parse_word(text, sig), 1, dim) for text in texts)
     on_p, on_q = fields_sym(alg, biv, P), fields_sym(alg, biv, Q)
-    assert len(on_p) == len(_sides(biv)) * dim * dim
-    for f, value in on_p.items():
+    assert list(on_p) == _sides(biv)
+    flat_p, flat_q = ({(*key, r, s): x for key, m in on.items()
+                       for r, row in enumerate(m) for s, x in enumerate(row)}
+                      for on in (on_p, on_q))
+    assert len(flat_p) == len(_sides(biv)) * dim * dim
+    for f, value in flat_p.items():
         assert alg.to_json(value) == alg.to_json(ref_field_apply_sym(alg, f, P))
     assert alg.to_json(wedge_sym(alg, biv, on_p, on_q)) == \
-        alg.to_json(ref_wedge_sym(alg, biv, on_p, on_q))
+        alg.to_json(ref_wedge_sym(alg, biv, flat_p, flat_q))
 
 
 # --- work done once ----------------------------------------------------------------
@@ -284,4 +290,5 @@ def test_fields_sym_differentiates_once(monkeypatch):
     alg, biv = RepAlgebra(sig, 2), build_fusion_bivector(sig, 2)
     on = fields_sym(alg, biv, alg.entry(Word([(0, 1), (2, -1)]), 1, 2))
     assert len(calls) == 1
-    assert len(on) == len(_sides(biv)) * 4
+    assert list(on) == _sides(biv)
+    assert all(len(m) == 2 and all(len(row) == 2 for row in m) for m in on.values())

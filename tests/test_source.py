@@ -113,3 +113,23 @@ def test_checker_sees_a_product_in_accumulate():
 @pytest.mark.parametrize("module", ONE_PASS_MODULES)
 def test_module_builds_no_product_inside_accumulate(module):
     assert products_in_accumulate((PACKAGE / module).read_text()) == []
+
+
+def imported_public_names(source: str) -> set[str]:
+    """The names a module's `from ... import` statements bind, bar private ones."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names if not (alias.asname or alias.name).startswith("_")}
+
+
+def test_export_list_is_what_the_package_imports():
+    # a name deleted or renamed in a module must leave __all__ too
+    import surfqp
+
+    imported = imported_public_names((PACKAGE / "__init__.py").read_text())
+    assert "RepAlgebra" in imported and "annotations" not in imported
+    assert len(surfqp.__all__) == len(set(surfqp.__all__))
+    assert set(surfqp.__all__) == imported
+    namespace = {}
+    exec("from surfqp import *", namespace)
+    assert imported <= namespace.keys()
