@@ -136,14 +136,6 @@ def as_elem(x: ElemLike) -> AlgElem:
     return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
-def counit(x: AlgElem) -> int | Fraction:
-    return x.counit()
-
-
-def antipode(x: AlgElem) -> AlgElem:
-    return x.antipode()
-
-
 class Tensor2(LinComb):
     """Element of the tensor square, keyed by ordered word pairs."""
 

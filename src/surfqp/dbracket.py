@@ -246,6 +246,8 @@ def is_quasi_poisson(dbl: DoubleBracket, sig: SurfaceSignature, trials: int,
                      seed: int, max_len: int = 4) -> QuasiPoissonReport:
     """Sample random word triples and compare the triple bracket of dbl with
     the canonical one; stops at the first counterexample."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     for k in range(trials):
         rng = trial_rng(seed, "qp", k)
         a = sample_word(rng, sig, max_len)

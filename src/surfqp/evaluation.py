@@ -22,10 +22,10 @@ bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
 derivation rule's side evaluates the generator-entry brackets once per
 point, from the double-bracket table's words multiplied out there, and
 contracts each function's partials with them once.  On either side a
-bracket of two functions at a point is then one integer dot product and a
-single division.  Sampled points keep integer entries, so brackets and
-gradients are evaluated in ints; points from lists or files may hold any
-rationals.
+bracket of two functions at a point is then one integer dot product over
+two denominators, and the two sides are compared cross-multiplied.
+Sampled points keep integer entries, so brackets and gradients are
+evaluated in ints; points from lists or files may hold any rationals.
 
 The symbolic leg, fields_sym and wedge_sym, builds the same (slot, side)
 matrices of polynomials from the algebra's partials, never from the gradient.
@@ -311,17 +311,15 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
     """At `trials` random rational points, compare the two brackets on every
     ordered generator-entry pair, plus entries of any supplied word pairs.
     Per point the bracket matrix is evaluated once, and per function and
-    point the contraction of its differential with it and its folded fields;
-    a pair at a point is then one integer dot product on each side."""
+    point its _contraction (D, h, g) and _covector (E, K, f); a pair is then
+    (h_a.g_b) E_a E_b against (K_a.f_b) D_a D_b, cross-multiplied in ints."""
     if trials < 1:
         raise ValueError(f"need at least one point to compare at, got trials={trials}")
     alg = alg if alg is not None else RepAlgebra(sig, dim)
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)
               for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
-    for (wa, wb) in extra_words:
-        coords.append((wa, 1, dim))
-        coords.append((wb, dim, 1))
+    coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]
     points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
     funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
     covectors = [[_covector(biv, _fields(P, pt)) for pt in points] for P in funcs]
@@ -333,15 +331,15 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
         for (wb, ib, jb), con_b, cov_b in zip(coords, contractions, covectors):
             pair_count += 1
             for k, pt in enumerate(points):
-                lhs = _pair(con_a[k], con_b[k])
-                rhs = _pair(cov_a[k], cov_b[k])
-                if lhs != rhs:
+                (da, h, _), (db, _, g) = con_a[k], con_b[k]
+                (ea, K, _), (eb, _, f) = cov_a[k], cov_b[k]
+                if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
                     return AksmReport(False, k + 1, pair_count, seed, witness={
                         "point_index": k,
                         "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
                         "left": [format_word(wa, sig), ia, ja],
                         "right": [format_word(wb, sig), ib, jb],
-                        "bracket_value": str(lhs),
-                        "bivector_value": str(rhs),
+                        "bracket_value": str(_pair(con_a[k], con_b[k])),
+                        "bivector_value": str(_pair(cov_a[k], cov_b[k])),
                     })
     return AksmReport(True, trials, pair_count, seed)

@@ -506,8 +506,10 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
         syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
         on = {a: fields_sym(alg, biv, alg.entry(Word.generator(a[0]), a[1] + 1, a[2] + 1))
               for a in syms}
+        ham = {a: alg.hamiltonian(alg.sym(*a), syms) for a in syms}
+        diff = {b: alg.differential(alg.sym(*b)) for b in syms}
         bad = sorted([u, v, i, j, k, l] for (u, i, j), (v, k, l) in product(syms, syms)
-                     if alg.qp_bracket(alg.sym(u, i, j), alg.sym(v, k, l))
+                     if alg.pair_hamiltonian(ham[u, i, j], diff[v, k, l])
                      != wedge_sym(alg, biv, on[u, i, j], on[v, k, l]))
         checks.append(Check("symbolic-agreement", not bad, {"failed": bad[:3]}))
 
@@ -546,6 +548,8 @@ DEFAULT_TRIALS = {
 def run_suite(name: str, sig: SurfaceSignature, seed: int, trials: Optional[int] = None,
               dim: int = 2, max_len: int = 4) -> SuiteReport:
     n = trials if trials is not None else DEFAULT_TRIALS[name]
+    if n < 1:
+        raise ValueError(f"need at least one trial, got trials={n}")
     if name == "fox":
         return fox_suite(sig, n, seed, max_len)
     if name == "double":

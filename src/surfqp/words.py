@@ -136,6 +136,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
+        if n <= 1:
+            return self if n else _IDENTITY
         # one free reduction of the n-fold concatenation, linear in its length
         return Word(self.letters * n)
 
@@ -233,12 +235,14 @@ def corner_table(values: Mapping, corner_key: Callable) -> dict:
     have equal cuts) or raises ValueError.  x^-1 flips di, y^-1 flips dj."""
     corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
     for (i, j), value in values.items():
-        keys = [corner_key(Word.generator(i), Word.generator(j), *d) for d in corners]
+        x, y, index = Word.generator(i), Word.generator(j), {}
+        for n, d in enumerate(corners):
+            index.setdefault(corner_key(x, y, *d), n)
         sums = [0] * 4
         for key, c in value.items():
-            if key not in keys:
+            if (n := index.get(key)) is None:
                 raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
-            sums[keys.index(key)] += c
+            sums[n] += c
         for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             out.setdefault((i, ex), {})[(j, ey)] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
                                                          for (di, dj), c in zip(corners, sums) if c)

@@ -203,6 +203,45 @@ def test_corner_weights_are_ints():
                        for di, dj, c in corners)
 
 
+def reference_corner_table(values, corner_key):
+    """words.corner_table as it was before its dict lookup: each term goes
+    to the first corner in a list of the four corner keys."""
+    corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
+    for (i, j), value in values.items():
+        keys = [corner_key(Word.generator(i), Word.generator(j), *d) for d in corners]
+        sums = [0] * 4
+        for key, c in value.items():
+            if key not in keys:
+                raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
+            sums[keys.index(key)] += c
+        for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            out.setdefault((i, ex), {})[(j, ey)] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
+                                                         for (di, dj), c in zip(corners, sums) if c)
+    return out
+
+
+def test_corner_table_matches_the_list_lookup(monkeypatch):
+    from surfqp import dbracket, foxpairing, words
+    seen = []
+
+    def recorded(values, corner_key):
+        seen.append((values, corner_key))
+        return words.corner_table(values, corner_key)
+
+    # the corner keys as x^di y^(1-dj) spelled out, without Word.__pow__
+    power = lambda x, n: Word(x.letters * n)
+    keys = (lambda x, y, di, dj: power(x, di) * power(y, 1 - dj),
+            lambda x, y, di, dj: (power(y, dj) * power(x, 1 - di), power(x, di) * power(y, 1 - dj)))
+    for module in (foxpairing, dbracket):
+        monkeypatch.setattr(module, "corner_table", recorded)
+    for sig in CORNER_SIGS:
+        for cls, key in zip((SurfaceFoxPairing, SurfaceDoubleBracket), keys):
+            seen.clear()
+            table = cls(sig)._corners
+            (values, _), = seen
+            assert table == reference_corner_table(values, key)
+
+
 def test_table_term_at_no_corner_raises(monkeypatch):
     # x^3 is no x^di y^(1-dj), and (x^2, x^2) no corner pair of (x, x)
     cube = lambda self, i, j: AlgElem.from_word(Word.generator(i) ** 3)
@@ -447,6 +486,13 @@ def test_zero_bracket_is_not_quasi_poisson():
     a, b, c = rep.witness
     assert triple(zero, a, b, c) != triple_e(a, b, c)  # the witness really fails
     assert not triple_e(w("p1"), w("q1"), w("p1")).is_zero()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_quasi_poisson_check_needs_a_trial(trials):
+    # with no sampled triple nothing is checked, which must not read as a pass
+    with pytest.raises(ValueError, match="at least one trial"):
+        is_quasi_poisson(DBL, SIG, trials=trials, seed=17)
 
 
 def test_disk_is_vacuous():

@@ -600,6 +600,44 @@ def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
                                       for i in range(2) for j in range(2)]
 
 
+def test_symbolic_leg_builds_one_hamiltonian_per_generator_entry(monkeypatch):
+    # each generator entry's Hamiltonian is built once and paired with every
+    # partner's differential, instead of one qp_bracket per pair
+    from surfqp import suites
+    calls = []
+    hamiltonian = RepAlgebra.hamiltonian
+
+    def counted(self, P, symbols):
+        calls.append(P)
+        return hamiltonian(self, P, symbols)
+
+    def forbidden(*args):
+        raise AssertionError("symbolic leg called qp_bracket")
+
+    monkeypatch.setattr(RepAlgebra, "hamiltonian", counted)
+    monkeypatch.setattr(RepAlgebra, "qp_bracket", forbidden)
+    for sig in (SurfaceSignature(1, 0), SurfaceSignature(0, 1)):
+        calls.clear()
+        report = suites.aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
+        assert next(c for c in report.checks if c.name == "symbolic-agreement").ok
+        alg = calls[0].alg
+        assert [P.num for P in calls] == [alg.sym(u, i, j).num for u in range(sig.rank)
+                                          for i in range(2) for j in range(2)]
+
+
+def test_agreeing_pairs_build_no_fraction(monkeypatch):
+    # at integer points an agreeing pair is compared cross-multiplied in
+    # ints; only a mismatch's witness is written as Fractions
+    def forbidden(*args):
+        raise AssertionError("compare_constructions built a Fraction")
+
+    monkeypatch.setattr(evaluation, "Fraction", forbidden)
+    extra = [(w("p1*q1^-1"), w("z1^-1*p1")), (w("q1^-1"), w("z1"))]
+    rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
+    assert rep.ok, rep.witness
+    assert rep.pairs == (SIG.rank * 2 * 2 + 2 * len(extra)) ** 2
+
+
 # genus 2 and dimension 3, beyond the verify matrix, and dimension 1 everywhere
 @pytest.mark.parametrize("genus,punctures,dim,trials", [
     (2, 0, 2, 5), (2, 1, 2, 3), (1, 1, 3, 3),

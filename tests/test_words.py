@@ -150,6 +150,8 @@ def test_power():
     assert w("p1") ** 3 == w("p1^3")
     assert w("p1*q1") ** -2 == (w("p1*q1") ** 2).inverse()
     assert w("z1") ** 0 == Word.identity()
+    assert w("p1*q1^-1") ** 1 == w("p1*q1^-1")
+    assert Word.identity() ** 1 == Word.identity() ** 5 == Word.identity()
 
 
 def test_long_power_is_linear():
