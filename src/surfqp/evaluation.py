@@ -319,7 +319,9 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
     coords = [(Word.generator(u), i, j)
               for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
-    coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]
+    for (wa, wb) in extra_words:
+        coords.append((wa, 1, dim))
+        coords.append((wb, dim, 1))
     points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
     funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
     covectors = [[_covector(biv, _fields(P, pt)) for pt in points] for P in funcs]

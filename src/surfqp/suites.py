@@ -506,10 +506,8 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
         syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
         on = {a: fields_sym(alg, biv, alg.entry(Word.generator(a[0]), a[1] + 1, a[2] + 1))
               for a in syms}
-        ham = {a: alg.hamiltonian(alg.sym(*a), syms) for a in syms}
-        diff = {b: alg.differential(alg.sym(*b)) for b in syms}
         bad = sorted([u, v, i, j, k, l] for (u, i, j), (v, k, l) in product(syms, syms)
-                     if alg.pair_hamiltonian(ham[u, i, j], diff[v, k, l])
+                     if alg.gen_bracket((u, i, j), (v, k, l))
                      != wedge_sym(alg, biv, on[u, i, j], on[v, k, l]))
         checks.append(Check("symbolic-agreement", not bad, {"failed": bad[:3]}))
 

@@ -600,29 +600,30 @@ def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
                                       for i in range(2) for j in range(2)]
 
 
-def test_symbolic_leg_builds_one_hamiltonian_per_generator_entry(monkeypatch):
-    # each generator entry's Hamiltonian is built once and paired with every
-    # partner's differential, instead of one qp_bracket per pair
+def test_symbolic_leg_pairs_the_table_brackets(monkeypatch):
+    # on generator entries the derivation rule is the table's bracket itself:
+    # the leg reads gen_bracket for every ordered pair and builds no
+    # Hamiltonian or qp_bracket
     from surfqp import suites
-    calls = []
-    hamiltonian = RepAlgebra.hamiltonian
+    pairs = set()
+    gen_bracket = RepAlgebra.gen_bracket
 
-    def counted(self, P, symbols):
-        calls.append(P)
-        return hamiltonian(self, P, symbols)
+    def recorded(self, a, b):
+        pairs.add((a, b))
+        return gen_bracket(self, a, b)
 
     def forbidden(*args):
-        raise AssertionError("symbolic leg called qp_bracket")
+        raise AssertionError("symbolic leg built a Hamiltonian or a qp_bracket")
 
-    monkeypatch.setattr(RepAlgebra, "hamiltonian", counted)
-    monkeypatch.setattr(RepAlgebra, "qp_bracket", forbidden)
+    monkeypatch.setattr(RepAlgebra, "gen_bracket", recorded)
+    for name in ("hamiltonian", "pair_hamiltonian", "qp_bracket"):
+        monkeypatch.setattr(RepAlgebra, name, forbidden)
     for sig in (SurfaceSignature(1, 0), SurfaceSignature(0, 1)):
-        calls.clear()
+        pairs.clear()
         report = suites.aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
         assert next(c for c in report.checks if c.name == "symbolic-agreement").ok
-        alg = calls[0].alg
-        assert [P.num for P in calls] == [alg.sym(u, i, j).num for u in range(sig.rank)
-                                          for i in range(2) for j in range(2)]
+        syms = [(u, i, j) for u in range(sig.rank) for i in range(2) for j in range(2)]
+        assert pairs >= {(a, b) for a in syms for b in syms}
 
 
 def test_agreeing_pairs_build_no_fraction(monkeypatch):

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the test suite, run from the root of a checkout:
 
-    python3 tools/mutants.py            # every row, about a minute on 2 cores
-    python3 tools/mutants.py -k seam    # only the rows whose name contains "seam"
+    python3 tools/mutants.py    # every row, about a minute on 2 cores
 
 Each row of MUTANTS names a source file, an exact snippet in it, the
 snippet's replacement, and the pytest node ids expected to fail once the
@@ -25,7 +24,6 @@ A later change that claims a mutant is caught adds a row here.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -81,10 +79,10 @@ MUTANTS = (
            "grad[u][i][j] -= term * adj[j][i]", "grad[u][i][j] -= term * adj[i][j]",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     # the symbolic leg of the aksm suite
-    Mutant("Hamiltonian and differential roles swapped", "src/surfqp/suites.py",
-           "alg.pair_hamiltonian(ham[u, i, j], diff[v, k, l])",
-           "alg.pair_hamiltonian(ham[v, k, l], diff[u, i, j])",
-           (f"{EVAL}::test_symbolic_leg_builds_one_hamiltonian_per_generator_entry",)),
+    Mutant("table bracket's arguments swapped", "src/surfqp/suites.py",
+           "alg.gen_bracket((u, i, j), (v, k, l))",
+           "alg.gen_bracket((v, k, l), (u, i, j))",
+           (f"{EVAL}::test_symbolic_leg_pairs_the_table_brackets",)),
     Mutant("run_suite accepts zero trials", "src/surfqp/suites.py",
            "    if n < 1:\n", "    if n < 0:\n",
            ("tests/test_suites.py::test_every_suite_needs_a_trial",)),
@@ -160,23 +158,20 @@ def run_row(m: Mutant) -> str:
     return {None: "KILLED", 0: "SURVIVED", 1: "KILLED"}.get(code, "STALE")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only rows whose name contains this")
-    rows = [m for m in MUTANTS if parser.parse_args(argv).k in m.name]
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="surfqp-mutant-") as tmp:
         copy_tree(Path(tmp))
-        baseline = run_tests(Path(tmp), tuple(dict.fromkeys(t for m in rows for t in m.tests)))
+        baseline = run_tests(Path(tmp), tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
     if baseline != 0:
         print(f"the listed tests do not pass unmutated (pytest exit {baseline}); no row can be read")
         return 1
     verdicts = []
     with ThreadPoolExecutor(JOBS) as pool:
-        for m, verdict in zip(rows, pool.map(run_row, rows)):
+        for m, verdict in zip(MUTANTS, pool.map(run_row, MUTANTS)):
             print(f"{verdict:<8}  {m.name}  ({m.path})", flush=True)
             verdicts.append(verdict)
-    print(f"{verdicts.count('KILLED')} of {len(rows)} killed in "
+    print(f"{verdicts.count('KILLED')} of {len(MUTANTS)} killed in "
           f"{time.perf_counter() - start:.0f} s")
     return 0 if all(v == "KILLED" for v in verdicts) else 1
 
