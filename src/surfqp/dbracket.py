@@ -127,10 +127,9 @@ class SurfaceDoubleBracket:
 
     def _pair(self, v: Word, w: Word) -> Tensor2:
         """The cut-corner sum on one pair of words."""
-        xs, ys = v.letters, w.letters
-        return Tensor2.collect(((join(ys[:j], tail), join(head, ys[j:])), c)
-                               for i, row in corner_cuts(xs, ys, self._corners)
-                               for head, tail in ((xs[:i], xs[i:]),) for j, c in row)
+        return Tensor2.collect(((join(w[:j], tail), join(head, w[j:])), c)
+                               for i, row in corner_cuts(v, w, self._corners)
+                               for head, tail in ((v[:i], v[i:]),) for j, c in row)
 
 
 def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:

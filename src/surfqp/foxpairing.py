@@ -87,10 +87,10 @@ class SurfaceFoxPairing:
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         a, b = as_elem(a), as_elem(b)
-        return AlgElem.collect((join(head, w.letters[j:]), cv * cw * k)
+        return AlgElem.collect((join(head, w[j:]), cv * cw * k)
                                for v, cv in a.items() for w, cw in b.items()
-                               for i, row in corner_cuts(v.letters, w.letters, self._corners)
-                               for head in (v.letters[:i],) for j, k in row)
+                               for i, row in corner_cuts(v, w, self._corners)
+                               for head in (v[:i],) for j, k in row)
 
     def skew(self, a: ElemLike, b: ElemLike) -> AlgElem:
         """eta^s(a, b) = 2 eta(a, b) + (a - eps(a) 1)(b - eps(b) 1)."""

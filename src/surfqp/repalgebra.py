@@ -27,7 +27,7 @@ from .algebra import AlgElem, ElemLike, LinComb, Scalar, Tensor2, as_elem
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
 from .poly import Poly
-from .words import SurfaceSignature, Word
+from .words import SurfaceSignature, Word, code_letter
 
 LieMatrix = Sequence[Sequence[Fraction]]
 
@@ -98,7 +98,7 @@ class RepAlgebra:
         self.zero_den = (0,) * sig.rank
         self._det: dict[int, Poly] = {}
         self._adj: dict[int, tuple[tuple[Poly, ...], ...]] = {}
-        # suffix trie: a node is (matrix of a suffix, children by the letter
+        # suffix trie: a node is (matrix of a suffix, children by the code of the letter
         # that extends it leftwards); the root is the empty word's identity
         self._trie = (tuple(tuple(self.scalar(1 if i == j else 0) for j in range(dim))
                             for i in range(dim)), {})
@@ -160,14 +160,14 @@ class RepAlgebra:
         a missing node is one product, its letter's matrix times its parent's
         (a child of the root is the letter's matrix)."""
         N, node = self.dim, self._trie
-        for letter in reversed(w.letters):
-            if (child := node[1].get(letter)) is None:
-                head, tail = self._letter_matrix(*letter), node[0]
+        for code in reversed(w):
+            if (child := node[1].get(code)) is None:
+                head, tail = self._letter_matrix(*code_letter(code)), node[0]
                 if node is not self._trie:
                     head = tuple(tuple(self.accumulate_products((1, head[i][m], tail[m][j])
                                                                 for m in range(N))
                                        for j in range(N)) for i in range(N))
-                child = node[1][letter] = (head, {})
+                child = node[1][code] = (head, {})
             node = child
         return node[0]
 

@@ -2,11 +2,12 @@
 
 The fundamental group of a compact oriented surface of genus g with m+1
 boundary components is free on 2g+m generators, with the fixed order
-p1 < q1 < ... < pg < qg < z1 < ... < zm.  A word is a tuple of letters
-(generator index, exponent) with exponent +1 or -1, kept freely reduced.
-Conjugacy classes are represented by the lexicographically minimal
-rotation of the cyclic reduction, so conjugate words normalize to equal
-objects.
+p1 < q1 < ... < pg < qg < z1 < ... < zm.  A letter is a pair (generator
+index g, exponent e) with e = +1 or -1, and a word is a str of letter codes
+chr(2 g + (e < 0)), kept freely reduced: x and x^-1 differ in the lowest bit
+of their codes.  Conjugacy classes are represented by the least rotation of
+the cyclic reduction, in the order of the codes, so conjugate words
+normalize to equal objects.
 
 String grammar (also used for serialization)::
 
@@ -21,9 +22,14 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[int, int]
+
+# a letter's code chr(2 g + 1) must be a code point, at most 0x10FFFF
+MAX_RANK = 0x110000 // 2
 
 
 class WordParseError(ValueError):
@@ -46,6 +52,8 @@ class SurfaceSignature:
     def __post_init__(self):
         if self.genus < 0 or self.punctures < 0:
             raise ValueError("genus and punctures must be nonnegative")
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} is past {MAX_RANK}, the last with letter codes")
         object.__setattr__(self, "names", tuple(
             [f"{kind}{u + 1}" for u in range(self.genus) for kind in "pq"]
             + [f"z{v + 1}" for v in range(self.punctures)]))
@@ -87,28 +95,42 @@ class SurfaceSignature:
         return "pq"[index % 2]
 
 
-def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
+def _free_reduce(letters: Iterable[Letter]) -> str:
+    stack: list[int] = []
     for gen, exp in letters:
         if exp not in (1, -1):
             raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
-        if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
+        code = 2 * gen + (exp < 0)
+        if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
-            stack.append((gen, exp))
-    return tuple(stack)
+            stack.append(code)
+    return "".join(map(chr, stack))
 
 
-class Word:
-    """A freely reduced word.  Immutable and hashable; the empty word is 1."""
+def code_letter(code: str) -> Letter:
+    """The letter (g, e) of one code character."""
+    gen, inverse = divmod(ord(code), 2)
+    return gen, -1 if inverse else 1
 
-    __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[Letter] = (), *, _reduced: bool = False):
+class Word(str):
+    """A freely reduced word (the empty word is 1): an immutable str of letter
+    codes, hashed, compared, sliced and joined in C.  Indexing, slicing (to a
+    plain str) and iteration see codes; `letters` decodes them.  A Word orders
+    by its codes and equals a plain str of the same codes; src/ never mixes
+    the two.  Words multiply by `*` only: `+` and int factors raise TypeError."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: Iterable[Letter] = (), *, _reduced: bool = False):
         if _reduced:
-            self.letters = tuple(letters)
-        else:
-            self.letters = _free_reduce(letters)
+            return str.__new__(cls, "".join([chr(2 * g + (e < 0)) for g, e in letters]))
+        return str.__new__(cls, _free_reduce(letters))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(code_letter, self))
 
     @staticmethod
     def identity() -> "Word":
@@ -119,107 +141,109 @@ class Word:
         return Word(((index, exp),), _reduced=True)
 
     def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return not self
 
     def __mul__(self, other: "Word") -> "Word":
-        return join(self.letters, other.letters)
+        return join(self, other)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)
+        return _word("".join([chr(ord(c) ^ 1) for c in reversed(self)]))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
         if n <= 1:
             return self if n else _IDENTITY
-        # one free reduction of the n-fold concatenation, linear in its length
-        return Word(self.letters * n)
+        # self is u c u^-1 with c cyclically reduced, so u c^n u^-1 is reduced
+        k, m = _end_pairs(self), len(self)
+        return _word(self[:k] + self[k:m - k] * n + self[m - k:])
 
     def conjugate_by(self, u: "Word") -> "Word":
         return u * self * u.inverse()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
+    def __getnewargs__(self):
+        return (self.letters,)
 
     def __repr__(self) -> str:
         return f"Word({self.letters!r})"
 
 
-_IDENTITY = Word((), _reduced=True)
+# the Word of a reduced code string
+_word = partial(str.__new__, Word)
+_IDENTITY = Word()
 
 
-def join(left: tuple[Letter, ...], right: tuple[Letter, ...]) -> Word:
-    """The word of two reduced letter tuples laid end to end.  Only the seam
+def join(left: str, right: str) -> Word:
+    """The word of two reduced code strings laid end to end.  Only the seam
     can cancel: count the k cancelling letter pairs there, then slice once."""
-    if left and right and left[-1][0] == right[0][0] and left[-1][1] == -right[0][1]:
+    if left and right and ord(left[-1]) ^ 1 == ord(right[0]):
         n, k, top = len(left), 1, min(len(left), len(right))
-        while k < top and left[n - 1 - k][0] == right[k][0] \
-                and left[n - 1 - k][1] == -right[k][1]:
+        while k < top and ord(left[n - 1 - k]) ^ 1 == ord(right[k]):
             k += 1
         left, right = left[:n - k], right[k:]
     # the concatenation is reduced, so skip the constructor's check
-    out = Word.__new__(Word)
-    out.letters = left + right
-    return out
+    return _word(str.__add__(left, right))
 
 
 class CyclicWord:
-    """Conjugacy class of a word: cyclic reduction, minimal rotation."""
+    """Conjugacy class of a word: cyclic reduction, least rotation."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("_word",)
 
-    def __init__(self, letters: Sequence[Letter], *, _canonical: bool = False):
-        self.letters = tuple(letters) if _canonical else _cyclic_normal(_free_reduce(letters))
+    def __init__(self, letters: Sequence[Letter] | Word, *, _canonical: bool = False):
+        self._word = letters if _canonical else _cyclic_normal(Word(letters))
 
     @staticmethod
     def of(word: Word) -> "CyclicWord":
         # a Word is reduced already
-        return CyclicWord(_cyclic_normal(word.letters), _canonical=True)
+        return CyclicWord(_cyclic_normal(word), _canonical=True)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return self._word.letters
 
     def representative(self) -> Word:
-        return Word(self.letters, _reduced=True)
+        return self._word
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self._word
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self.letters == other.letters
+        return isinstance(other, CyclicWord) and self._word == other._word
 
     def __hash__(self) -> int:
-        return hash(("cyc", self.letters))
+        return hash(self._word)
 
     def __repr__(self) -> str:
         return f"CyclicWord({self.letters!r})"
 
 
-def _cyclic_normal(reduced: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The least rotation of the cyclic reduction: count the k cancelling end
-    pairs of a reduced word, then slice once."""
+def _end_pairs(reduced: str) -> int:
+    """The number k of end pairs reduced[i], reduced[~i], i < k, that cancel."""
     k = 0
-    while len(reduced) - 2 * k > 1 and reduced[k] == (reduced[~k][0], -reduced[~k][1]):
+    while len(reduced) - 2 * k > 1 and ord(reduced[k]) ^ 1 == ord(reduced[~k]):
         k += 1
-    return _min_rotation(reduced[k:len(reduced) - k])
+    return k
 
 
-def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    n = len(letters)
+def _cyclic_normal(reduced: str) -> Word:
+    """The least rotation of the cyclic reduction, cut out with one slice."""
+    k = _end_pairs(reduced)
+    return _word(_min_rotation(reduced[k:len(reduced) - k]))
+
+
+def _min_rotation(codes: str) -> str:
+    n = len(codes)
     if n < 2:
-        return letters
-    # one int key per letter, generators by global index and x before x^-1;
-    # a least rotation starts at a least letter
-    keys = [2 * g + (e < 0) for g, e in letters] * 2
-    least = min(keys)
-    best = min((i for i in range(n) if keys[i] == least), key=lambda i: keys[i:i + n])
-    return letters[best:] + letters[:best]
+        return codes
+    # a least rotation starts at a least code
+    least, twice = min(codes), codes + codes
+    return min(twice[i:i + n] for i in range(n) if codes[i] == least)
 
 
 def conjugacy_class(word: Word) -> CyclicWord:
@@ -230,9 +254,9 @@ def conjugacy_class(word: Word) -> CyclicWord:
 
 def corner_table(values: Mapping, corner_key: Callable) -> dict:
     """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of every
-    signed letter pair from the values on generator pairs (i, j): a term (key, c)
-    goes to the first corner with corner_key(x_i, x_j, di, dj) == key (equal keys
-    have equal cuts) or raises ValueError.  x^-1 flips di, y^-1 flips dj."""
+    signed letter pair, by codes, from the values on generator pairs (i, j): a
+    term (key, c) goes to the first corner with corner_key(x_i, x_j, di, dj) == key
+    (equal keys have equal cuts) or raises ValueError.  x^-1 flips di, y^-1 flips dj."""
     corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
     for (i, j), value in values.items():
         x, y, index = Word.generator(i), Word.generator(j), {}
@@ -244,12 +268,13 @@ def corner_table(values: Mapping, corner_key: Callable) -> dict:
                 raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
             sums[n] += c
         for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            out.setdefault((i, ex), {})[(j, ey)] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
-                                                         for (di, dj), c in zip(corners, sums) if c)
+            out.setdefault(chr(2 * i + (ex < 0)), {})[chr(2 * j + (ey < 0))] = tuple(
+                (di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
+                for (di, dj), c in zip(corners, sums) if c)
     return out
 
 
-def corner_cuts(xs: Sequence[Letter], ys: Sequence[Letter], table: Mapping) -> Iterator:
+def corner_cuts(xs: str, ys: str, table: Mapping) -> Iterator:
     """(i', [(j', c), ...]) per row of cuts with a nonzero weight c, each letter pair
     (i, j) adding the corners (di, dj, c) of table[x_i][y_j] at (i + di, j + dj);
     row i' is done, and yielded, once letter i' has added to it."""
@@ -317,21 +342,12 @@ def format_word(word: Word, sig: SurfaceSignature) -> str:
     """Serialize back to the word grammar, collapsing runs into powers."""
     if word.is_identity():
         return "1"
-    parts: list[str] = []
-    run_gen, run_exp = word.letters[0]
-    count = run_exp
-    for gen, exp in word.letters[1:]:
-        if gen == run_gen and (exp > 0) == (count > 0):
-            count += exp
-        else:
-            parts.append(_format_run(run_gen, count, sig))
-            run_gen, count = gen, exp
-    parts.append(_format_run(run_gen, count, sig))
-    return "*".join(parts)
+    # a run of one code is x^k or x^-k: a reduced word holds no x x^-1
+    return "*".join(_format_run(ord(code), len(list(run)), sig) for code, run in groupby(word))
 
 
-def _format_run(gen: int, exp: int, sig: SurfaceSignature) -> str:
-    name = sig.names[gen]
+def _format_run(code: int, n: int, sig: SurfaceSignature) -> str:
+    name, exp = sig.names[code >> 1], -n if code & 1 else n
     return name if exp == 1 else f"{name}^{exp}"
 
 

@@ -350,26 +350,54 @@ def test_long_word_trace_bracket(capsys):
     assert time.perf_counter() - t0 < 3.0
 
 
-# The child runs under a 1 GiB address-space cap, set in that child only.  At
-# the parse limit of 100,000 letters the trace bracket took about 2 s and
-# 100 MB on a 2-core VM; 10 s and 1 GiB leave room for a slower machine,
-# while a word-matrix cache that grows faster than linearly in the word
-# blows through both.
+# The child runs under an address-space cap (its first argument, in bytes),
+# set in that child only.
 CAPPED_CHILD = """import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
 from surfqp.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
+def run_capped(cap_bytes, budget_s, *argv):
+    """surfqp argv in a child under an address-space cap and a wall-clock budget."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap_bytes), *argv],
+                          capture_output=True, text=True, timeout=budget_s)
+    assert time.perf_counter() - t0 < budget_s
+    return proc
+
+
+# At the parse limit of 100,000 letters the trace bracket took about 2 s and
+# 100 MB on a 2-core VM; 10 s and 1 GiB leave room for a slower machine,
+# while a word-matrix cache that grows faster than linearly in the word
+# blows through both.
 @pytest.mark.slow
 def test_trace_bracket_at_the_parse_limit_under_a_memory_cap():
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD, "trace-bracket", "--dim", "1",
-                           "p1^100000", "q1"], capture_output=True, text=True, timeout=10)
-    assert time.perf_counter() - t0 < 10.0
+    proc = run_capped(1 << 30, 10, "trace-bracket", "--dim", "1", "p1^100000", "q1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == power_trace_bracket(100000)
+
+
+# goldman(p1^n, q1) is n [p1^n q1].  At n = 20,000 the single bracket holds
+# about n words of about n letters before it is projected: 1.1 s and 405 MB
+# peak on a 2-core VM with one byte per letter.  At eight or more bytes per
+# letter it runs out of 2 GiB after about 19 s, so 10 s and 2 GiB separate the two.
+@pytest.mark.slow
+def test_goldman_of_a_long_power_under_a_memory_cap():
+    proc = run_capped(2 << 30, 10, "goldman", "p1^20000", "q1", "--genus", "1",
+                      "--punctures", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [{"class": "p1^20000*q1", "coeff": "20000"}]
+
+
+def test_rank_past_the_letter_codes_exits_2():
+    # the Fox pairing's letter-pair table alone would take hours at this rank
+    proc = subprocess.run([sys.executable, "-m", "surfqp.cli", "eta", "p1", "q1", "--genus",
+                           "300000", "--punctures", "0"], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("surfqp: rank 600000 is past 557056")
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

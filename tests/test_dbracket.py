@@ -205,7 +205,8 @@ def test_corner_weights_are_ints():
 
 def reference_corner_table(values, corner_key):
     """words.corner_table as it was before its dict lookup: each term goes
-    to the first corner in a list of the four corner keys."""
+    to the first corner in a list of the four corner keys.  A signed letter
+    pair is keyed by the codes of its two one-letter words."""
     corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
     for (i, j), value in values.items():
         keys = [corner_key(Word.generator(i), Word.generator(j), *d) for d in corners]
@@ -215,8 +216,9 @@ def reference_corner_table(values, corner_key):
                 raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
             sums[keys.index(key)] += c
         for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            out.setdefault((i, ex), {})[(j, ey)] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
-                                                         for (di, dj), c in zip(corners, sums) if c)
+            code_x, code_y = str(Word.generator(i, ex)), str(Word.generator(j, ey))
+            out.setdefault(code_x, {})[code_y] = tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
+                                                       for (di, dj), c in zip(corners, sums) if c)
     return out
 
 

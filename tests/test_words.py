@@ -1,5 +1,7 @@
 """Free reduction, word arithmetic, conjugacy normal forms, the grammar."""
 
+import copy
+import pickle
 import random
 import time
 
@@ -99,9 +101,12 @@ def seam_pairs(draw):
 @example((((0, 1), (1, 1)), ((1, -1), (0, -1))))
 @example((((0, 1), (1, 1)), ((1, -1), (0, -1), (2, 1))))
 @example((((2, 1), (0, 1), (1, 1)), ((1, -1), (0, -1))))
+@example((((0, 1),), ((0, 1), (1, 1))))
 def test_join_is_the_reduced_concatenation(pair):
     left, right = pair
-    assert join(left, right).letters == Word(left + right).letters
+    # join takes code strings, as the slices of the cut sums are
+    out = join(str(Word(left, _reduced=True)), str(Word(right, _reduced=True)))
+    assert type(out) is Word and out.letters == Word(left + right).letters
 
 
 def old_cyclic_letters(letters):
@@ -138,6 +143,109 @@ def test_cyclic_normal_form_matches_the_old_code(letters):
     want = old_cyclic_letters(letters)
     assert CyclicWord(letters).letters == want
     assert CyclicWord.of(Word(letters)).letters == want
+
+
+class TupleWord:
+    """Word as the tuple-based code had it: a freely reduced tuple of letters,
+    with its inverse, powers, least rotation and printed form."""
+
+    def __init__(self, letters):
+        stack = []
+        for gen, exp in letters:
+            if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
+                stack.pop()
+            else:
+                stack.append((gen, exp))
+        self.letters = tuple(stack)
+
+    def inverse(self):
+        return TupleWord((g, -e) for g, e in reversed(self.letters))
+
+    def power(self, n):
+        return self.inverse().power(-n) if n < 0 else TupleWord(self.letters * n)
+
+    def cyclic_letters(self):
+        reduced = self.letters
+        while len(reduced) > 1 and reduced[0] == (reduced[-1][0], -reduced[-1][1]):
+            reduced = reduced[1:-1]
+        n = len(reduced)
+        if n < 2:
+            return reduced
+        keys = [2 * g + (e < 0) for g, e in reduced] * 2
+        best = min(range(n), key=lambda i: keys[i:i + n])
+        return reduced[best:] + reduced[:best]
+
+    def format(self, sig):
+        if not self.letters:
+            return "1"
+        parts, (run_gen, count) = [], self.letters[0]
+        for gen, exp in self.letters[1:]:
+            if gen == run_gen and (exp > 0) == (count > 0):
+                count += exp
+            else:
+                parts.append(sig.names[run_gen] + ("" if count == 1 else f"^{count}"))
+                run_gen, count = gen, exp
+        parts.append(sig.names[run_gen] + ("" if count == 1 else f"^{count}"))
+        return "*".join(parts)
+
+
+@st.composite
+def wide_words(draw):
+    """A signature of rank up to 300 and two inverse-heavy letter lists over a
+    few of its generators, so that codes past 255 occur, letters cancel and
+    the two words are often equal."""
+    sig = draw(st.sampled_from((SurfaceSignature(1, 0), SurfaceSignature(0, 3),
+                                SurfaceSignature(2, 2), SurfaceSignature(64, 2),
+                                SurfaceSignature(150, 0), SurfaceSignature(100, 100))))
+    gens = draw(st.lists(st.integers(0, sig.rank - 1), min_size=1, max_size=3))
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((-1, -1, -1, 1)))
+    a = draw(st.lists(letter, max_size=12))
+    if draw(st.booleans()):
+        # the same word with a cancelling pair put in
+        cut, x = draw(st.integers(0, len(a))), draw(letter)
+        return sig, a, a[:cut] + [x, (x[0], -x[1])] + a[cut:]
+    return sig, a, draw(st.lists(letter, max_size=12))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(wide_words(), st.integers(-4, 4))
+@example((SurfaceSignature(150, 0), [(299, -1), (299, 1), (128, -1)], [(128, -1)]), 3)
+def test_code_words_match_the_tuple_words(case, n):
+    sig, a, b = case
+    old_a, old_b = TupleWord(a), TupleWord(b)
+    new_a, new_b = Word(a), Word(b)
+    assert new_a.letters == old_a.letters and Word(old_a.letters) == new_a
+    assert (new_a == new_b) == (old_a.letters == old_b.letters)
+    assert new_a != new_b or hash(new_a) == hash(new_b)
+    assert new_a.inverse().letters == old_a.inverse().letters
+    assert (new_a ** n).letters == old_a.power(n).letters
+    assert CyclicWord.of(new_a).letters == old_a.cyclic_letters()
+    assert format_word(new_a, sig) == old_a.format(sig)
+    assert parse_word(format_word(new_a, sig), sig) == new_a
+
+
+def test_words_refuse_str_arithmetic():
+    x, y = w("p1*q1"), w("q1")
+    for product in (lambda: x + y, lambda: 2 * x, lambda: x * 2, lambda: x * -1):
+        with pytest.raises(TypeError):
+            product()
+    assert x * y == w("p1*q1^2")
+
+
+def test_words_copy_and_pickle():
+    for x in (w("p1*q1^-2*z2"), Word.identity(), Word([(299, -1), (3, 1)])):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is Word and twin == x and twin.letters == x.letters
+
+
+def test_signature_rank_is_bounded_by_the_code_points():
+    assert SurfaceSignature(278_528, 0).rank == 557_056
+    with pytest.raises(ValueError, match="rank"):
+        SurfaceSignature(278_528, 1)
+    with pytest.raises(ValueError, match="rank"):
+        SurfaceSignature(300_000, 0)
+    assert Word.generator(557_055, -1).letters == ((557_055, -1),)
 
 
 def test_invert():

@@ -91,14 +91,16 @@ MUTANTS = (
            "return self if n else _IDENTITY", "return _IDENTITY",
            ("tests/test_words.py::test_power",)),
     Mutant("inverse keeps the letter order", "src/surfqp/words.py",
-           "for g, e in reversed(self.letters)", "for g, e in self.letters",
+           "for c in reversed(self)]", "for c in self]",
            ("tests/test_words.py::test_invert",)),
+    Mutant("seam test ignores the sign", "src/surfqp/words.py",
+           "ord(left[-1]) ^ 1 == ord(right[0])", "ord(left[-1]) >> 1 == ord(right[0]) >> 1",
+           ("tests/test_words.py::test_join_is_the_reduced_concatenation",)),
     Mutant("off-by-one seam", "src/surfqp/words.py",
            "while k < top and", "while k < top - 1 and",
            ("tests/test_words.py::test_join_is_the_reduced_concatenation",)),
     Mutant("di not flipped", "src/surfqp/words.py",
-           "tuple((di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)",
-           "tuple((di, dj ^ (ey < 0), ex * ey * c)",
+           "(di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)", "(di, dj ^ (ey < 0), ex * ey * c)",
            ("tests/test_dbracket.py::test_corner_sums_match_letter_pair_reference",)),
     Mutant("last corner wins", "src/surfqp/words.py",
            "index.setdefault(corner_key(x, y, *d), n)", "index[corner_key(x, y, *d)] = n",
