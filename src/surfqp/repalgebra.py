@@ -15,6 +15,8 @@ The bracket is pinned on generator entries by the surface double bracket,
 
 and extended to everything else as a derivation in each slot; the
 determinant denominators ride along via {1/d, -} = -(1/d^2) {d, -}.
+That sum reads one column of each word, so entries are kept in one suffix
+trie per column j, whose node for a suffix s holds the column M(s) e_j.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ class RepAlgebra:
         self.zero_den = (0,) * sig.rank
         self._det: dict[int, Poly] = {}
         self._adj: dict[int, tuple[tuple[Poly, ...], ...]] = {}
-        # suffix trie: a node is (matrix of a suffix, children by the code of the letter
-        # that extends it leftwards); the root is the empty word's identity
-        self._trie = (tuple(tuple(self.scalar(1 if i == j else 0) for j in range(dim))
-                            for i in range(dim)), {})
+        # one suffix trie per column j: a node is (M(suffix) e_j, children by the
+        # code of the letter that extends the suffix leftwards); root j holds e_j
+        self._columns = [(tuple(self.scalar(int(i == j)) for i in range(dim)), {})
+                         for j in range(dim)]
         self._gen_bracket: dict[tuple[EntryVar, EntryVar], RepElem] = {}
 
     # --- element constructors ----------------------------------------
@@ -155,34 +157,31 @@ class RepAlgebra:
 
     # --- entries and traces -------------------------------------------
 
-    def word_matrix(self, w: Word) -> tuple[tuple[RepElem, ...], ...]:
-        """w's entries, walking the suffix trie from w's last letter leftwards;
-        a missing node is one product, its letter's matrix times its parent's
-        (a child of the root is the letter's matrix)."""
-        N, node = self.dim, self._trie
+    def column(self, w: Word, j: int) -> tuple[RepElem, ...]:
+        """Column j of w's matrix (zero-based), walking column j's trie from w's
+        last letter leftwards; a missing node is its letter's matrix times its
+        parent's column (a child of the root is the letter's column j)."""
+        node = root = self._columns[j]
         for code in reversed(w):
             if (child := node[1].get(code)) is None:
                 head, tail = self._letter_matrix(*code_letter(code)), node[0]
-                if node is not self._trie:
-                    head = tuple(tuple(self.accumulate_products((1, head[i][m], tail[m][j])
-                                                                for m in range(N))
-                                       for j in range(N)) for i in range(N))
-                child = node[1][code] = (head, {})
+                col = (tuple(row[j] for row in head) if node is root else
+                       tuple(self.accumulate_products((1, x, y) for x, y in zip(row, tail))
+                             for row in head))
+                child = node[1][code] = (col, {})
             node = child
         return node[0]
 
     def _letter_matrix(self, u: int, e: int) -> tuple[tuple[RepElem, ...], ...]:
-        N = self.dim
-        if e > 0:
-            return tuple(tuple(self.sym(u, i, j) for j in range(N)) for i in range(N))
-        adj, den = self.adj_poly(u), self.det_inverse(u).den
-        return tuple(tuple(RepElem(self, adj[i][j], den) for j in range(N))
-                     for i in range(N))
+        """x^u, or for e < 0 its adjugate over det(x^u)."""
+        polys, den = ((self._sym_matrix(u), self.zero_den) if e > 0 else
+                      (self.adj_poly(u), self.det_inverse(u).den))
+        return tuple(tuple(RepElem(self, p, den) for p in row) for row in polys)
 
     def entry(self, a: ElemLike, i: int, j: int) -> RepElem:
         """The (i, j) entry coordinate of a, one-based indices."""
         self._check_entry(i, j)
-        return self.accumulate(self.word_matrix(w)[i - 1][j - 1].scale(c)
+        return self.accumulate(self.column(w, j - 1)[i - 1].scale(c)
                                for w, c in as_elem(a).items())
 
     def _check_entry(self, i: int, j: int) -> None:
@@ -190,8 +189,8 @@ class RepAlgebra:
             raise IndexError(f"entry index out of range for dim {self.dim}: ({i}, {j})")
 
     def trace(self, a: ElemLike) -> RepElem:
-        return self.accumulate(row[i].scale(c) for w, c in as_elem(a).items()
-                               for i, row in enumerate(self.word_matrix(w)))
+        return self.accumulate(self.column(w, i)[i].scale(c) for w, c in as_elem(a).items()
+                               for i in range(self.dim))
 
     def trace_cyclic(self, x) -> RepElem:
         """Trace of a linear combination of conjugacy classes."""
@@ -212,14 +211,13 @@ class RepAlgebra:
     def d_dvar(self, P: RepElem, var: EntryVar) -> RepElem:
         """Partial derivative, treating det denominators by the chain rule."""
         u, i, j = var
-        out = RepElem(self, P.num.diff(var), P.den)
         k = P.den[u]
-        if k and not P.num.is_zero():
-            # d(det^-k)/dx_ij = -k det^-(k+1) adj_ji
-            den = list(P.den)
-            den[u] += 1
-            out = out + RepElem(self, Poly.dot(((-k, P.num, self.adj_poly(u)[j][i]),)), tuple(den))
-        return out
+        if not k or P.num.is_zero():
+            return RepElem(self, P.num.diff(var), P.den)
+        # d(num det^-k)/dx_ij = (num' det - k num adj_ji) det^-(k+1)
+        den = tuple(d + (v == u) for v, d in enumerate(P.den))
+        return RepElem(self, Poly.dot(((1, P.num.diff(var), self.det_poly(u)),
+                                       (-k, P.num, self.adj_poly(u)[j][i]))), den)
 
     def differential(self, P: RepElem) -> Differential:
         """P's nonzero partial derivatives, by entry symbol."""
@@ -240,7 +238,7 @@ class RepAlgebra:
         """Send a tensor sum(c w1 (x) w2) to sum(c (w1)_kj (w2)_il); this is
         how a double bracket value becomes a bracket of entries.  Indices
         are zero-based here."""
-        return self.accumulate_products((c, self.word_matrix(w1)[k][j], self.word_matrix(w2)[i][l])
+        return self.accumulate_products((c, self.column(w1, j)[k], self.column(w2, l)[i])
                                         for (w1, w2), c in t.items())
 
     def qp_bracket(self, P: RepElem, Q: RepElem) -> RepElem:

@@ -391,6 +391,43 @@ def test_goldman_of_a_long_power_under_a_memory_cap():
     assert json.loads(proc.stdout) == [{"class": "p1^20000*q1", "coeff": "20000"}]
 
 
+def generator_entry_bracket(n):
+    """{p1_11, q1_11} at dim n on (1,1) in closed form, 2 p1_11 q1_11 plus
+    p1_1m q1_m1 + p1_m1 q1_1m for m = 2..n: 2n - 1 terms, no denominator."""
+    coeffs = {"p1_1_1*q1_1_1": "2"}
+    for m in range(2, n + 1):
+        coeffs[f"p1_1_{m}*q1_{m}_1"] = coeffs[f"p1_{m}_1*q1_1_{m}"] = "1"
+    return {"den": [0, 0, 0],
+            "terms": [{"coeff": coeffs[mono], "monomial": mono} for mono in sorted(coeffs)]}
+
+
+def test_generator_entry_bracket_closed_form(capsys):
+    # the closed form against the entry route, in process, at small dims
+    sig = SurfaceSignature(1, 1)
+    p1, q1 = (parse_word(x, sig) for x in ("p1", "q1"))
+    for n in range(1, 6):
+        alg = RepAlgebra(sig, n)
+        want = generator_entry_bracket(n)
+        assert alg.to_json(alg.qp_bracket_entries(p1, 1, 1, q1, 1, 1)) == want
+        assert len(want["terms"]) == 2 * n - 1
+    code, out, _ = run(capsys, "rep-bracket", "--dim", "5", "--genus", "1", "--punctures", "1",
+                       "p1_1_1", "q1_1_1")
+    assert code == 0 and json.loads(out) == generator_entry_bracket(5)
+
+
+# At dim 48 one bracket of two generator entries took 0.79 s and 96 MB on a
+# 2-core VM, reading one column of each table word; built as whole word
+# matrices it needed more than 1 GB, so 3 s and 1 GB separate the two.
+@pytest.mark.slow
+def test_generator_entry_bracket_at_dim_48_under_a_memory_cap():
+    proc = run_capped(1_000_000_000, 3, "rep-bracket", "--dim", "48", "--genus", "1",
+                      "--punctures", "1", "p1_1_1", "q1_1_1")
+    assert proc.returncode == 0, proc.stderr
+    answer = json.loads(proc.stdout)
+    assert answer["den"] == [0, 0, 0] and len(answer["terms"]) == 2 * 48 - 1
+    assert answer == generator_entry_bracket(48)
+
+
 def test_rank_past_the_letter_codes_exits_2():
     # the Fox pairing's letter-pair table alone would take hours at this rank
     proc = subprocess.run([sys.executable, "-m", "surfqp.cli", "eta", "p1", "q1", "--genus",
@@ -423,10 +460,10 @@ def test_parser_is_built_once(capsys, monkeypatch):
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     """Exit 1 means only that a verified property failed, so running out of
     memory exits 2 with one line; the exhaustion here is simulated."""
-    def exhausted(self, w):
+    def exhausted(self, w, j):
         raise MemoryError
 
-    monkeypatch.setattr(RepAlgebra, "word_matrix", exhausted)
+    monkeypatch.setattr(RepAlgebra, "column", exhausted)
     code, out, err = run(capsys, "rep-bracket", "--dim", "2", "tr(p1^1500)", "q1_1_1",
                          "--genus", "1", "--punctures", "1")
     assert (code, out, err) == (2, "", "surfqp: out of memory\n")

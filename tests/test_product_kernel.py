@@ -270,7 +270,7 @@ def test_scale_by_one_shares_the_element():
     w = Word([(0, 1), (1, -1), (2, 1)])
     for i in (1, 2):
         for j in (1, 2):
-            assert alg.entry(w, i, j).num is alg.word_matrix(w)[i - 1][j - 1].num
+            assert alg.entry(w, i, j).num is alg.column(w, j - 1)[i - 1].num
     P = Poly.var("x") + Poly.const(2)
     assert P.scale(1) is P and P.scale(Fraction(2, 2)) is P
     e = AlgElem({w: 3})

@@ -567,17 +567,18 @@ def test_single_word_sums_print_the_chained_bytes(data):
     alg = ONE_PASS_ALGEBRAS[data.draw(st.sampled_from(sorted(ONE_PASS_ALGEBRAS)))]
     word = data.draw(route_words(alg.sig, 6 if alg.dim < 3 else 3))
     N = alg.dim
-    got, want = alg.word_matrix(word), chained_word_matrix(alg, word)
-    for i in range(N):
-        for j in range(N):
-            assert alg.to_json(got[i][j]) == alg.to_json(want[i][j])
+    want = chained_word_matrix(alg, word)
+    for j in range(N):
+        got = alg.column(word, j)
+        for i in range(N):
+            assert alg.to_json(got[i]) == alg.to_json(want[i][j])
             assert alg.to_json(alg.entry(word, i + 1, j + 1)) == \
                 alg.to_json(chained_entry(alg, word, i + 1, j + 1))
     assert alg.to_json(alg.trace(word)) == alg.to_json(chained_trace(alg, word))
 
 
 def counted_letter_matrices(alg, monkeypatch):
-    """Wrap alg._letter_matrix; each call is one new node of the suffix trie."""
+    """Wrap alg._letter_matrix; each call is one new node of a column's suffix trie."""
     calls = []
     letter_matrix = alg._letter_matrix
 
@@ -594,27 +595,51 @@ def test_word_matrix_shares_suffixes(monkeypatch, k):
     alg = RepAlgebra(SIG, 2)
     calls = counted_letter_matrices(alg, monkeypatch)
     power = w("p1") ** k
-    alg.word_matrix(power)
+    alg.column(power, 0)
     assert len(calls) == k  # one step per letter, right to left
     longer = w("q1") * power
-    got = alg.word_matrix(longer)
+    got = alg.column(longer, 0)
     assert calls[k:] == [(1, 1)]  # p1^k is a cached suffix: one new step
     want = chained_word_matrix(alg, longer)
-    assert [[alg.to_json(x) for x in row] for row in got] == \
-        [[alg.to_json(x) for x in row] for row in want]
+    assert [alg.to_json(x) for x in got] == [alg.to_json(row[0]) for row in want]
     for word in (power, longer, w("p1") ** (k // 2)):
-        assert alg.word_matrix(word) is alg.word_matrix(word)
+        assert alg.column(word, 0) is alg.column(word, 0)
     assert len(calls) == k + 1  # repeated words and suffixes make none
+    # the other column has a trie of its own
+    assert [alg.to_json(x) for x in alg.column(longer, 1)] == \
+        [alg.to_json(row[1]) for row in want]
+    assert len(calls) == 2 * (k + 1)
 
 
 def test_word_matrix_of_the_empty_word_is_the_identity(monkeypatch):
     for dim in (1, 2, 3):
         alg = RepAlgebra(SIG, dim)
         calls = counted_letter_matrices(alg, monkeypatch)
-        got = alg.word_matrix(Word.identity())
-        assert [[alg.to_json(x) for x in row] for row in got] == \
-            [[alg.to_json(alg.scalar(int(i == j))) for j in range(dim)] for i in range(dim)]
+        got = [alg.column(Word.identity(), j) for j in range(dim)]
+        assert [[alg.to_json(x) for x in col] for col in got] == \
+            [[alg.to_json(alg.scalar(int(i == j))) for i in range(dim)] for j in range(dim)]
         assert calls == []
+
+
+def test_generator_entry_bracket_builds_one_column_per_table_word(monkeypatch):
+    """{p1_11, q1_11} reads one entry of each word of the p1, q1 table, so a
+    word of n letters costs its column's n - 1 product steps, N products
+    each, and never the N^2 of a whole matrix."""
+    N = 12
+    alg = RepAlgebra(SIG, N)
+    calls = []
+    accumulate_products = RepAlgebra.accumulate_products
+
+    def counted(self, triples):
+        calls.append(1)
+        return accumulate_products(self, triples)
+
+    monkeypatch.setattr(RepAlgebra, "accumulate_products", counted)
+    alg.qp_bracket(alg.sym(0, 0, 0), alg.sym(1, 0, 0))
+    steps = sum(max(len(x) - 1, 0) for pair, _ in alg.dbl.base(0, 1).items() for x in pair)
+    assert steps > 0
+    # plus one sum in entry_pair_image and one in qp_bracket
+    assert len(calls) <= N * steps + 2
 
 
 def test_multi_word_entry_is_term_order_free():
@@ -669,7 +694,7 @@ def test_multi_word_sums_are_term_order_free(data):
 def test_lone_numerator_is_not_copied():
     # a denominator group of one numerator needs no sum, so accumulate hands
     # that Poly back as it is
-    P = ALG.word_matrix(w("p1*q1^-1*z1"))[0][1]
+    P = ALG.column(w("p1*q1^-1*z1"), 1)[0]
     assert ALG.accumulate([P]).num is P.num
     assert ALG.accumulate([P, ALG.zero()]).num is P.num
     assert ALG.accumulate([P, P]) == P.scale(2)

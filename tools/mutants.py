@@ -129,6 +129,9 @@ MUTANTS = (
     Mutant("qp_bracket reads the table transposed", "src/surfqp/repalgebra.py",
            "self.gen_bracket(a, b))", "self.gen_bracket(b, a))",
            ("tests/test_repalgebra.py::test_qp_bracket_matches_flat_bracket",)),
+    Mutant("a root child takes row j, not column j", "src/surfqp/repalgebra.py",
+           "tuple(row[j] for row in head)", "head[j]",
+           ("tests/test_repalgebra.py::test_word_matrix_shares_suffixes",)),
     Mutant("a - b adds b", "src/surfqp/repalgebra.py",
            "accumulate((self, -other))", "accumulate((self, other))",
            ("tests/test_repalgebra.py::test_sums_print_the_aligned_bytes",)),
