@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute
-from .foxpairing import Pairing, SurfaceFoxPairing
+from .foxpairing import Pairing
 from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
                     join, sample_word, trial_rng)
 
@@ -130,12 +130,6 @@ class SurfaceDoubleBracket:
         return Tensor2.collect(((join(w[:j], tail), join(head, w[j:])), c)
                                for i, row in corner_cuts(v, w, self._corners)
                                for head, tail in ((v[:i], v[i:]),) for j, c in row)
-
-
-def dbl_s_via_pairing(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> Tensor2:
-    """Oracle route: the pairing-to-bracket formula applied to eta^s."""
-    pairing = SurfaceFoxPairing(sig)
-    return dbl_from_pairing(pairing.skew, a, b)
 
 
 DoubleBracket = Callable[[ElemLike, ElemLike], Tensor2]

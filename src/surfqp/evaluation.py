@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -309,11 +310,13 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
                           extra_words: Iterable[tuple[Word, Word]] = (),
                           biv: Optional[FusionBivector] = None,
                           alg: Optional[RepAlgebra] = None) -> AksmReport:
-    """At `trials` random rational points, compare the two brackets on every
-    ordered generator-entry pair, plus entries of any supplied word pairs.
-    Per point the bracket matrix is evaluated once, and per function and
-    point its _contraction (D, h, g) and _covector (E, K, f); a pair is then
-    (h_a.g_b) E_a E_b against (K_a.f_b) D_a D_b, cross-multiplied in ints."""
+    """At `trials` seeded points, compare the two brackets on every ordered
+    generator-entry pair, plus entries of any supplied word pairs.  Entries
+    and differentials are built once; then, one point at a time, the bracket
+    matrix is evaluated once, each function's _contraction (D, h, g) and
+    _covector (E, K, f) once, and every pair compared, (h_a.g_b) E_a E_b
+    against (K_a.f_b) D_a D_b in ints.  The first mismatch ends the walk: its
+    witness is the first failing pair at the earliest failing point."""
     if trials < 1:
         raise ValueError(f"need at least one point to compare at, got trials={trials}")
     alg = alg if alg is not None else RepAlgebra(sig, dim)
@@ -323,26 +326,24 @@ def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: in
     for (wa, wb) in extra_words:
         coords.append((wa, 1, dim))
         coords.append((wb, dim, 1))
-    points = [sample_rep_point(trial_rng(seed, "aksm", k), sig, dim) for k in range(trials)]
     funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
-    covectors = [[_covector(biv, _fields(P, pt)) for pt in points] for P in funcs]
-    brackets = [(at, _bracket_columns(alg, at)) for at in map(_at, points)]
-    contractions = [[_contraction(dP, at, cols) for at, cols in brackets]
-                    for dP in map(alg.differential, funcs)]
-    pair_count = 0
-    for (wa, ia, ja), con_a, cov_a in zip(coords, contractions, covectors):
-        for (wb, ib, jb), con_b, cov_b in zip(coords, contractions, covectors):
-            pair_count += 1
-            for k, pt in enumerate(points):
-                (da, h, _), (db, _, g) = con_a[k], con_b[k]
-                (ea, K, _), (eb, _, f) = cov_a[k], cov_b[k]
-                if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
-                    return AksmReport(False, k + 1, pair_count, seed, witness={
-                        "point_index": k,
-                        "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
-                        "left": [format_word(wa, sig), ia, ja],
-                        "right": [format_word(wb, sig), ib, jb],
-                        "bracket_value": str(_pair(con_a[k], con_b[k])),
-                        "bivector_value": str(_pair(cov_a[k], cov_b[k])),
-                    })
-    return AksmReport(True, trials, pair_count, seed)
+    diffs = list(map(alg.differential, funcs))
+    for k in range(trials):
+        pt = sample_rep_point(trial_rng(seed, "aksm", k), sig, dim)
+        at = _at(pt)
+        cols = _bracket_columns(alg, at)
+        sides = [(c, _contraction(dP, at, cols), _covector(biv, _fields(P, pt)))
+                 for c, P, dP in zip(coords, funcs, diffs)]
+        for n, ((a, con_a, cov_a), (b, con_b, cov_b)) in enumerate(product(sides, repeat=2), 1):
+            (da, h, _), (db, _, g) = con_a, con_b
+            (ea, K, _), (eb, _, f) = cov_a, cov_b
+            if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
+                return AksmReport(False, k + 1, n, seed, witness={
+                    "point_index": k,
+                    "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
+                    "left": [format_word(a[0], sig), *a[1:]],
+                    "right": [format_word(b[0], sig), *b[1:]],
+                    "bracket_value": str(_pair(con_a, con_b)),
+                    "bivector_value": str(_pair(cov_a, cov_b)),
+                })
+    return AksmReport(True, trials, len(coords) ** 2, seed)

@@ -317,7 +317,14 @@ class RepAlgebra:
             for v, c in (((u, i, s), w[s][j]), ((u, s, j), -w[i][s])) if c
             for pair in Poly.var(v).scale(c).items()), self.zero_den)
 
+    def _square(self, m: Sequence[Sequence]) -> None:
+        """Refuse a matrix that is not N x N, which would be read in part."""
+        N = self.dim
+        if len(m) != N or any(len(row) != N for row in m):
+            raise ValueError(f"need an N x N matrix, N = {N}")
+
     def gl_action(self, w: LieMatrix, P: RepElem) -> RepElem:
+        self._square(w)
         return self.accumulate_products((1, d, self.lie_value(w, var))
                                         for var, d in self.differential(P))
 
@@ -330,6 +337,7 @@ class RepAlgebra:
     def group_action(self, g: Matrix, P: RepElem) -> RepElem:
         """Conjugation automorphism: substitutes g^-1 x^u g for each x^u.
         Determinants are fixed, so the denominator rides along."""
+        self._square(g)
         ginv = mat_inv(g)  # raises on singular g
         N = self.dim
         images = {(u, i, j): Poly.collect(

@@ -67,9 +67,6 @@ class SurfaceSignature:
             raise IndexError(f"generator index {index} out of range")
         return self.names[index]
 
-    def gen_names(self) -> list[str]:
-        return list(self.names)
-
     def gen_index(self, name: str) -> int:
         m = re.fullmatch(r"([pqz])([1-9][0-9]*)", name)
         if m is None:
@@ -209,9 +206,6 @@ class CyclicWord:
 
     def representative(self) -> Word:
         return self._word
-
-    def is_identity(self) -> bool:
-        return not self._word
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclicWord) and self._word == other._word

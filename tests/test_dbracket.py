@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from surfqp.algebra import AlgElem, Tensor2, Tensor3, as_elem, m3, permute, tensor2, tensor3
 from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_inner,
-                             dbl_from_pairing, dbl_s_via_pairing, goldman,
+                             dbl_from_pairing, goldman,
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
                              moment_rhs, project_cyclic, triple, triple_e)
 from surfqp.foxpairing import SurfaceFoxPairing, rho_1
@@ -80,7 +80,7 @@ def test_cross_oracle_random():
     rng = random.Random(1)
     for _ in range(150):
         a, b = sample_word(rng, SIG, 4), sample_word(rng, SIG, 4)
-        assert DBL(a, b) == dbl_s_via_pairing(SIG, a, b)
+        assert DBL(a, b) == dbl_from_pairing(SurfaceFoxPairing(SIG).skew, a, b)
 
 
 @st.composite

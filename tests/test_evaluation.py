@@ -582,6 +582,31 @@ def test_compare_constructions_differentiates_once_and_evaluates_one_bracket_mat
     assert len(matrices) == 2
 
 
+def test_compare_constructions_walks_one_point_at_a_time(monkeypatch):
+    # a point's bracket matrix and every function's fields there are all
+    # computed before the next point is touched
+    calls = []
+    columns, fields = evaluation._bracket_columns, evaluation._fields
+
+    def counted_columns(alg, at):
+        calls.append(("columns", at[2]))
+        return columns(alg, at)
+
+    def counted_fields(P, pt):
+        calls.append(("fields", pt.matrices))
+        return fields(P, pt)
+
+    monkeypatch.setattr(evaluation, "_bracket_columns", counted_columns)
+    monkeypatch.setattr(evaluation, "_fields", counted_fields)
+    rep = compare_constructions(SIG, 2, 3, 7)
+    assert rep.ok, rep.witness
+    size = 1 + SIG.rank * 2 * 2
+    points = [sample_rep_point(trial_rng(7, "aksm", k), SIG, 2).matrices for k in range(3)]
+    assert len(calls) == 3 * size
+    assert [sorted(calls[k * size:(k + 1) * size]) for k in range(3)] == \
+        [[("columns", m)] + [("fields", m)] * (size - 1) for m in points]
+
+
 def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
     from surfqp import suites
     calls = []
@@ -711,3 +736,23 @@ def test_fusion_coupling_search_passes_a_degenerate_point():
     report = aksm_suite(SurfaceSignature(1, 1), 2, 1, 64000, extra_word_pairs=0)
     check = next(c for c in report.checks if c.name == "fusion-coupling-required")
     assert check.ok
+
+
+def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
+    # one bracket matrix for the pointwise check at point 0, then one call
+    # that walks point 0 (degenerate) and stops at point 1 (the witness)
+    from surfqp.suites import aksm_suite
+    seen = []
+    columns = evaluation._bracket_columns
+
+    def counted(alg, at):
+        seen.append(at[2])
+        return columns(alg, at)
+
+    monkeypatch.setattr(evaluation, "_bracket_columns", counted)
+    sig = SurfaceSignature(1, 1)
+    report = aksm_suite(sig, 2, 1, 64000)
+    assert report.ok
+    first, second = (sample_rep_point(trial_rng(64000, "aksm", k), sig, 2).matrices
+                     for k in range(2))
+    assert seen == [first, first, second]

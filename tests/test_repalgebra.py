@@ -366,6 +366,18 @@ def test_group_action_rejects_singular():
         ALG.group_action(mat([[1, 1], [1, 1]]), ALG.sym(0, 0, 0))
 
 
+@pytest.mark.parametrize("act,m", [
+    ("group_action", [[1, 0, 0], [0, 2, 0], [0, 0, 5]]),
+    ("gl_action", [[1, 0, 0], [0, 0, 0], [0, 0, 7]]),
+    ("group_action", [[2]]),
+], ids=["group-3x3", "gl-3x3", "group-1x1"])
+def test_actions_reject_a_matrix_that_is_not_n_by_n(act, m):
+    # a larger matrix would be read by its top-left block, a smaller one
+    # indexed past its end
+    with pytest.raises(ValueError, match="N = 2"):
+        getattr(ALG, act)(mat(m) if act == "group_action" else m, ALG.sym(0, 0, 0))
+
+
 def test_group_equivariance_of_bracket():
     rng = random.Random(9)
     for _ in range(20):

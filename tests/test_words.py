@@ -22,7 +22,7 @@ def w(text, sig=SIG):
 
 def test_signature_alphabet_order():
     sig = SurfaceSignature(2, 1)
-    assert sig.gen_names() == ["p1", "q1", "p2", "q2", "z1"]
+    assert list(sig.names) == ["p1", "q1", "p2", "q2", "z1"]
     assert sig.rank == 5
     assert sig.gen_index("q2") == 3
     with pytest.raises(KeyError):

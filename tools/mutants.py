@@ -78,6 +78,9 @@ MUTANTS = (
     Mutant("untransposed adjugate in the gradient", "src/surfqp/evaluation.py",
            "grad[u][i][j] -= term * adj[j][i]", "grad[u][i][j] -= term * adj[i][j]",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
+    Mutant("the walk checks only the first point", "src/surfqp/evaluation.py",
+           "range(trials)", "range(1)",
+           (f"{EVAL}::test_fusion_coupling_search_passes_a_degenerate_point",)),
     # the symbolic leg of the aksm suite
     Mutant("table bracket's arguments swapped", "src/surfqp/suites.py",
            "alg.gen_bracket((u, i, j), (v, k, l))",
