@@ -7,7 +7,7 @@ from .dbracket import (CyclicAlgElem, SurfaceDoubleBracket, angle, dbl_from_inne
                        dbl_from_pairing, goldman, is_quasi_poisson, moment_neg_power_rhs,
                        moment_power_rhs, moment_rhs, project_cyclic, triple, triple_e)
 from .evaluation import (FusionBivector, RepPoint, bivector_bracket, build_fusion_bivector,
-                         compare_constructions, evaluate, sample_rep_point)
+                         compare_bivectors, compare_constructions, evaluate, sample_rep_point)
 from .foxpairing import SurfaceFoxPairing, eta, eta_base, eta_s, inner_pairing, rho_1, transpose_apply
 from .repalgebra import RepAlgebra, RepElem
 from .words import (CyclicWord, SurfaceSignature, Word, WordParseError, boundary_word,
@@ -19,7 +19,7 @@ __all__ = [
     "AlgElem", "CyclicAlgElem", "CyclicWord", "FusionBivector", "RepAlgebra", "RepElem",
     "RepPoint", "SurfaceDoubleBracket", "SurfaceFoxPairing", "SurfaceSignature",
     "Tensor2", "Tensor3", "Word", "WordParseError", "angle", "bivector_bracket",
-    "boundary_word", "build_fusion_bivector", "compare_constructions",
+    "boundary_word", "build_fusion_bivector", "compare_bivectors", "compare_constructions",
     "conjugacy_class", "dbl_from_inner", "dbl_from_pairing", "eta", "eta_base", "eta_s",
     "evaluate", "format_cyclic", "format_word", "goldman", "inner_act", "inner_pairing",
     "is_quasi_poisson", "m2", "m3", "moment_neg_power_rhs", "moment_power_rhs",

@@ -17,13 +17,13 @@ taking f_sr, summed over all r, s (the contraction of dual bases of the
 matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 
 Each function's fields are computed once per point, from one gradient, as
-integer matrices over one common denominator, and folded through the
-bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
-derivation rule's side evaluates the generator-entry brackets once per
-point, from the double-bracket table's words multiplied out there, and
-contracts each function's partials with them once.  On either side a
-bracket of two functions at a point is then one integer dot product over
-two denominators, and the two sides are compared cross-multiplied.
+integer matrices over one common denominator (a zero gradient block gives
+zero fields, with no product), and folded through each bivector's wedge
+terms into one integer vector (tr(AB) = <A^T, B>).  The derivation rule's
+side, shared by every bivector checked at a point, evaluates the
+generator-entry brackets there once, from the table's words multiplied out,
+and contracts each function's partials with them once.  Each side of a
+bracket is one integer dot product over two denominators, cross-multiplied.
 Sampled points keep integer entries, so brackets and gradients are
 evaluated in ints; points from lists or files may hold any rationals.
 
@@ -159,6 +159,9 @@ def _fields(P: RepElem, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Mat
     den, grads = _gradient(P, pt)
     raw = {}
     for u, G in enumerate(grads):
+        if not any(map(any, G)):  # a zero block has zero fields
+            raw[u, L] = raw[u, R] = raw[u, CONJ] = G
+            continue
         mt = tuple(zip(*pt.matrices[u]))
         left = mat_mul(mt, G)
         right = tuple(tuple(-v for v in row) for row in mat_mul(G, mt))
@@ -240,8 +243,9 @@ def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list,
     for t in biv.terms:
         v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
         for dst, src, c in ((at[w], fp[v], t.coeff), (at[v], fp[w], -t.coeff)):
-            for n, x in enumerate((e for col in zip(*src) for e in col), dst):
-                K[n] += c * x
+            if any(map(any, src)):
+                for n, x in enumerate((e for col in zip(*src) for e in col), dst):
+                    K[n] += c * x
     return D, K, [x for key in keys for row in fp[key] for x in row]
 
 
@@ -306,44 +310,58 @@ class AksmReport:
         return out
 
 
+def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
+                      plans: Sequence[tuple[FusionBivector, int]],
+                      extra_words: Iterable[tuple[Word, Word]] = (),
+                      alg: Optional[RepAlgebra] = None) -> list[AksmReport]:
+    """compare_constructions for each plan (biv, points), in one walk: the
+    entries and differentials once; at point k, the bracket matrix and each
+    function's _contraction (D, h, g) and _fields once; then each plan still
+    live (no mismatch yet, k < points) folds them into its _covector (E, K, f)
+    and compares every pair, (h_a.g_b) E_a E_b to (K_a.f_b) D_a D_b in ints."""
+    if (low := min((trials for _, trials in plans), default=1)) < 1:
+        raise ValueError(f"need at least one point to compare at, got trials={low}")
+    alg = alg if alg is not None else RepAlgebra(sig, dim)
+    coords = [(Word.generator(u), i, j)
+              for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
+    coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]
+    funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
+    diffs = list(map(alg.differential, funcs))
+    reports = [AksmReport(True, trials, len(coords) ** 2, seed) for _, trials in plans]
+    for k in range(max((trials for _, trials in plans), default=0)):
+        if not (live := [p for p, (_, t) in enumerate(plans) if reports[p].ok and k < t]):
+            break
+        pt = sample_rep_point(trial_rng(seed, "aksm", k), sig, dim)
+        at = _at(pt)
+        cols = _bracket_columns(alg, at)
+        sides = [(c, _contraction(dP, at, cols), _fields(P, pt))
+                 for c, P, dP in zip(coords, funcs, diffs)]
+        for p in live:
+            covs = [(c, con, _covector(plans[p][0], fp)) for c, con, fp in sides]
+            for n, ((a, con_a, cov_a), (b, con_b, cov_b)) in enumerate(product(covs, repeat=2), 1):
+                (da, h, _), (db, _, g) = con_a, con_b
+                (ea, K, _), (eb, _, f) = cov_a, cov_b
+                if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
+                    reports[p] = AksmReport(False, k + 1, n, seed, witness={
+                        "point_index": k,
+                        "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
+                        "left": [format_word(a[0], sig), *a[1:]],
+                        "right": [format_word(b[0], sig), *b[1:]],
+                        "bracket_value": str(_pair(con_a, con_b)),
+                        "bivector_value": str(_pair(cov_a, cov_b)),
+                    })
+                    break
+    return reports
+
+
 def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: int,
                           extra_words: Iterable[tuple[Word, Word]] = (),
                           biv: Optional[FusionBivector] = None,
                           alg: Optional[RepAlgebra] = None) -> AksmReport:
     """At `trials` seeded points, compare the two brackets on every ordered
-    generator-entry pair, plus entries of any supplied word pairs.  Entries
-    and differentials are built once; then, one point at a time, the bracket
-    matrix is evaluated once, each function's _contraction (D, h, g) and
-    _covector (E, K, f) once, and every pair compared, (h_a.g_b) E_a E_b
-    against (K_a.f_b) D_a D_b in ints.  The first mismatch ends the walk: its
-    witness is the first failing pair at the earliest failing point."""
-    if trials < 1:
-        raise ValueError(f"need at least one point to compare at, got trials={trials}")
-    alg = alg if alg is not None else RepAlgebra(sig, dim)
+    generator-entry pair, plus entries of any supplied word pairs, one point
+    at a time: compare_bivectors with the one plan (biv, trials).  The first
+    mismatch ends the walk: its witness is the first failing pair at the
+    earliest failing point."""
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
-    coords = [(Word.generator(u), i, j)
-              for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
-    for (wa, wb) in extra_words:
-        coords.append((wa, 1, dim))
-        coords.append((wb, dim, 1))
-    funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
-    diffs = list(map(alg.differential, funcs))
-    for k in range(trials):
-        pt = sample_rep_point(trial_rng(seed, "aksm", k), sig, dim)
-        at = _at(pt)
-        cols = _bracket_columns(alg, at)
-        sides = [(c, _contraction(dP, at, cols), _covector(biv, _fields(P, pt)))
-                 for c, P, dP in zip(coords, funcs, diffs)]
-        for n, ((a, con_a, cov_a), (b, con_b, cov_b)) in enumerate(product(sides, repeat=2), 1):
-            (da, h, _), (db, _, g) = con_a, con_b
-            (ea, K, _), (eb, _, f) = cov_a, cov_b
-            if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
-                return AksmReport(False, k + 1, n, seed, witness={
-                    "point_index": k,
-                    "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
-                    "left": [format_word(a[0], sig), *a[1:]],
-                    "right": [format_word(b[0], sig), *b[1:]],
-                    "bracket_value": str(_pair(con_a, con_b)),
-                    "bivector_value": str(_pair(cov_a, cov_b)),
-                })
-    return AksmReport(True, trials, len(coords) ** 2, seed)
+    return compare_bivectors(sig, dim, seed, [(biv, trials)], extra_words, alg)[0]

@@ -329,9 +329,11 @@ class RepAlgebra:
                                         for var, d in self.differential(P))
 
     def elem_action(self, k: int, l: int, P: RepElem) -> RepElem:
-        """Action of the elementary matrix with a single 1 at (k, l)."""
-        w = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        w[k][l] = Fraction(1)
+        """Action of the elementary matrix with a single 1 at (k, l), zero-based."""
+        N = self.dim
+        if not (0 <= k < N and 0 <= l < N):
+            raise IndexError(f"elementary matrix index out of range for dim {N}: ({k}, {l})")
+        w = [[Fraction(int((i, j) == (k, l))) for j in range(N)] for i in range(N)]
         return self.gl_action(w, P)
 
     def group_action(self, g: Matrix, P: RepElem) -> RepElem:

@@ -16,8 +16,7 @@ from .algebra import AlgElem, Tensor2, m3, permute, tensor2
 from .dbracket import (CyclicAlgElem, SurfaceDoubleBracket, angle, dbl_from_inner,
                        dbl_from_pairing, goldman, is_quasi_poisson, moment_neg_power_rhs,
                        moment_power_rhs, moment_rhs, project_cyclic, triple)
-from .evaluation import (build_fusion_bivector, compare_constructions, fields_sym,
-                         wedge_sym)
+from .evaluation import build_fusion_bivector, compare_bivectors, fields_sym, wedge_sym
 from .foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
 from .matrices import mat, mat_det
 from .repalgebra import RepAlgebra
@@ -499,7 +498,15 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
              for _ in range(extra_word_pairs)]
     alg = RepAlgebra(sig, dim)
     biv = build_fusion_bivector(sig, dim)
-    rep = compare_constructions(sig, dim, trials, seed, extra_words=extra, biv=biv, alg=alg)
+    plans = [(biv, trials)]
+    # at N = 1 the conjugation field C = L + R is zero, and with it every
+    # fusion term, so dropping them cannot change the bracket: no witness
+    if sig.genus + sig.punctures >= 2 and dim >= 2:
+        # the fusion terms vanish at degenerate points (z1 = -I), so the search
+        # walks on to later points until one gives a witness
+        nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
+        plans.append((nofuse, FUSION_WITNESS_POINTS))
+    rep, *fusion = compare_bivectors(sig, dim, seed, plans, extra_words=extra, alg=alg)
     checks.append(Check("pointwise-agreement", rep.ok, rep.to_dict()))
 
     if (sig.genus, sig.punctures) in ((1, 0), (0, 1)):
@@ -510,14 +517,7 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
                      != wedge_sym(alg, biv, on[u, i, j], on[v, k, l]))
         checks.append(Check("symbolic-agreement", not bad, {"failed": bad[:3]}))
 
-    n_factors = sig.genus + sig.punctures
-    # at N = 1 the conjugation field C = L + R is zero, and with it every
-    # fusion term, so dropping them cannot change the bracket: no witness
-    if n_factors >= 2 and dim >= 2:
-        # the fusion terms vanish at degenerate points (z1 = -I), so the search
-        # walks on to later points until one gives a witness
-        nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
-        rep = compare_constructions(sig, dim, FUSION_WITNESS_POINTS, seed, biv=nofuse, alg=alg)
+    for rep in fusion:
         checks.append(Check("fusion-coupling-required", not rep.ok,
                             {"mismatch_found": not rep.ok}))
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from surfqp import evaluation
 from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _fields,
                                _sides, bivector_bracket, build_fusion_bivector,
-                               compare_constructions, evaluate, fields_sym, sample_rep_point,
-                               wedge_sym)
+                               compare_bivectors, compare_constructions, evaluate, fields_sym,
+                               sample_rep_point, wedge_sym)
 from surfqp.matrices import identity, mat, mat_adjugate, mat_det, mat_inv, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
@@ -739,8 +739,8 @@ def test_fusion_coupling_search_passes_a_degenerate_point():
 
 
 def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
-    # one bracket matrix for the pointwise check at point 0, then one call
-    # that walks point 0 (degenerate) and stops at point 1 (the witness)
+    # one walk for both checks: point 0 serves the pointwise check and the
+    # search (degenerate there), and the search stops at point 1 (the witness)
     from surfqp.suites import aksm_suite
     seen = []
     columns = evaluation._bracket_columns
@@ -755,4 +755,95 @@ def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
     assert report.ok
     first, second = (sample_rep_point(trial_rng(64000, "aksm", k), sig, 2).matrices
                      for k in range(2))
-    assert seen == [first, first, second]
+    assert seen == [first, second]
+
+
+def test_aksm_cell_builds_one_derivation_side(monkeypatch):
+    # the pointwise check and the fusion-coupling search share point 0:
+    # one differential and one set of fields per generator entry, and one
+    # bracket matrix, where two separate walks would build each twice
+    from surfqp.suites import aksm_suite
+    calls = {"differential": 0, "fields": 0, "columns": 0}
+    differential, fields, columns = (RepAlgebra.differential, evaluation._fields,
+                                     evaluation._bracket_columns)
+
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+        return inner
+
+    monkeypatch.setattr(RepAlgebra, "differential", counted("differential", differential))
+    monkeypatch.setattr(evaluation, "_fields", counted("fields", fields))
+    monkeypatch.setattr(evaluation, "_bracket_columns", counted("columns", columns))
+    report = aksm_suite(SurfaceSignature(1, 1), 2, 1, 7, extra_word_pairs=0)
+    assert report.ok and [c.name for c in report.checks] == ["pointwise-agreement",
+                                                             "fusion-coupling-required"]
+    assert calls == {"differential": 12, "fields": 12, "columns": 1}
+
+
+# seed 64000's point 0 is degenerate (z1 = -I), so the search fails at point 1
+@pytest.mark.parametrize("seed_", [7, 64000])
+def test_two_plan_walk_is_two_one_plan_walks(seed_):
+    extra = [(w("p1*q1^-1"), w("z1^-1*p1"))]
+    fused, nofuse = (build_fusion_bivector(SIG, 2, with_fusion_terms=f) for f in (True, False))
+    for plans in ([(fused, 3), (nofuse, 3)], [(nofuse, 2), (fused, 1)], [(nofuse, 3)] * 2):
+        got = compare_bivectors(SIG, 2, seed_, plans, extra_words=extra)
+        want = [compare_constructions(SIG, 2, trials, seed_, extra_words=extra, biv=biv)
+                for biv, trials in plans]
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in got] == \
+            [json.dumps(r.to_dict(), sort_keys=True) for r in want]
+        assert any(not r.ok and r.witness for r in got)
+    assert compare_bivectors(SIG, 2, seed_, []) == []
+    with pytest.raises(ValueError, match="got trials=0"):
+        compare_bivectors(SIG, 2, seed_, [(fused, 2), (nofuse, 0)])
+
+
+def dense_fields(P, pt):
+    """_fields without the zero-block shortcut: m^T G, -G m^T and their sum
+    on every slot, as lists of rows."""
+    den, grads = evaluation._gradient(P, pt)
+    out = {}
+    for u, G in enumerate(grads):
+        mt = tuple(zip(*pt.matrices[u]))
+        left = [list(row) for row in mat_mul(mt, G)]
+        right = [[-v for v in row] for row in mat_mul(G, mt)]
+        out[u, L], out[u, R] = left, right
+        out[u, CONJ] = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]
+    return den, out
+
+
+def test_fields_are_the_dense_formula_on_every_slot():
+    # generator entries (one nonzero slot), word entries (several), an entry
+    # over a determinant, and a constant (none)
+    funcs = [ALG.sym(u, i, j) for u in range(SIG.rank) for i in range(2) for j in range(2)]
+    funcs += [ALG.entry(w(text), i, j) for text in ("p1*q1^-1", "z1^-1*p1*q1")
+              for i, j in ((1, 1), (2, 1))]
+    funcs += [ALG.sym(0, 1, 0) * ALG.det_inverse(2), ALG.sym(1, 0, 1) * ALG.det_inverse(1),
+              ALG.entry(Word.identity(), 1, 1)]
+    rng = random.Random(23)
+    for pt in [point(rng) for _ in range(3)] + [RepPoint.from_lists(RATIONAL_MATRICES)]:
+        for P in funcs:
+            D, fields = _fields(P, pt)
+            want_D, want = dense_fields(P, pt)
+            assert D == want_D and fields.keys() == want.keys()
+            assert {key: [list(row) for row in m] for key, m in fields.items()} == want
+
+
+def test_generator_entry_fields_multiply_one_block(monkeypatch):
+    # a generator entry's gradient is nonzero in one slot, so its fields
+    # take two products there and none on the other slots
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(evaluation, "mat_mul", counted)
+    for u in range(SIG.rank):
+        calls.clear()
+        _fields(ALG.sym(u, 1, 0), point())
+        assert len(calls) == 2
+    calls.clear()
+    _fields(ALG.entry(Word.identity(), 1, 1), point())
+    assert calls == []

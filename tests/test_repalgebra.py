@@ -325,6 +325,16 @@ def test_elementary_action_formula():
                     assert ALG.elem_action(k, l, ALG.sym(0, i, j)) == want
 
 
+def test_elementary_action_checks_its_indices():
+    # a negative index must not wrap to the last row, and one past the end
+    # names the range, as sym does
+    P = ALG.sym(0, 1, 0)
+    for k, l in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError,
+                           match=re.escape(f"out of range for dim 2: ({k}, {l})")):
+            ALG.elem_action(k, l, P)
+
+
 def test_lie_action_kills_traces_and_determinants():
     rng = random.Random(6)
     for _ in range(15):

@@ -79,7 +79,13 @@ MUTANTS = (
            "grad[u][i][j] -= term * adj[j][i]", "grad[u][i][j] -= term * adj[i][j]",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     Mutant("the walk checks only the first point", "src/surfqp/evaluation.py",
-           "range(trials)", "range(1)",
+           "reports[p].ok and k < t]", "reports[p].ok and k < 1]",
+           (f"{EVAL}::test_fusion_coupling_search_passes_a_degenerate_point",)),
+    Mutant("zero-block test reads one row of G", "src/surfqp/evaluation.py",
+           "if not any(map(any, G)):", "if not any(G[0]):",
+           (f"{EVAL}::test_fields_are_the_dense_formula_on_every_slot",)),
+    Mutant("fusion search runs with the fused bivector", "src/surfqp/suites.py",
+           "nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)", "nofuse = biv",
            (f"{EVAL}::test_fusion_coupling_search_passes_a_degenerate_point",)),
     # the symbolic leg of the aksm suite
     Mutant("table bracket's arguments swapped", "src/surfqp/suites.py",
