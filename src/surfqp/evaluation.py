@@ -27,8 +27,8 @@ bracket is one integer dot product over two denominators, cross-multiplied.
 Sampled points keep integer entries, so brackets and gradients are
 evaluated in ints; points from lists or files may hold any rationals.
 
-The symbolic leg, fields_sym and wedge_sym, builds the same (slot, side)
-matrices of polynomials from the algebra's partials, never from the gradient.
+The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keyed
+(r, s) per (slot, side), from the algebra's partials, never from the gradient.
 """
 
 from __future__ import annotations
@@ -262,33 +262,31 @@ def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
     return _pair(_covector(biv, _fields(P, pt)), _covector(biv, _fields(Q, pt)))
 
 
-def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], list]:
-    """_fields applied symbolically: fields_sym(...)[slot, side][r][s] is the
-    field along f_rs on P, over _sides(biv), each entry one product sum over
-    the partials of one differential, (1, dP/dx_is, x_ir) for L and
-    (-1, dP/dx_rj, x_sj) for R, both for C."""
-    N, dP = alg.dim, alg.differential(P)
-
-    def entry(slot: int, side: str, r: int, s: int) -> RepElem:
-        return alg.accumulate_products(
-            (c, d, alg.sym(*x)) for (u, i, j), d in dP if u == slot
-            for c, x, on in ((1, (u, i, r), side != R and j == s),
-                             (-1, (u, s, j), side != L and i == r)) if on)
-
-    return {(slot, side): [[entry(slot, side, r, s) for s in range(N)] for r in range(N)]
-            for slot, side in _sides(biv)}
+def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], dict]:
+    """_fields applied symbolically, nonzero fields only: [slot, side][r, s]
+    is the field along f_rs on P, over _sides(biv), one product sum from one
+    walk over one differential: d = dP/dx_ij adds (1, d, x_ir) to L at (r, j)
+    and (-1, d, x_sj) to R at (i, s) for every r and s, and C takes both."""
+    N, sums = range(alg.dim), {key: {} for key in _sides(biv)}
+    for (u, i, j), d in alg.differential(P):
+        for side, c, at, x in ([(L, 1, (t, j), (u, i, t)) for t in N]
+                               + [(R, -1, (i, t), (u, t, j)) for t in N]):
+            term = (c, d, alg.sym(*x))
+            for key in sums.keys() & {(u, side), (u, CONJ)}:
+                sums[key].setdefault(at, []).append(term)
+    return {key: {at: f for at, t in entries.items()
+                  if not (f := alg.accumulate_products(t)).is_zero()}
+            for key, entries in sums.items()}
 
 
 def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict, on_q: dict) -> RepElem:
-    """The bivector contracted with two functions' fields_sym, for outright
-    polynomial equality with the quasi-Poisson bracket."""
-    N, triples = range(alg.dim), []
+    """The bivector on two functions' fields_sym, for outright polynomial equality
+    with the quasi-Poisson bracket: one's nonzero V(f_rs) by the other's W(f_sr)."""
+    triples = []
     for t in biv.terms:
         v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
-        triples += [(c, a, b) for r in N for s in N
-                    for c, a, b in ((t.coeff, on_p[v][r][s], on_q[w][s][r]),
-                                    (-t.coeff, on_q[v][r][s], on_p[w][s][r]))
-                    if not (a.is_zero() or b.is_zero())]
+        for c, a, b in ((t.coeff, on_p[v], on_q[w]), (-t.coeff, on_q[v], on_p[w])):
+            triples += [(c, x, y) for (r, s), x in a.items() if (y := b.get((s, r))) is not None]
     return alg.accumulate_products(triples)
 
 

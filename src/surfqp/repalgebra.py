@@ -174,6 +174,8 @@ class RepAlgebra:
 
     def _letter_matrix(self, u: int, e: int) -> tuple[tuple[RepElem, ...], ...]:
         """x^u, or for e < 0 its adjugate over det(x^u)."""
+        if u >= self.sig.rank:
+            raise IndexError(f"generator index {u} out of range for rank {self.sig.rank}")
         polys, den = ((self._sym_matrix(u), self.zero_den) if e > 0 else
                       (self.adj_poly(u), self.det_inverse(u).den))
         return tuple(tuple(RepElem(self, p, den) for p in row) for row in polys)

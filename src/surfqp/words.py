@@ -135,7 +135,9 @@ class Word(str):
 
     @staticmethod
     def generator(index: int, exp: int = 1) -> "Word":
-        return Word(((index, exp),), _reduced=True)
+        if exp not in (1, -1):
+            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
+        return _word(chr(2 * index + (exp < 0)))
 
     def is_identity(self) -> bool:
         return not self

@@ -144,15 +144,17 @@ def ref_field_apply_sym(alg, f, P):
 
 
 def ref_wedge_sym(alg, biv, on_p, on_q):
-    """The wedge sum over fields keyed (slot, side, r, s), one product at a time."""
-    N = alg.dim
+    """The wedge sum over fields keyed (slot, side, r, s), an absent one zero,
+    one product at a time."""
+    N, zero = alg.dim, alg.zero()
     parts = []
     for term in biv.terms:
         for r in range(N):
             for s in range(N):
                 v = (term.v_slot, term.v_side, r, s)
                 w = (term.w_slot, term.w_side, s, r)
-                for a, b, c in ((on_p[v], on_q[w], term.coeff), (on_q[v], on_p[w], -term.coeff)):
+                for a, b, c in ((on_p.get(v, zero), on_q.get(w, zero), term.coeff),
+                                (on_q.get(v, zero), on_p.get(w, zero), -term.coeff)):
                     if not (a.is_zero() or b.is_zero()):
                         parts.append(ref_prod(a, b, c))
     return ref_accumulate(alg, parts)
@@ -252,13 +254,19 @@ def test_symbolic_fields_print_the_reference_bytes(genus, punctures, dim, texts)
     alg, biv = RepAlgebra(sig, dim), build_fusion_bivector(sig, dim)
     P, Q = (alg.entry(parse_word(text, sig), 1, dim) for text in texts)
     on_p, on_q = fields_sym(alg, biv, P), fields_sym(alg, biv, Q)
-    assert list(on_p) == _sides(biv)
-    flat_p, flat_q = ({(*key, r, s): x for key, m in on.items()
-                       for r, row in enumerate(m) for s, x in enumerate(row)}
+    assert list(on_p) == list(on_q) == _sides(biv)
+    flat_p, flat_q = ({(*key, r, s): x for key, m in on.items() for (r, s), x in m.items()}
                       for on in (on_p, on_q))
-    assert len(flat_p) == len(_sides(biv)) * dim * dim
-    for f, value in flat_p.items():
-        assert alg.to_json(value) == alg.to_json(ref_field_apply_sym(alg, f, P))
+    every = {(*key, r, s) for key in _sides(biv) for r in range(dim) for s in range(dim)}
+    assert set(flat_p) <= every and set(flat_q) <= every
+    # a field is absent exactly when the reference field is zero, and a
+    # present one is nonzero with the reference bytes
+    for flat, F in ((flat_p, P), (flat_q, Q)):
+        for f in sorted(every):
+            want = ref_field_apply_sym(alg, f, F)
+            assert (f in flat) != want.is_zero(), f
+            if f in flat:
+                assert not flat[f].is_zero() and alg.to_json(flat[f]) == alg.to_json(want)
     assert alg.to_json(wedge_sym(alg, biv, on_p, on_q)) == \
         alg.to_json(ref_wedge_sym(alg, biv, flat_p, flat_q))
 
@@ -291,4 +299,29 @@ def test_fields_sym_differentiates_once(monkeypatch):
     on = fields_sym(alg, biv, alg.entry(Word([(0, 1), (2, -1)]), 1, 2))
     assert len(calls) == 1
     assert list(on) == _sides(biv)
-    assert all(len(m) == 2 and all(len(row) == 2 for row in m) for m in on.values())
+    assert all(set(m) <= {(0, 0), (0, 1), (1, 0), (1, 1)} for m in on.values())
+    assert all(not x.is_zero() for m in on.values() for x in m.values())
+    # p1 * z1^-1 leaves q1 (slot 1) fixed: its fields are all absent
+    assert all(on[1, side] == {} for side in (L, R, CONJ)) and on[0, L] and on[2, R]
+
+
+def test_sparse_symbolic_leg_tests_no_zero(monkeypatch):
+    # fields_sym stores no zero field, so wedge_sym pairs only nonzero ones and
+    # makes no is_zero call
+    sig = SurfaceSignature(1, 1)
+    for dim in (1, 2):
+        alg, biv = RepAlgebra(sig, dim), build_fusion_bivector(sig, dim)
+        syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
+        gens = [alg.sym(*a) for a in syms]
+        on = [fields_sym(alg, biv, P) for P in gens]
+        # a generator entry x^u_ij has N fields in L, N in R and 2N - 1 in C,
+        # all at slot u, but C = x_ii - x_jj at (i, j) cancels on the diagonal
+        assert [sum(map(len, f.values())) for f in on] == [4 * dim - 1 - (i == j)
+                                                           for _, i, j in syms]
+        assert all(not x.is_zero() for f in on for m in f.values() for x in m.values())
+        want = [alg.qp_bracket(P, Q) for P in gens for Q in gens]
+        calls, is_zero = [], RepElem.is_zero
+        with monkeypatch.context() as patch:
+            patch.setattr(RepElem, "is_zero", lambda self: calls.append(self) or is_zero(self))
+            got = [wedge_sym(alg, biv, a, b) for a in on for b in on]
+        assert calls == [] and got == want

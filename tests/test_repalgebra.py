@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import surfqp.poly as poly
 from surfqp.algebra import AlgElem, Tensor2
 from surfqp.dbracket import SurfaceDoubleBracket, angle, goldman
 from surfqp.matrices import identity, mat, mat_mul
@@ -67,6 +68,21 @@ def test_entry_index_bounds():
         ALG.entry(w("p1"), 0, 1)
     with pytest.raises(IndexError):
         ALG.entry(w("p1"), 1, 3)
+
+
+@pytest.mark.parametrize("read", [lambda alg, x: alg.entry(x, 1, 1), lambda alg, x: alg.trace(x)],
+                         ids=["entry", "trace"])
+@pytest.mark.parametrize("e", [1, -1])
+def test_generator_past_the_rank_is_rejected(read, e):
+    # at (1,0) only x^0 and x^1 exist: a read of x^40 must fail at once,
+    # leaving no trie node and no polynomial variable of the missing generator
+    alg = RepAlgebra(SurfaceSignature(1, 0), 2)
+    assert not any(v[0] == 40 for v in poly._FIELD if isinstance(v, tuple))
+    with pytest.raises(IndexError, match=r"^generator index 40 out of range for rank 2$"):
+        read(alg, Word.generator(40, e))
+    assert all(not children for _, children in alg._columns)
+    assert not any(v[0] == 40 for v in poly._FIELD if isinstance(v, tuple))
+    assert alg.to_json(read(alg, Word.generator(1, e)))["terms"]
 
 
 @pytest.mark.parametrize("i, j, k, l, bad", [(0, 1, 1, 1, "(0, 1)"), (3, 1, 1, 1, "(3, 1)"),

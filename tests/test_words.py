@@ -248,6 +248,17 @@ def test_signature_rank_is_bounded_by_the_code_points():
     assert Word.generator(557_055, -1).letters == ((557_055, -1),)
 
 
+@pytest.mark.parametrize("exp", [2, -2, 0])
+def test_letter_exponent_must_be_a_unit(exp):
+    # a generator is a one-letter word, checked as the constructor checks it
+    for make in (lambda: Word([(0, exp)]), lambda: Word.generator(0, exp)):
+        with pytest.raises(ValueError, match=f"^letter exponent must be \\+1 or -1, got {exp}$"):
+            make()
+    for e in (1, -1):
+        x = Word.generator(3, e)
+        assert type(x) is Word and x == Word([(3, e)]) and x.letters == ((3, e),)
+
+
 def test_invert():
     assert w("p1*q1").inverse() == w("q1^-1*p1^-1")
     assert Word.identity().inverse() == Word.identity()

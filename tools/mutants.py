@@ -92,6 +92,13 @@ MUTANTS = (
            "alg.gen_bracket((u, i, j), (v, k, l))",
            "alg.gen_bracket((v, k, l), (u, i, j))",
            (f"{EVAL}::test_symbolic_leg_pairs_the_table_brackets",)),
+    Mutant("wedge_sym looks up W at (r, s), not (s, r)", "src/surfqp/evaluation.py",
+           "b.get((s, r))", "b.get((r, s))",
+           ("tests/test_product_kernel.py::test_symbolic_fields_print_the_reference_bytes",)),
+    Mutant("fields_sym's C side drops its R part", "src/surfqp/evaluation.py",
+           "sums.keys() & {(u, side), (u, CONJ)}:",
+           "sums.keys() & {(u, side), (u, CONJ if side == L else side)}:",
+           (f"{EVAL}::test_every_symbolic_field_is_the_pointwise_field",)),
     Mutant("run_suite accepts zero trials", "src/surfqp/suites.py",
            "    if n < 1:\n", "    if n < 0:\n",
            ("tests/test_suites.py::test_every_suite_needs_a_trial",)),
