@@ -23,7 +23,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[int, int]
@@ -41,6 +40,19 @@ class WordParseError(ValueError):
         self.position = position
 
 
+class _Tokens(dict):
+    """Letter code -> "*name" or "*name^-1", filled per code on first use: str.translate
+    calls __missing__, and reads a LookupError from it as "keep the character"."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+
+    def __missing__(self, code: int) -> str:
+        if code >> 1 >= len(self.names):
+            raise ValueError(f"generator index {code >> 1} is past rank {len(self.names)}")
+        return self.setdefault(code, f"*{self.names[code >> 1]}" + "^-1" * (code & 1))
+
+
 @dataclass(frozen=True)
 class SurfaceSignature:
     """Genus and puncture count; fixes the generator alphabet, its order and names."""
@@ -48,6 +60,7 @@ class SurfaceSignature:
     genus: int
     punctures: int
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    tokens: _Tokens = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 0 or self.punctures < 0:
@@ -57,6 +70,7 @@ class SurfaceSignature:
         object.__setattr__(self, "names", tuple(
             [f"{kind}{u + 1}" for u in range(self.genus) for kind in "pq"]
             + [f"z{v + 1}" for v in range(self.punctures)]))
+        object.__setattr__(self, "tokens", _Tokens(self.names))
 
     @property
     def rank(self) -> int:
@@ -68,10 +82,10 @@ class SurfaceSignature:
         return self.names[index]
 
     def gen_index(self, name: str) -> int:
-        m = re.fullmatch(r"([pqz])([1-9][0-9]*)", name)
-        if m is None:
+        kind, num = name[:1], name[1:]
+        if kind not in ("p", "q", "z") or not (num.isascii() and num.isdigit()) or num[0] == "0":
             raise KeyError(name)
-        kind, num = m.group(1), int(m.group(2))
+        num = int(num)
         if kind in "pq":
             index = 2 * (num - 1) + (0 if kind == "p" else 1)
             if num > self.genus:
@@ -120,9 +134,7 @@ class Word(str):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[Letter] = (), *, _reduced: bool = False):
-        if _reduced:
-            return str.__new__(cls, "".join([chr(2 * g + (e < 0)) for g, e in letters]))
+    def __new__(cls, letters: Iterable[Letter] = ()):
         return str.__new__(cls, _free_reduce(letters))
 
     @property
@@ -334,17 +346,20 @@ def parse_word(text: str, sig: SurfaceSignature) -> Word:
     return Word(letters)
 
 
+# a run of two or more equal codes; re.S, as a code may be chr(10)
+_RUN_RE = re.compile(r"((.)\2+)", re.S)
+
+
 def format_word(word: Word, sig: SurfaceSignature) -> str:
     """Serialize back to the word grammar, collapsing runs into powers."""
-    if word.is_identity():
-        return "1"
-    # a run of one code is x^k or x^-k: a reduced word holds no x x^-1
-    return "*".join(_format_run(ord(code), len(list(run)), sig) for code, run in groupby(word))
-
-
-def _format_run(code: int, n: int, sig: SurfaceSignature) -> str:
-    name, exp = sig.names[code >> 1], -n if code & 1 else n
-    return name if exp == 1 else f"{name}^{exp}"
+    # segment, run, its code, segment, ...: a run of one code is x^k or x^-k, as a
+    # reduced word holds no x x^-1; each segment is one str.translate
+    parts, tokens = _RUN_RE.split(word), sig.tokens
+    for i in range(1, len(parts), 3):
+        code, n = ord(parts[i + 1]), len(parts[i])
+        parts[i], parts[i + 1] = f"{tokens[code & ~1]}^{-n if code & 1 else n}", ""
+    parts[::3] = [segment.translate(tokens) for segment in parts[::3]]
+    return "".join(parts)[1:] or "1"
 
 
 def format_cyclic(cw: CyclicWord, sig: SurfaceSignature) -> str:

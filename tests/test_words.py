@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import time
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -24,9 +25,12 @@ def test_signature_alphabet_order():
     sig = SurfaceSignature(2, 1)
     assert list(sig.names) == ["p1", "q1", "p2", "q2", "z1"]
     assert sig.rank == 5
-    assert sig.gen_index("q2") == 3
-    with pytest.raises(KeyError):
-        sig.gen_index("z2")
+    assert sig.gen_index("q2") == 3 and sig.gen_index("z1") == 4
+    # a name is p, q or z and an ASCII decimal with no leading zero, nothing around it
+    for bad in ("z2", "q3", "p0", "p01", "p1 ", " p1", "p1\n", "", "p", "x1", "pq1", "p+1",
+                "p\u0661", "p\u00b2"):
+        with pytest.raises(KeyError):
+            sig.gen_index(bad)
     with pytest.raises(ValueError):
         SurfaceSignature(-1, 0)
 
@@ -58,11 +62,12 @@ def test_multiply():
 
 def test_long_cancelling_seam_is_linear():
     n = 100_000
-    x = Word(((0, 1),) * n, _reduced=True)
+    x, half = Word(((0, 1),) * n), Word(((0, -1),) * (n // 2))
+    eats_x, rest = Word(((0, -1),) * n + ((1, 1),)), Word(((0, 1),) * (n - n // 2))
     start = time.perf_counter()
     assert x * x.inverse() == Word.identity()
-    assert x * Word(((0, -1),) * (n // 2), _reduced=True) == Word(((0, 1),) * (n - n // 2))
-    assert x * Word(((0, -1),) * n + ((1, 1),), _reduced=True) == w("q1")
+    assert x * half == rest
+    assert x * eats_x == w("q1")
     # a quadratic seam takes about a second per product at this length
     assert time.perf_counter() - start < 0.5
 
@@ -105,7 +110,7 @@ def seam_pairs(draw):
 def test_join_is_the_reduced_concatenation(pair):
     left, right = pair
     # join takes code strings, as the slices of the cut sums are
-    out = join(str(Word(left, _reduced=True)), str(Word(right, _reduced=True)))
+    out = join(str(Word(left)), str(Word(right)))
     assert type(out) is Word and out.letters == Word(left + right).letters
 
 
@@ -246,6 +251,12 @@ def test_signature_rank_is_bounded_by_the_code_points():
     with pytest.raises(ValueError, match="rank"):
         SurfaceSignature(300_000, 0)
     assert Word.generator(557_055, -1).letters == ((557_055, -1),)
+    top = SurfaceSignature(278_528, 0)
+    x = Word.generator(557_055, -1) ** 2 * Word.generator(0)
+    assert format_word(x, top) == "q278528^-2*p1"
+    assert parse_word(format_word(x, top), top) == x
+    # the token map is filled per code on first use, not per generator
+    assert len(top.tokens) < 4
 
 
 @pytest.mark.parametrize("exp", [2, -2, 0])
@@ -334,6 +345,75 @@ def test_parse_format_round_trip():
     for _ in range(200):
         x = sample_word(rng, SIG, 8)
         assert parse_word(format_word(x, SIG), SIG) == x
+
+
+def old_format_word(word, sig):
+    """format_word as first written on code strings: one groupby step, one
+    list(run) and one call per run of equal codes."""
+    if word.is_identity():
+        return "1"
+    return "*".join(old_format_run(ord(code), len(list(run)), sig) for code, run in groupby(word))
+
+
+def old_format_run(code, n, sig):
+    name, exp = sig.names[code >> 1], -n if code & 1 else n
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+@st.composite
+def format_inputs(draw):
+    """Words over SIG, whose rank 6 makes chr(10), the code of z2, a letter:
+    random words and their powers, runs of letters (often inverse ones), and
+    single long runs."""
+    gen, sign = st.integers(0, SIG.rank - 1), st.sampled_from((1, -1))
+    kind = draw(st.sampled_from(("word", "power", "runs", "one-run")))
+    if kind == "one-run":
+        return Word.generator(draw(gen), draw(sign)) ** draw(st.integers(0, 200))
+    if kind == "runs":
+        runs = draw(st.lists(st.tuples(gen, st.sampled_from((1, -1, -1)), st.integers(1, 5)),
+                             max_size=6))
+        return Word([(g, e) for g, e, k in runs for _ in range(k)])
+    x = Word(draw(st.lists(st.tuples(gen, sign), max_size=16)))
+    return x if kind == "word" else x ** draw(st.integers(-5, 5))
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(format_inputs())
+@example(Word.identity())
+@example(w("z2^2"))
+@example(w("z2^-3"))
+@example(w("p1*z2*z2*q1"))
+@example(w("p1^128"))
+@example(w("q1^-128"))
+def test_format_word_matches_the_groupby_reference(x):
+    text = format_word(x, SIG)
+    assert text == old_format_word(x, SIG)
+    assert parse_word(text, SIG) == x
+
+
+def test_letters_past_the_rank_are_refused():
+    sig = SurfaceSignature(1, 1)
+    format_word(w("p1*q1^-2*z1", sig), sig)
+    # raised, with the token map cold or warm, never printed or dropped:
+    # str.translate keeps a code whose lookup raises a LookupError
+    for x in (Word.generator(10) * Word.generator(0), Word.generator(0) * Word.generator(10, -1),
+              Word.generator(10) ** 3, Word.generator(3, -1) ** 2):
+        with pytest.raises(ValueError, match=r"^generator index (3|10) is past rank 3$"):
+            format_word(x, sig)
+        with pytest.raises(ValueError, match="past rank"):
+            format_cyclic(conjugacy_class(x), sig)
+
+
+@pytest.mark.parametrize("text, name, position", [
+    ("p01", "p01", 0), ("p0", "p0", 0), ("z3", "z3", 0), ("q2", "q2", 0),
+    ("p1*p01", "p01", 3), ("p1 z2^2", "z2", 3)])
+def test_unknown_generators_are_named_at_their_position(text, name, position):
+    with pytest.raises(WordParseError) as err:
+        parse_word(text, SurfaceSignature(1, 1))
+    assert str(err.value) == (f"unknown generator {name!r} for genus 1, punctures 1 "
+                              f"(at position {position})")
+    assert err.value.position == position
 
 
 def test_grammar_forms():

@@ -115,6 +115,12 @@ MUTANTS = (
     Mutant("off-by-one seam", "src/surfqp/words.py",
            "while k < top and", "while k < top - 1 and",
            ("tests/test_words.py::test_join_is_the_reduced_concatenation",)),
+    Mutant("run regex without re.S misses runs of chr(10)", "src/surfqp/words.py",
+           'r"((.)\\2+)", re.S)', 'r"((.)\\2+)")',
+           ("tests/test_words.py::test_format_word_matches_the_groupby_reference",)),
+    Mutant("an inverse run prints a positive exponent", "src/surfqp/words.py",
+           "-n if code & 1 else n}", "n if code & 1 else n}",
+           ("tests/test_words.py::test_format_word_matches_the_groupby_reference",)),
     Mutant("di not flipped", "src/surfqp/words.py",
            "(di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)", "(di, dj ^ (ey < 0), ex * ey * c)",
            ("tests/test_dbracket.py::test_corner_sums_match_letter_pair_reference",)),
