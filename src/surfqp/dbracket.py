@@ -32,7 +32,7 @@ def dbl_from_pairing(rho: Pairing, a: ElemLike, b: ElemLike) -> Tensor2:
     double bracket exactly when rho is skew-symmetric.
     """
     a, b = as_elem(a), as_elem(b)
-    return Tensor2.collect(((w * u.inverse() * v, u), cv * cw * cu)
+    return Tensor2.collect(((join(join(w, u.inverse()), v), u), cv * cw * cu)
                            for v, cv in a.items() for w, cw in b.items()
                            for u, cu in rho(AlgElem.from_word(v), AlgElem.from_word(w)).items())
 
@@ -243,9 +243,7 @@ def is_quasi_poisson(dbl: DoubleBracket, sig: SurfaceSignature, trials: int,
         raise ValueError(f"need at least one trial, got trials={trials}")
     for k in range(trials):
         rng = trial_rng(seed, "qp", k)
-        a = sample_word(rng, sig, max_len)
-        b = sample_word(rng, sig, max_len)
-        c = sample_word(rng, sig, max_len)
+        a, b, c = (sample_word(rng, sig, max_len) for _ in range(3))
         if triple(dbl, a, b, c) != triple_e(a, b, c):
             return QuasiPoissonReport(False, k + 1, seed, max_len, (a, b, c))
     return QuasiPoissonReport(True, trials, seed, max_len)

@@ -24,10 +24,12 @@ Pairing = Callable[[AlgElem, AlgElem], AlgElem]
 
 
 def inner_pairing(e: ElemLike, a: ElemLike, b: ElemLike) -> AlgElem:
-    """rho_e(a, b) = (a - eps(a) 1) e (b - eps(b) 1)."""
+    """rho_e(a, b) = (a - eps(a) 1) e (b - eps(b) 1), one sum over the term triples."""
     e, a, b = as_elem(e), as_elem(a), as_elem(b)
-    one = AlgElem.one()
-    return (a - one.scale(a.counit())) * e * (b - one.scale(b.counit()))
+    one = Word.identity()  # the terms of a - eps(a) 1 may hold the identity twice
+    return AlgElem.collect((join(join(v, u), w), cv * cu * cw)
+                           for v, cv in (*a.items(), (one, -a.counit())) for u, cu in e.items()
+                           for w, cw in (*b.items(), (one, -b.counit())))
 
 
 def rho_1(a: ElemLike, b: ElemLike) -> AlgElem:
@@ -37,7 +39,7 @@ def rho_1(a: ElemLike, b: ElemLike) -> AlgElem:
 def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
     """The transposed pairing: on group-likes, a S(rho(b, a)) b."""
     a, b = as_elem(a), as_elem(b)
-    return AlgElem.collect((v * u.inverse() * w, cv * cw * cu)
+    return AlgElem.collect((join(join(v, u.inverse()), w), cv * cw * cu)
                            for v, cv in a.items() for w, cw in b.items()
                            for u, cu in rho(AlgElem.from_word(w), AlgElem.from_word(v)).items())
 

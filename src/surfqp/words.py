@@ -23,6 +23,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import starmap
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Letter = tuple[int, int]
@@ -86,15 +87,9 @@ class SurfaceSignature:
         if kind not in ("p", "q", "z") or not (num.isascii() and num.isdigit()) or num[0] == "0":
             raise KeyError(name)
         num = int(num)
-        if kind in "pq":
-            index = 2 * (num - 1) + (0 if kind == "p" else 1)
-            if num > self.genus:
-                raise KeyError(name)
-        else:
-            index = 2 * self.genus + num - 1
-            if num > self.punctures:
-                raise KeyError(name)
-        return index
+        if num > (self.punctures if kind == "z" else self.genus):
+            raise KeyError(name)
+        return 2 * self.genus + num - 1 if kind == "z" else 2 * num - 2 + (kind == "q")
 
     def is_handle_pair(self, i: int, j: int) -> bool:
         """True when (i, j) are the p/q letters of one handle, in order."""
@@ -106,23 +101,49 @@ class SurfaceSignature:
         return "pq"[index % 2]
 
 
-def _free_reduce(letters: Iterable[Letter]) -> str:
+def _letter_code(gen: int, exp: int) -> int:
+    if exp not in (1, -1):
+        raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
+    return 2 * gen + (exp < 0)
+
+
+def _reduce(codes: Iterable[int]) -> "Word":
+    """The Word of a sequence of letter codes, freely reduced on one stack."""
     stack: list[int] = []
-    for gen, exp in letters:
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
-        code = 2 * gen + (exp < 0)
+    for code in codes:
         if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
             stack.append(code)
-    return "".join(map(chr, stack))
+    return _word("".join(map(chr, stack)))
 
 
 def code_letter(code: str) -> Letter:
     """The letter (g, e) of one code character."""
     gen, inverse = divmod(ord(code), 2)
     return gen, -1 if inverse else 1
+
+
+def join(left: str, right: str) -> "Word":
+    """The word of two reduced code strings laid end to end.  Only the seam
+    can cancel: count the k cancelling letter pairs there, then slice once."""
+    if left and right and ord(left[-1]) ^ 1 == ord(right[0]):
+        n, k, top = len(left), 1, min(len(left), len(right))
+        while k < top and ord(left[n - 1 - k]) ^ 1 == ord(right[k]):
+            k += 1
+        left, right = left[:n - k], right[k:]
+    # the concatenation is reduced, so skip the constructor's check
+    return _word(str.__add__(left, right))
+
+
+class _Flip(dict):
+    """Letter code -> code ^ 1, its inverse's, filled per code on first use like _Tokens."""
+
+    def __missing__(self, code: int) -> int:
+        return self.setdefault(code, code ^ 1)
+
+
+_FLIP = _Flip()
 
 
 class Word(str):
@@ -135,7 +156,7 @@ class Word(str):
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[Letter] = ()):
-        return str.__new__(cls, _free_reduce(letters))
+        return _reduce(starmap(_letter_code, letters))
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -147,15 +168,12 @@ class Word(str):
 
     @staticmethod
     def generator(index: int, exp: int = 1) -> "Word":
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
-        return _word(chr(2 * index + (exp < 0)))
+        return _word(chr(_letter_code(index, exp)))
 
     def is_identity(self) -> bool:
         return not self
 
-    def __mul__(self, other: "Word") -> "Word":
-        return join(self, other)
+    __mul__ = join
 
     def __add__(self, other):
         return NotImplemented
@@ -163,7 +181,7 @@ class Word(str):
     __rmul__ = __add__
 
     def inverse(self) -> "Word":
-        return _word("".join([chr(ord(c) ^ 1) for c in reversed(self)]))
+        return _word(self[::-1].translate(_FLIP))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -187,18 +205,6 @@ class Word(str):
 # the Word of a reduced code string
 _word = partial(str.__new__, Word)
 _IDENTITY = Word()
-
-
-def join(left: str, right: str) -> Word:
-    """The word of two reduced code strings laid end to end.  Only the seam
-    can cancel: count the k cancelling letter pairs there, then slice once."""
-    if left and right and ord(left[-1]) ^ 1 == ord(right[0]):
-        n, k, top = len(left), 1, min(len(left), len(right))
-        while k < top and ord(left[n - 1 - k]) ^ 1 == ord(right[k]):
-            k += 1
-        left, right = left[:n - k], right[k:]
-    # the concatenation is reduced, so skip the constructor's check
-    return _word(str.__add__(left, right))
 
 
 class CyclicWord:
@@ -314,9 +320,9 @@ def parse_word(text: str, sig: SurfaceSignature) -> Word:
         return Word.identity()
     if not s:
         raise WordParseError("empty word string, use '1' for the identity", 0)
-    letters: list[Letter] = []
-    pos = 0
-    expect_token = True
+    # each token x^k is one run chr(code) * |k|, a reduced code string
+    runs: list[str] = [Word.identity()]
+    pos, letters, expect_token = 0, 0, True
     while pos < len(text):
         ch = text[pos]
         if ch.isspace() or ch == "*":
@@ -335,15 +341,18 @@ def parse_word(text: str, sig: SurfaceSignature) -> Word:
             raise WordParseError(f"unknown generator {name!r} for genus {sig.genus}, "
                                  f"punctures {sig.punctures}", pos) from None
         exp = 1 if m.group(3) is None else int(m.group(3))
-        sign = 1 if exp >= 0 else -1
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+        letters += abs(exp)
+        if letters > MAX_WORD_LETTERS:
             raise WordParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
-        letters.extend((index, sign) for _ in range(abs(exp)))
+        runs.append(chr(2 * index + (exp < 0)) * abs(exp))
         pos = m.end()
         expect_token = False
     if expect_token:
         raise WordParseError("trailing separator", len(text) - 1)
-    return Word(letters)
+    # join neighbours pairwise (cancelling at each seam): n tokens copy log n times, not n
+    while len(runs) > 1:
+        runs = [*map(join, runs[::2], runs[1::2]), *runs[len(runs) & ~1:]]
+    return runs[0]
 
 
 # a run of two or more equal codes; re.S, as a code may be chr(10)
@@ -374,25 +383,35 @@ def boundary_word(sig: SurfaceSignature) -> Word:
     bracket against every element has the moment-map shape; its inverse
     does not.
     """
-    out = Word.identity()
-    for u in range(sig.genus):
-        p, q = Word.generator(2 * u), Word.generator(2 * u + 1)
-        out = out * p * q * p.inverse() * q.inverse()
-    for v in range(sig.punctures):
-        out = out * Word.generator(2 * sig.genus + v)
-    return out
+    # p_u, q_u, p_u^-1, q_u^-1 are the codes 4u, 4u + 2, 4u + 1, 4u + 3
+    handles = [c for u in range(sig.genus) for c in (4 * u, 4 * u + 2, 4 * u + 1, 4 * u + 3)]
+    return _reduce(handles + [2 * z for z in range(2 * sig.genus, sig.rank)])
 
 
 # --- seeded sampling ------------------------------------------------------
 
 def sample_word(rng: random.Random, sig: SurfaceSignature, max_len: int = 4) -> Word:
-    """Random reduced word: length uniform on 0..max_len, letters uniform
-    over the signed alphabet, then freely reduced.  Deterministic in rng."""
+    """Random reduced word: length uniform on 0..max_len, then per letter a
+    generator uniform on 0..rank-1 and a sign bit (1: inverse), freely reduced.
+    A draw on 0..n-1 reads n.bit_length() bits of rng.getrandbits until they
+    are below n, as randint, randrange and choice do: same words, same rng state."""
     if sig.rank == 0:
         return Word.identity()
-    length = rng.randint(0, max_len)
-    letters = [(rng.randrange(sig.rank), rng.choice((1, -1))) for _ in range(length)]
-    return Word(letters)
+    if max_len < 0:  # getrandbits(0) is 0 forever, so the length draw would never end
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    return _reduce(_letter_draws(rng.getrandbits, sig.rank, max_len))
+
+
+def _letter_draws(bits: Callable[[int], int], rank: int, max_len: int) -> Iterator[int]:
+    k, n = rank.bit_length(), (max_len + 1).bit_length()
+    while (length := bits(n)) > max_len:
+        pass
+    for _ in range(length):
+        while (gen := bits(k)) >= rank:
+            pass
+        while (sign := bits(2)) > 1:
+            pass
+        yield 2 * gen + sign
 
 
 def trial_rng(seed: int, label: str, trial: int) -> random.Random:

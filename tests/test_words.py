@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from surfqp.words import (CyclicWord, SurfaceSignature, Word, WordParseError,
+from surfqp.suites import ALL_MATRIX
+from surfqp.words import (MAX_WORD_LETTERS, CyclicWord, SurfaceSignature, Word, WordParseError,
                           boundary_word, conjugacy_class, format_cyclic, format_word,
                           join, parse_word, sample_word)
 
@@ -416,6 +417,57 @@ def test_unknown_generators_are_named_at_their_position(text, name, position):
     assert err.value.position == position
 
 
+def old_parse_word(text, sig):
+    """parse_word's result as first written: every token x^k expanded into k
+    letters, the whole list reduced by the Word constructor."""
+    letters = []
+    for token in text.replace("*", " ").split():
+        name, _, exp = token.partition("^")
+        exp = int(exp or 1)
+        letters += [(sig.gen_index(name), 1 if exp >= 0 else -1)] * abs(exp)
+    return Word(letters)
+
+
+@st.composite
+def token_texts(draw):
+    """Word strings over SIG of up to 12 tokens, with exponents from -4 to 4
+    (zero too), often the inverse of the token before, so that runs cancel
+    whole and in part across seams; separators mixed."""
+    tokens = []
+    for _ in range(draw(st.integers(1, 12))):
+        if tokens and draw(st.booleans()):
+            name, exp = tokens[-1]
+            exp = -exp + draw(st.integers(-1, 1))
+        else:
+            name, exp = draw(st.sampled_from(SIG.names)), draw(st.integers(-4, 4))
+        tokens.append((name, exp))
+    seps = draw(st.lists(st.sampled_from(("*", " ", " * ", "  ")), min_size=len(tokens),
+                         max_size=len(tokens)))
+    return "".join(sep + (name if exp == 1 else f"{name}^{exp}")
+                   for sep, (name, exp) in zip(["", *seps[1:]], tokens))
+
+
+@seed(20261026)
+@settings(max_examples=300, deadline=None, database=None)
+@given(token_texts())
+@example("p1^3*p1^-3")
+@example("p1^2 q1 q1^-1 p1^-3 z2")
+@example("z2^-2*z2^0*z2^2*p1")
+def test_parse_word_matches_the_letter_reference(text):
+    x = parse_word(text, SIG)
+    assert type(x) is Word and x == old_parse_word(text, SIG)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("p1^100001", 0), ("p1^60000*p1^-60000", 9), ("p1 q1^60000  q1^-40001", 13)])
+def test_letter_limit_counts_unreduced_letters(text, position):
+    # p1^60000*p1^-60000 reduces to the identity, but is refused all the same
+    with pytest.raises(WordParseError) as err:
+        parse_word(text, SIG)
+    assert str(err.value) == (f"word longer than {MAX_WORD_LETTERS} letters "
+                              f"(at position {position})")
+
+
 def test_grammar_forms():
     assert w("p1 q1^-1 z2") == w("p1*q1^-1*z2")
     assert w("p1^2") == w("p1*p1")
@@ -444,3 +496,35 @@ def test_sampling_is_deterministic():
     a = [sample_word(random.Random(5), SIG, 4) for _ in range(10)]
     b = [sample_word(random.Random(5), SIG, 4) for _ in range(10)]
     assert a == b
+
+
+def old_sample_word(rng, sig, max_len):
+    """sample_word as first written: randint, randrange and choice, then Word."""
+    if sig.rank == 0:
+        return Word.identity()
+    length = rng.randint(0, max_len)
+    return Word([(rng.randrange(sig.rank), rng.choice((1, -1))) for _ in range(length)])
+
+
+SAMPLED_SIGNATURES = sorted({(0, 0), (0, 1), *(gm for sigs in ALL_MATRIX.values() for gm in sigs)})
+
+
+@pytest.mark.parametrize("genus, punctures", SAMPLED_SIGNATURES)
+def test_sample_word_matches_the_randint_reference(genus, punctures):
+    sig = SurfaceSignature(genus, punctures)
+    for s in range(60):
+        for max_len in range(7):
+            new, old = random.Random(f"{s}:{max_len}"), random.Random(f"{s}:{max_len}")
+            # three words from one stream, so each starts where the last one left the rng
+            for _ in range(3):
+                assert sample_word(new, sig, max_len) == old_sample_word(old, sig, max_len)
+                assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("max_len", [-1, -2, -100])
+def test_sample_word_refuses_a_negative_length_before_drawing(max_len):
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^max_len must be nonnegative, got {max_len}$"):
+        sample_word(rng, SIG, max_len)
+    assert rng.getstate() == state

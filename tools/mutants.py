@@ -107,8 +107,20 @@ MUTANTS = (
            "return self if n else _IDENTITY", "return _IDENTITY",
            ("tests/test_words.py::test_power",)),
     Mutant("inverse keeps the letter order", "src/surfqp/words.py",
-           "for c in reversed(self)]", "for c in self]",
+           "self[::-1].translate(_FLIP)", "self.translate(_FLIP)",
            ("tests/test_words.py::test_invert",)),
+    Mutant("the inverse map leaves p1 unflipped", "src/surfqp/words.py",
+           "self.setdefault(code, code ^ 1)", "self.setdefault(code, code ^ (code > 0))",
+           ("tests/test_words.py::test_invert",)),
+    Mutant("the sampler draws the sign before the generator", "src/surfqp/words.py",
+           "        while (gen := bits(k)) >= rank:\n            pass\n"
+           "        while (sign := bits(2)) > 1:\n            pass\n",
+           "        while (sign := bits(2)) > 1:\n            pass\n"
+           "        while (gen := bits(k)) >= rank:\n            pass\n",
+           ("tests/test_words.py::test_sample_word_matches_the_randint_reference",)),
+    Mutant("the generator rejection bound is off by one", "src/surfqp/words.py",
+           "bits(k)) >= rank:", "bits(k)) > rank:",
+           ("tests/test_words.py::test_sample_word_matches_the_randint_reference",)),
     Mutant("seam test ignores the sign", "src/surfqp/words.py",
            "ord(left[-1]) ^ 1 == ord(right[0])", "ord(left[-1]) >> 1 == ord(right[0]) >> 1",
            ("tests/test_words.py::test_join_is_the_reduced_concatenation",)),
@@ -121,13 +133,19 @@ MUTANTS = (
     Mutant("an inverse run prints a positive exponent", "src/surfqp/words.py",
            "-n if code & 1 else n}", "n if code & 1 else n}",
            ("tests/test_words.py::test_format_word_matches_the_groupby_reference",)),
+    Mutant("the pairwise fold drops an odd run out", "src/surfqp/words.py",
+           "*runs[len(runs) & ~1:]]", "]",
+           ("tests/test_words.py::test_parse_word_matches_the_letter_reference",)),
     Mutant("di not flipped", "src/surfqp/words.py",
            "(di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)", "(di, dj ^ (ey < 0), ex * ey * c)",
            ("tests/test_dbracket.py::test_corner_sums_match_letter_pair_reference",)),
     Mutant("last corner wins", "src/surfqp/words.py",
            "index.setdefault(corner_key(x, y, *d), n)", "index[corner_key(x, y, *d)] = n",
            ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
-    # brackets, matrices and the product kernel
+    # pairings, brackets, matrices and the product kernel
+    Mutant("inner_pairing drops the eps(b) correction", "src/surfqp/foxpairing.py",
+           "for w, cw in (*b.items(), (one, -b.counit())))", "for w, cw in b.items())",
+           ("tests/test_foxpairing.py::test_inner_pairing",)),
     Mutant("wrong triple-leg cycle", "src/surfqp/dbracket.py",
            "yield from (((k2, d1, d2), ck * cd)", "yield from (((d1, d2, k2), ck * cd)",
            ("tests/test_dbracket.py::test_triple_matches_reference_on_words",)),
