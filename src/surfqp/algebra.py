@@ -21,10 +21,12 @@ Scalar = Union[int, Fraction]
 
 
 def _coeff(k: Scalar) -> Scalar:
-    """k as an int when it is integral, else as a Fraction."""
+    """k as an int when it is integral, else as a Fraction.  Any other type
+    raises TypeError: a float holds a binary value, not the rational it shows."""
     if isinstance(k, int):
         return int(k)
-    k = Fraction(k)
+    if not isinstance(k, Fraction):
+        raise TypeError(f"a coefficient is an int or a Fraction, not {type(k).__name__}")
     return k.numerator if k.denominator == 1 else k
 
 
@@ -114,9 +116,9 @@ class AlgElem(LinComb):
         return AlgElem._wrap({w: k} if k else {})
 
     def __mul__(self, other):
-        if isinstance(other, AlgElem):
+        if isinstance(other, (AlgElem, Word)):
             return AlgElem.collect((v * w, cv * cw) for v, cv in self.terms.items()
-                                   for w, cw in other.terms.items())
+                                   for w, cw in other.items())
         return self.scale(other)
 
     def counit(self) -> int | Fraction:
@@ -129,11 +131,8 @@ class AlgElem(LinComb):
         return Tensor2({(w, w): c for w, c in self.terms.items()})
 
 
+# a Word is a one-term element: bilinear maps read items() of either
 ElemLike = Union[AlgElem, Word]
-
-
-def as_elem(x: ElemLike) -> AlgElem:
-    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
 
 
 class Tensor2(LinComb):
@@ -158,11 +157,11 @@ class Tensor3(LinComb):
         return Tensor3({(w1, w2, w3): _coeff(coeff)})
 
 
-def tensor2(a: AlgElem, b: AlgElem) -> Tensor2:
+def tensor2(a: ElemLike, b: ElemLike) -> Tensor2:
     return Tensor2.collect(((v, w), cv * cw) for v, cv in a.items() for w, cw in b.items())
 
 
-def tensor3(a: AlgElem, b: AlgElem, c: AlgElem) -> Tensor3:
+def tensor3(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     return Tensor3.collect(((u, v, w), cu * cv * cw) for u, cu in a.items()
                            for v, cv in b.items() for w, cw in c.items())
 

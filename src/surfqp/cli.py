@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import AlgElem, Tensor2, Tensor3
 from .dbracket import CyclicAlgElem, SurfaceDoubleBracket, goldman, triple
@@ -28,6 +28,21 @@ from .words import (CyclicWord, SurfaceSignature, WordParseError, format_cyclic,
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _print_answer(build: Callable[[], object]) -> int:
+    """Print the JSON of build() in full.  Python's limit on int-to-str digits
+    guards the reading of input, so it is lifted only while an exact answer
+    is formatted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(_dumps(build()))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return 0
 
 
 def alg_elem_json(x: AlgElem, sig: SurfaceSignature) -> list:
@@ -65,6 +80,12 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+# longest run of digits an expression may hold, Python's default limit on
+# int <-> str conversion: a longer number is refused at its position
+MAX_DIGITS = 4300
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
     pos = 0
@@ -74,6 +95,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExprParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
         if kind != "ws":
+            for run in _DIGITS.finditer(text, pos, m.end()):
+                if run.end() - run.start() > MAX_DIGITS:
+                    raise ExprParseError(f"number longer than {MAX_DIGITS} digits", run.start())
             out.append((kind, m.group(), pos))
         pos = m.end()
     out.append(("end", "", len(text)))
@@ -238,11 +262,22 @@ def load_rep_point(path: str, sig: SurfaceSignature, dim: int) -> RepPoint:
     return RepPoint(tuple(mats))
 
 
+# largest decimal exponent, in magnitude, of a point-file entry: Fraction("1e100000000")
+# would build 10**100000000 before anything could refuse it
+MAX_DECIMAL_EXPONENT = 4300
+# the exponent as Fraction reads it: Unicode digits and underscores between them
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _point_entry(x, u: int, i: int, j: int) -> Fraction:
+    where, text = f"point file: matrix {u}, row {i}, entry {j}", str(x)
+    if (exp := _EXPONENT.search(text)) and (digits := exp[1].lstrip("0_")):
+        if len(digits) > 8 or int(digits.replace("_", "")) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"{where} has a decimal exponent past {MAX_DECIMAL_EXPONENT}: {x!r}")
     try:
-        return Fraction(str(x))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"point file: matrix {u}, row {i}, entry {j} is not a rational: {x!r}") from None
+        raise ValueError(f"{where} is not a rational: {x!r}") from None
 
 
 # --- commands ----------------------------------------------------------------
@@ -257,16 +292,14 @@ def cmd_pairing(args) -> int:
     a = parse_word(args.word_a, sig)
     b = parse_word(args.word_b, sig)
     value = eta.skew(a, b) if args.command == "eta-s" else eta(a, b)
-    print(_dumps(alg_elem_json(value, sig)))
-    return 0
+    return _print_answer(lambda: alg_elem_json(value, sig))
 
 
 def cmd_dbl_s(args) -> int:
     sig = _signature(args)
     dbl = SurfaceDoubleBracket(sig)
     value = dbl(parse_word(args.word_a, sig), parse_word(args.word_b, sig))
-    print(_dumps(tensor_json(value, sig)))
-    return 0
+    return _print_answer(lambda: tensor_json(value, sig))
 
 
 def cmd_triple(args) -> int:
@@ -274,8 +307,7 @@ def cmd_triple(args) -> int:
     dbl = SurfaceDoubleBracket(sig)
     value = triple(dbl, parse_word(args.word_a, sig), parse_word(args.word_b, sig),
                    parse_word(args.word_c, sig))
-    print(_dumps(tensor_json(value, sig)))
-    return 0
+    return _print_answer(lambda: tensor_json(value, sig))
 
 
 def cmd_goldman(args) -> int:
@@ -283,8 +315,7 @@ def cmd_goldman(args) -> int:
     dbl = SurfaceDoubleBracket(sig)
     value = goldman(dbl, CyclicWord.of(parse_word(args.word_a, sig)),
                     CyclicWord.of(parse_word(args.word_b, sig)))
-    print(_dumps(cyclic_json(value, sig)))
-    return 0
+    return _print_answer(lambda: cyclic_json(value, sig))
 
 
 def cmd_rep_bracket(args) -> int:
@@ -292,8 +323,8 @@ def cmd_rep_bracket(args) -> int:
     alg = RepAlgebra(sig, args.dim)
     P = parse_expression(args.expr_a, alg)
     Q = parse_expression(args.expr_b, alg)
-    print(_dumps(alg.to_json(alg.qp_bracket(P, Q))))
-    return 0
+    value = alg.qp_bracket(P, Q)
+    return _print_answer(lambda: alg.to_json(value))
 
 
 def cmd_trace_bracket(args) -> int:
@@ -301,8 +332,8 @@ def cmd_trace_bracket(args) -> int:
     alg = RepAlgebra(sig, args.dim)
     a = parse_word(args.word_a, sig)
     b = parse_word(args.word_b, sig)
-    print(_dumps(alg.to_json(alg.qp_bracket(alg.trace(a), alg.trace(b)))))
-    return 0
+    value = alg.qp_bracket(alg.trace(a), alg.trace(b))
+    return _print_answer(lambda: alg.to_json(value))
 
 
 def cmd_ev(args) -> int:
@@ -310,8 +341,8 @@ def cmd_ev(args) -> int:
     alg = RepAlgebra(sig, args.dim)
     P = parse_expression(args.expr, alg)
     pt = load_rep_point(args.point_file, sig, args.dim)
-    print(_dumps({"value": str(evaluate(alg, P, pt))}))
-    return 0
+    value = evaluate(alg, P, pt)
+    return _print_answer(lambda: {"value": str(value)})
 
 
 def cmd_moment_check(args) -> int:

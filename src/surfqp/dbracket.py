@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, as_elem, m2, permute
+from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2, permute
 from .foxpairing import Pairing
 from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
                     join, sample_word, trial_rng)
@@ -31,10 +31,9 @@ def dbl_from_pairing(rho: Pairing, a: ElemLike, b: ElemLike) -> Tensor2:
     expansion rho(v, w) = sum_u c_u u, extended bilinearly.  It is an honest
     double bracket exactly when rho is skew-symmetric.
     """
-    a, b = as_elem(a), as_elem(b)
     return Tensor2.collect(((join(join(w, u.inverse()), v), u), cv * cw * cu)
                            for v, cv in a.items() for w, cw in b.items()
-                           for u, cu in rho(AlgElem.from_word(v), AlgElem.from_word(w)).items())
+                           for u, cu in rho(v, w).items())
 
 
 def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
@@ -42,8 +41,6 @@ def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
     a, b and e = sum_u c_u u it is
     sum_u c_u [ u^-1 (x) a u b + b u^-1 a (x) u - b u^-1 (x) a u - u^-1 a (x) u b ].
     """
-    e, a, b = as_elem(e), as_elem(a), as_elem(b)
-
     def terms():
         for u, cu in e.items():
             ui = u.inverse()
@@ -113,7 +110,6 @@ class SurfaceDoubleBracket:
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
         if isinstance(a, Word) and isinstance(b, Word):
             return self._memoized(a, b)  # the memoised value itself: nothing mutates it
-        a, b = as_elem(a), as_elem(b)
         return Tensor2.collect((key, cv * cw * c) for v, cv in a.items() for w, cw in b.items()
                                for key, c in self._memoized(v, w).items())
 
@@ -154,12 +150,13 @@ def triple(dbl: DoubleBracket, a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3
 def triple_e(a: ElemLike, b: ElemLike, c: ElemLike) -> Tensor3:
     """The canonical triple bracket of the exchange derivation
     a -> a (x) 1 - 1 (x) a; a quasi-Poisson double bracket must reproduce it."""
-    a, b, c = as_elem(a), as_elem(b), as_elem(c)
-    one = AlgElem.one()
-    terms = ((a, one, b * c, 1), (one, a * b, c, 1), (c * a, b, one, 1), (c, a, b, 1),
-            (one, a, b * c, -1), (a, b, c, -1), (c * a, one, b, -1), (c, a * b, one, -1))
-    return Tensor3.collect(((u, v, w), s * cu * cv * cw) for x, y, z, s in terms
-                           for u, cu in x.items() for v, cv in y.items() for w, cw in z.items())
+    one = Word.identity()
+    return Tensor3.collect((key, s * cu * cv * cw) for u, cu in a.items()
+                           for v, cv in b.items() for w, cw in c.items()
+                           for uv, vw, wu in ((join(u, v), join(v, w), join(w, u)),)
+                           for key, s in (((u, one, vw), 1), ((one, uv, w), 1), ((wu, v, one), 1),
+                                          ((w, u, v), 1), ((one, u, vw), -1), ((u, v, w), -1),
+                                          ((wu, one, v), -1), ((w, uv, one), -1)))
 
 
 def angle(dbl: DoubleBracket, a: ElemLike, b: ElemLike) -> AlgElem:

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .algebra import AlgElem, ElemLike, as_elem
+from .algebra import AlgElem, ElemLike
 from .words import SurfaceSignature, Word, corner_cuts, corner_table, join
 
-Pairing = Callable[[AlgElem, AlgElem], AlgElem]
+Pairing = Callable[[ElemLike, ElemLike], AlgElem]
 
 
 def inner_pairing(e: ElemLike, a: ElemLike, b: ElemLike) -> AlgElem:
     """rho_e(a, b) = (a - eps(a) 1) e (b - eps(b) 1), one sum over the term triples."""
-    e, a, b = as_elem(e), as_elem(a), as_elem(b)
     one = Word.identity()  # the terms of a - eps(a) 1 may hold the identity twice
     return AlgElem.collect((join(join(v, u), w), cv * cu * cw)
                            for v, cv in (*a.items(), (one, -a.counit())) for u, cu in e.items()
@@ -33,15 +32,14 @@ def inner_pairing(e: ElemLike, a: ElemLike, b: ElemLike) -> AlgElem:
 
 
 def rho_1(a: ElemLike, b: ElemLike) -> AlgElem:
-    return inner_pairing(AlgElem.one(), a, b)
+    return inner_pairing(Word.identity(), a, b)
 
 
 def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
     """The transposed pairing: on group-likes, a S(rho(b, a)) b."""
-    a, b = as_elem(a), as_elem(b)
     return AlgElem.collect((join(join(v, u.inverse()), w), cv * cw * cu)
                            for v, cv in a.items() for w, cw in b.items()
-                           for u, cu in rho(AlgElem.from_word(w), AlgElem.from_word(v)).items())
+                           for u, cu in rho(w, v).items())
 
 
 class SurfaceFoxPairing:
@@ -88,7 +86,6 @@ class SurfaceFoxPairing:
         return AlgElem.zero()
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
-        a, b = as_elem(a), as_elem(b)
         return AlgElem.collect((join(head, w[j:]), cv * cw * k)
                                for v, cv in a.items() for w, cw in b.items()
                                for i, row in corner_cuts(v, w, self._corners)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgElem, ElemLike, LinComb, Scalar, Tensor2, as_elem
+from .algebra import AlgElem, ElemLike, LinComb, Scalar, Tensor2
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
 from .poly import Poly
@@ -183,15 +183,14 @@ class RepAlgebra:
     def entry(self, a: ElemLike, i: int, j: int) -> RepElem:
         """The (i, j) entry coordinate of a, one-based indices."""
         self._check_entry(i, j)
-        return self.accumulate(self.column(w, j - 1)[i - 1].scale(c)
-                               for w, c in as_elem(a).items())
+        return self.accumulate(self.column(w, j - 1)[i - 1].scale(c) for w, c in a.items())
 
     def _check_entry(self, i: int, j: int) -> None:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"entry index out of range for dim {self.dim}: ({i}, {j})")
 
     def trace(self, a: ElemLike) -> RepElem:
-        return self.accumulate(self.column(w, i)[i].scale(c) for w, c in as_elem(a).items()
+        return self.accumulate(self.column(w, i)[i].scale(c) for w, c in a.items()
                                for i in range(self.dim))
 
     def trace_cyclic(self, x) -> RepElem:
@@ -306,8 +305,7 @@ class RepAlgebra:
         Must agree with qp_bracket on the corresponding entry coordinates."""
         self._check_entry(i, j)
         self._check_entry(k, l)
-        t = self.dbl(as_elem(a), as_elem(b))
-        return self.entry_pair_image(t, i - 1, j - 1, k - 1, l - 1)
+        return self.entry_pair_image(self.dbl(a, b), i - 1, j - 1, k - 1, l - 1)
 
     # --- group and Lie algebra actions -----------------------------------
 

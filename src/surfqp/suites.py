@@ -92,13 +92,11 @@ def fox_suite(sig: SurfaceSignature, trials: int, seed: int, max_len: int = 4) -
 
     one = AlgElem.one()
     run("product-rule-first-slot", trials, 3, lambda a, b, c:
-        eta(AlgElem.from_word(a) * AlgElem.from_word(b), c)
-        == eta(a, c) + AlgElem.from_word(a) * eta(b, c))
+        eta(a * b, c) == eta(a, c) + AlgElem.from_word(a) * eta(b, c))
     run("product-rule-second-slot", trials, 3, lambda a, b, c:
-        eta(a, AlgElem.from_word(b) * AlgElem.from_word(c))
-        == eta(a, b) * AlgElem.from_word(c) + eta(a, c))
+        eta(a, b * c) == eta(a, b) * c + eta(a, c))
     run("unit-annihilation", trials, 1, lambda a:
-        eta(one, AlgElem.from_word(a)).is_zero() and eta(AlgElem.from_word(a), one).is_zero())
+        eta(one, a).is_zero() and eta(a, one).is_zero())
     run("transpose-sum", trials, 2, lambda a, b:
         eta(a, b) + transpose_apply(eta, a, b) == -rho_1(a, b))
     run("skew-pairing", trials, 2, lambda a, b:
@@ -156,15 +154,12 @@ def double_suite(sig: SurfaceSignature, trials: int, seed: int, max_len: int = 4
         dbl(b, a) == -permute(dbl(a, b), (2, 1)))
     run("eta-shift", trials, 2, lambda a, b:
         dbl(a, b) == dbl_from_pairing(eta, a, b).scale(2)
-        + tensor2(one, AlgElem.from_word(a) * AlgElem.from_word(b))
-        + tensor2(AlgElem.from_word(b) * AlgElem.from_word(a), one)
-        - tensor2(AlgElem.from_word(a), AlgElem.from_word(b))
-        - tensor2(AlgElem.from_word(b), AlgElem.from_word(a)))
+        + tensor2(one, a * b) + tensor2(b * a, one) - tensor2(a, b) - tensor2(b, a))
     run("transpose-conjugation", trials, 2, lambda a, b:
         dbl_from_pairing(lambda x, y: transpose_apply(eta, x, y), a, b)
         == permute(dbl_from_pairing(eta, b, a), (2, 1)))
     run("inner-closed-form", trials, 3, lambda e, a, b:
-        dbl_from_pairing(lambda x, y: inner_pairing(AlgElem.from_word(e), x, y), a, b)
+        dbl_from_pairing(lambda x, y: inner_pairing(e, x, y), a, b)
         == dbl_from_inner(e, a, b))
     params = {"genus": sig.genus, "punctures": sig.punctures, "trials": trials,
               "seed": seed, "max_len": max_len}
@@ -193,11 +188,7 @@ def quasi_poisson_suite(sig: SurfaceSignature, trials: int, seed: int,
         + angle(dbl, b, angle(dbl, a, c))
         == m3(triple(dbl, b, a, c) - triple(dbl, a, b, c)))
     run("commutators-die-in-classes", max(10, trials // 10), 3, lambda a, b, c:
-        project_cyclic(angle(
-            dbl,
-            AlgElem.from_word(a) * AlgElem.from_word(b)
-            - AlgElem.from_word(b) * AlgElem.from_word(a),
-            c)).is_zero())
+        project_cyclic(angle(dbl, AlgElem.from_word(a * b) - AlgElem.from_word(b * a), c)).is_zero())
 
     def goldman_well_defined(a, b, u, v) -> bool:
         ca, cb = CyclicWord.of(a), CyclicWord.of(b)

@@ -151,7 +151,10 @@ class Word(str):
     codes, hashed, compared, sliced and joined in C.  Indexing, slicing (to a
     plain str) and iteration see codes; `letters` decodes them.  A Word orders
     by its codes and equals a plain str of the same codes; src/ never mixes
-    the two.  Words multiply by `*` only: `+` and int factors raise TypeError."""
+    the two.  Words multiply by `*` only: `+` and int factors raise TypeError.
+    In the group algebra a word is a one-term, group-like element: `items()`
+    is ((word, 1),) and `counit()` is 1, so bilinear maps read words as they
+    read AlgElems."""
 
     __slots__ = ()
 
@@ -172,6 +175,12 @@ class Word(str):
 
     def is_identity(self) -> bool:
         return not self
+
+    def items(self) -> tuple[tuple["Word", int]]:
+        return ((self, 1),)
+
+    def counit(self) -> int:
+        return 1
 
     __mul__ = join
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, seed, settings
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from surfqp.algebra import (AlgElem, Tensor2, Tensor3, inner_act, m2, m3, outer_act,
                             permute, tensor2, tensor3)
-from surfqp.dbracket import CyclicAlgElem
+from surfqp.dbracket import (CyclicAlgElem, SurfaceDoubleBracket, dbl_from_inner,
+                             dbl_from_pairing, triple_e)
+from surfqp.foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
 from surfqp.poly import Poly, monomial
+from surfqp.repalgebra import RepAlgebra
 from surfqp.words import CyclicWord, SurfaceSignature, Word, parse_word, sample_word
 
 SIG = SurfaceSignature(1, 1)
@@ -253,3 +257,66 @@ def test_mixed_coefficients_match_fraction_reference(data):
     if all(integral(c) for r in (rx, ry, rz) for c in r.values()) and integral(k):
         # integral data stays in ints: no Fraction is made on the way
         assert all(type(c) is int for got, _ in cases[:-1] for _, c in got.items())
+
+
+def test_coefficients_are_ints_or_fractions():
+    # a str would be parsed as a number, a float would bring in its binary value
+    x = e("p1")
+    with pytest.raises(TypeError, match="not str"):
+        "3" * x
+    with pytest.raises(TypeError, match="not float"):
+        x.scale(0.1)
+    with pytest.raises(TypeError, match="not float"):
+        Poly.const(0.5)
+    with pytest.raises(TypeError, match="not str"):
+        Tensor2.pure(w("p1"), w("q1"), "1")
+
+
+def test_elem_times_word_is_the_product():
+    # past rank 24 the letter codes of z25, z25^-1, z26 are the digits '0', '1', '2':
+    # read as scalars they would give 0, x and 2x
+    sig = SurfaceSignature(0, 30)
+    x = AlgElem.from_word(parse_word("z1", sig)) + AlgElem.from_word(parse_word("z2^-1", sig), 2)
+    for text, code in (("z25", "0"), ("z25^-1", "1"), ("z26", "2")):
+        word = parse_word(text, sig)
+        assert word == code
+        assert x * word == x * AlgElem.from_word(word)
+        assert x * word == AlgElem.collect((v * word, c) for v, c in x.items())
+
+
+ETA = SurfaceFoxPairing(SIG)
+DBL = SurfaceDoubleBracket(SIG)
+REP = RepAlgebra(SIG, 2)
+# every consumer of ElemLike, by name: its arity and the map, linear in each slot
+ELEM_LIKE_CONSUMERS = {
+    "eta": (2, ETA),
+    "skew": (2, ETA.skew),
+    "rho_1": (2, rho_1),
+    "inner_pairing": (3, inner_pairing),
+    "transpose_apply": (2, partial(transpose_apply, ETA)),
+    "table bracket": (2, DBL),
+    "dbl_from_pairing": (2, partial(dbl_from_pairing, ETA.skew)),
+    "dbl_from_inner": (3, dbl_from_inner),
+    "triple_e": (3, triple_e),
+    "tensor2": (2, tensor2),
+    "entry": (1, lambda a: REP.entry(a, 1, 2)),
+    "trace": (1, REP.trace),
+    "qp_bracket_entries": (2, lambda a, b: REP.qp_bracket_entries(a, 1, 2, b, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ELEM_LIKE_CONSUMERS)
+def test_a_word_is_its_one_term_element(name):
+    """Words, their one-term elements, a mix of the two, and a scaled element
+    in the first slot give the same value, scaled by the same factor."""
+    arity, f = ELEM_LIKE_CONSUMERS[name]
+    rng = random.Random(2701)
+    k = Fraction(-3, 2)
+    for _ in range(6):
+        words = [sample_word(rng, SIG, 3) for _ in range(arity)]
+        elems = [AlgElem.from_word(x) for x in words]
+        want = f(*words)
+        assert f(*elems) == want
+        assert f(*elems[:1], *words[1:]) == want
+        assert f(*words[:1], *elems[1:]) == want
+        assert f(AlgElem.from_word(words[0], k), *words[1:]) == want.scale(k)

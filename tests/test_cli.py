@@ -122,6 +122,11 @@ def test_ev_rejects_singular_point(tmp_path, capsys):
      "matrix 2, row 0, entry 1"),
     ([[["1/0", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]],
      "matrix 0, row 0, entry 0"),
+    # exponents past the bound, refused before Fraction builds 10**5000
+    ([[["1", "0"], ["0", "1"]], [["1e5000", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]],
+     "matrix 1, row 0, entry 0 has a decimal exponent past 4300"),
+    ([[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1e-5000"]]],
+     "matrix 2, row 1, entry 1 has a decimal exponent past 4300"),
 ])
 def test_ev_rejects_malformed_point(tmp_path, capsys, data, where):
     pt = tmp_path / "pt.json"
@@ -186,6 +191,47 @@ def test_expression_exponent_cap_position(capsys):
     code, out, err = run(capsys, "rep-bracket", "p1_1_1 + p1_1_1^100001", "q1_1_1")
     assert code == 2 and out == ""
     assert "exponent larger than 100000 (at position 16)" in err
+
+
+@pytest.mark.parametrize("text,position", [
+    ("p1_1_1 + " + "7" * 5000, 9),
+    ("p1_1_1^" + "7" * 5000, 7),
+    ("p1_1_" + "7" * 5000, 5),
+], ids=["literal", "exponent", "entry-index"])
+def test_expression_long_number_position(capsys, text, position):
+    # past Python's 4300-digit limit int() would raise with no position
+    code, out, err = run(capsys, "rep-bracket", text, "q1_1_1")
+    assert code == 2 and out == ""
+    assert f"number longer than 4300 digits (at position {position})" in err
+
+
+def unlimited(f, *args):
+    """f(*args) with Python's limit on int-to-str digits lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_exact_answers_print_in_full(tmp_path, capsys):
+    # each answer has more digits than Python converts int to str by default
+    limit = sys.get_int_max_str_digits()
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps([[["2"]]]))
+    code, out, err = run(capsys, "ev", "--genus", "0", "--punctures", "1", "--dim", "1",
+                         "z1_1_1^20000", str(pt))
+    assert code == 0, err
+    assert json.loads(out) == {"value": unlimited(str, 2 ** 20000)}
+    alg = RepAlgebra(SurfaceSignature(1, 0), 1)
+    value = alg.qp_bracket(cli.parse_expression("2^15000*p1_1_1", alg),
+                           cli.parse_expression("q1_1_1", alg))
+    code, out, err = run(capsys, "rep-bracket", "--genus", "1", "--punctures", "0", "--dim", "1",
+                         "2^15000*p1_1_1", "q1_1_1")
+    assert code == 0, err
+    assert json.loads(out) == unlimited(alg.to_json, value)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_expression_exponent_overflow_is_usage_error(capsys):

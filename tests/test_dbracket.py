@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from surfqp.algebra import AlgElem, Tensor2, Tensor3, as_elem, m3, permute, tensor2, tensor3
+from surfqp.algebra import AlgElem, Tensor2, Tensor3, m3, permute, tensor2, tensor3
 from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_inner,
                              dbl_from_pairing, goldman,
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
@@ -280,7 +280,7 @@ def test_word_pairs_skip_the_group_algebra_wrap():
         a, b = sample_word(rng, sig, 4), sample_word(rng, sig, 4)
         value = dbl(a, b)
         assert dbl(a, b) is value
-        assert dbl(as_elem(a), b) == value
+        assert dbl(AlgElem.from_word(a), b) == value
         assert dbl(AlgElem.from_word(a, 3), AlgElem.from_word(b, -2)) == value.scale(-6)
 
 
@@ -406,6 +406,11 @@ def test_triple_third_slot_derivation():
 
 # --- the one-pass triple bracket against the three-step definition ------------
 
+def lift(x):
+    """x as an AlgElem: a word becomes its one-term element."""
+    return x if isinstance(x, AlgElem) else AlgElem.from_word(x)
+
+
 def left_extend_reference(dbl, x, t):
     """Apply dbl against the first factor of t, keep the second."""
     return Tensor3.collect(((d1, d2, k2), c * d) for (k1, k2), c in t.items()
@@ -414,7 +419,7 @@ def left_extend_reference(dbl, x, t):
 
 def triple_reference(dbl, a, b, c):
     """The triple bracket as three left extensions, two permutes and two sums."""
-    a, b, c = as_elem(a), as_elem(b), as_elem(c)
+    a, b, c = lift(a), lift(b), lift(c)
     t0 = left_extend_reference(dbl, a, dbl(b, c))
     t1 = permute(left_extend_reference(dbl, b, dbl(c, a)), (3, 1, 2))
     t2 = permute(left_extend_reference(dbl, c, dbl(a, b)), (2, 3, 1))
@@ -426,7 +431,7 @@ def recorded(dbl):
     calls = []
 
     def call(a, b):
-        calls.append((as_elem(a), as_elem(b)))
+        calls.append((lift(a), lift(b)))
         return dbl(a, b)
 
     return call, calls

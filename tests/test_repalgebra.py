@@ -116,8 +116,8 @@ def test_dim_one_trace_is_abelianization():
 
 
 def test_equality_by_cross_multiplication():
-    det_as_elem = RepElem(ALG, ALG.det_poly(0), ALG.zero_den)
-    assert det_as_elem * ALG.det_inverse(0) == ALG.one()
+    det_elem = RepElem(ALG, ALG.det_poly(0), ALG.zero_den)
+    assert det_elem * ALG.det_inverse(0) == ALG.one()
     assert not (ALG.det_inverse(0) == ALG.one())
 
 

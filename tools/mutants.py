@@ -142,10 +142,28 @@ MUTANTS = (
     Mutant("last corner wins", "src/surfqp/words.py",
            "index.setdefault(corner_key(x, y, *d), n)", "index[corner_key(x, y, *d)] = n",
            ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
+    Mutant("a word's counit is 0", "src/surfqp/words.py",
+           "    def counit(self) -> int:\n        return 1\n",
+           "    def counit(self) -> int:\n        return 0\n",
+           ("tests/test_algebra.py::test_a_word_is_its_one_term_element",)),
+    # coefficients and products of the group algebra
+    Mutant("a str coefficient is read as a number again", "src/surfqp/algebra.py",
+           "    if not isinstance(k, Fraction):\n",
+           "    if isinstance(k, str):\n        k = Fraction(k)\n    elif not isinstance(k, Fraction):\n",
+           ("tests/test_algebra.py::test_coefficients_are_ints_or_fractions",)),
+    Mutant("AlgElem * Word scales by the word", "src/surfqp/algebra.py",
+           "if isinstance(other, (AlgElem, Word)):", "if isinstance(other, AlgElem):",
+           ("tests/test_algebra.py::test_elem_times_word_is_the_product",)),
     # pairings, brackets, matrices and the product kernel
     Mutant("inner_pairing drops the eps(b) correction", "src/surfqp/foxpairing.py",
            "for w, cw in (*b.items(), (one, -b.counit())))", "for w, cw in b.items())",
            ("tests/test_foxpairing.py::test_inner_pairing",)),
+    Mutant("transpose_apply reads rho(v, w), not rho(w, v)", "src/surfqp/foxpairing.py",
+           "for u, cu in rho(w, v).items())", "for u, cu in rho(v, w).items())",
+           ("tests/test_foxpairing.py::test_transpose_fixture",)),
+    Mutant("triple_e's (w, u, v) key has the wrong sign", "src/surfqp/dbracket.py",
+           "((w, u, v), 1)", "((w, u, v), -1)",
+           ("tests/test_dbracket.py::test_triple_e_display",)),
     Mutant("wrong triple-leg cycle", "src/surfqp/dbracket.py",
            "yield from (((k2, d1, d2), ck * cd)", "yield from (((d1, d2, k2), ck * cd)",
            ("tests/test_dbracket.py::test_triple_matches_reference_on_words",)),
