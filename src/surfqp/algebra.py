@@ -74,9 +74,14 @@ class LinComb:
         return self.terms.items()
 
     def __add__(self, other):
+        # sums, like ==, never mix subclasses: their keys are different things
+        if type(other) is not type(self):
+            return NotImplemented
         return self.collect(other.terms.items(), self.terms)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self.collect(((k, -c) for k, c in other.terms.items()), self.terms)
 
     def __neg__(self):

@@ -245,7 +245,7 @@ def parse_expression(text: str, alg: RepAlgebra) -> RepElem:
 def load_rep_point(path: str, sig: SurfaceSignature, dim: int) -> RepPoint:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=str)  # _point_entry bounds the digits before int()
         except RecursionError:
             raise ValueError("point file: JSON nested too deeply") from None
     if not isinstance(data, list) or len(data) != sig.rank:
@@ -271,6 +271,8 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 def _point_entry(x, u: int, i: int, j: int) -> Fraction:
     where, text = f"point file: matrix {u}, row {i}, entry {j}", str(x)
+    if max(map(len, _DIGITS.findall(text)), default=0) > MAX_DIGITS:
+        raise ValueError(f"{where} has a number longer than {MAX_DIGITS} digits")
     if (exp := _EXPONENT.search(text)) and (digits := exp[1].lstrip("0_")):
         if len(digits) > 8 or int(digits.replace("_", "")) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"{where} has a decimal exponent past {MAX_DECIMAL_EXPONENT}: {x!r}")

@@ -175,11 +175,12 @@ def project_cyclic(x: AlgElem) -> CyclicAlgElem:
     return CyclicAlgElem.collect((CyclicWord.of(w), c) for w, c in x.items())
 
 
-def goldman(dbl_s: DoubleBracket, a: CyclicWord, b: CyclicWord) -> CyclicAlgElem:
-    """Goldman bracket of two free homotopy classes: half the projected
-    single bracket of any representatives."""
-    val = angle(dbl_s, a.representative(), b.representative())
-    return project_cyclic(val).scale(Fraction(1, 2))
+def goldman(dbl_s: DoubleBracket, a: CyclicWord | CyclicAlgElem,
+            b: CyclicWord | CyclicAlgElem) -> CyclicAlgElem:
+    """Goldman bracket of free homotopy classes, or of their combinations
+    (bilinearly, as dbl_s reads items()): half the projected single bracket
+    of any representatives."""
+    return project_cyclic(angle(dbl_s, a, b)).scale(Fraction(1, 2))
 
 
 def moment_power_rhs(mu: Word, a: Word, m: int) -> Tensor2:

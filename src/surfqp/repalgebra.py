@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgElem, ElemLike, LinComb, Scalar, Tensor2
+from .algebra import ElemLike, LinComb, Scalar, Tensor2
 from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
 from .poly import Poly
@@ -190,12 +190,9 @@ class RepAlgebra:
             raise IndexError(f"entry index out of range for dim {self.dim}: ({i}, {j})")
 
     def trace(self, a: ElemLike) -> RepElem:
+        """Trace of a, or of a combination of conjugacy classes (a CyclicAlgElem)."""
         return self.accumulate(self.column(w, i)[i].scale(c) for w, c in a.items()
                                for i in range(self.dim))
-
-    def trace_cyclic(self, x) -> RepElem:
-        """Trace of a linear combination of conjugacy classes."""
-        return self.trace(AlgElem.collect((cw.representative(), c) for cw, c in x.items()))
 
     # --- the bracket ----------------------------------------------------
 

@@ -5,9 +5,9 @@ boundary components is free on 2g+m generators, with the fixed order
 p1 < q1 < ... < pg < qg < z1 < ... < zm.  A letter is a pair (generator
 index g, exponent e) with e = +1 or -1, and a word is a str of letter codes
 chr(2 g + (e < 0)), kept freely reduced: x and x^-1 differ in the lowest bit
-of their codes.  Conjugacy classes are represented by the least rotation of
-the cyclic reduction, in the order of the codes, so conjugate words
-normalize to equal objects.
+of their codes.  A conjugacy class is the CyclicWord, a Word subclass, of
+the least rotation of the cyclic reduction in the order of the codes, so
+conjugate words normalize to equal words.
 
 String grammar (also used for serialization)::
 
@@ -24,12 +24,13 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import starmap
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 Letter = tuple[int, int]
 
 # a letter's code chr(2 g + 1) must be a code point, at most 0x10FFFF
 MAX_RANK = 0x110000 // 2
+_RANK_DIGITS = len(str(MAX_RANK))
 
 
 class WordParseError(ValueError):
@@ -84,7 +85,8 @@ class SurfaceSignature:
 
     def gen_index(self, name: str) -> int:
         kind, num = name[:1], name[1:]
-        if kind not in ("p", "q", "z") or not (num.isascii() and num.isdigit()) or num[0] == "0":
+        if (kind not in ("p", "q", "z") or not (num.isascii() and num.isdigit()) or num[0] == "0"
+                or len(num) > _RANK_DIGITS):  # int() refuses past 4300 digits
             raise KeyError(name)
         num = int(num)
         if num > (self.punctures if kind == "z" else self.genus):
@@ -208,7 +210,7 @@ class Word(str):
         return (self.letters,)
 
     def __repr__(self) -> str:
-        return f"Word({self.letters!r})"
+        return f"{type(self).__name__}({self.letters!r})"
 
 
 # the Word of a reduced code string
@@ -216,34 +218,20 @@ _word = partial(str.__new__, Word)
 _IDENTITY = Word()
 
 
-class CyclicWord:
-    """Conjugacy class of a word: cyclic reduction, least rotation."""
+class CyclicWord(Word):
+    """Conjugacy class of a word, as the Word of its normal form: the least
+    rotation of its cyclic reduction.  It hashes and compares as that Word."""
 
-    __slots__ = ("_word",)
+    __slots__ = ()
 
-    def __init__(self, letters: Sequence[Letter] | Word, *, _canonical: bool = False):
-        self._word = letters if _canonical else _cyclic_normal(Word(letters))
+    def __new__(cls, letters: Iterable[Letter] = ()):
+        return CyclicWord.of(Word(letters))
 
     @staticmethod
     def of(word: Word) -> "CyclicWord":
-        # a Word is reduced already
-        return CyclicWord(_cyclic_normal(word), _canonical=True)
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return self._word.letters
-
-    def representative(self) -> Word:
-        return self._word
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self._word == other._word
-
-    def __hash__(self) -> int:
-        return hash(self._word)
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({self.letters!r})"
+        # a Word is reduced already: cut off its cancelling end pairs with one slice
+        k = _end_pairs(word)
+        return str.__new__(CyclicWord, _min_rotation(word[k:len(word) - k]))
 
 
 def _end_pairs(reduced: str) -> int:
@@ -252,12 +240,6 @@ def _end_pairs(reduced: str) -> int:
     while len(reduced) - 2 * k > 1 and ord(reduced[k]) ^ 1 == ord(reduced[~k]):
         k += 1
     return k
-
-
-def _cyclic_normal(reduced: str) -> Word:
-    """The least rotation of the cyclic reduction, cut out with one slice."""
-    k = _end_pairs(reduced)
-    return _word(_min_rotation(reduced[k:len(reduced) - k]))
 
 
 def _min_rotation(codes: str) -> str:
@@ -316,10 +298,11 @@ def corner_cuts(xs: str, ys: str, table: Mapping) -> Iterator:
 
 # --- parsing / formatting -------------------------------------------------
 
-_TOKEN_RE = re.compile(r"([pqz])([0-9]+)(?:\^(-?[0-9]+))?")
+_TOKEN_RE = re.compile(r"([pqz])([0-9]+)(?:\^(-?)([0-9]+))?")
 
 # longest word parse_word expands before it gives up, checked before allocating
 MAX_WORD_LETTERS = 100_000
+_LETTER_DIGITS = len(str(MAX_WORD_LETTERS))
 
 
 def parse_word(text: str, sig: SurfaceSignature) -> Word:
@@ -349,11 +332,13 @@ def parse_word(text: str, sig: SurfaceSignature) -> Word:
         except KeyError:
             raise WordParseError(f"unknown generator {name!r} for genus {sig.genus}, "
                                  f"punctures {sig.punctures}", pos) from None
-        exp = 1 if m.group(3) is None else int(m.group(3))
-        letters += abs(exp)
+        # an exponent with more digits than MAX_WORD_LETTERS is too long before int() reads it
+        digits = (m.group(4) or "1").lstrip("0")
+        n = int(digits or "0") if len(digits) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1
+        letters += n
         if letters > MAX_WORD_LETTERS:
             raise WordParseError(f"word longer than {MAX_WORD_LETTERS} letters", pos)
-        runs.append(chr(2 * index + (exp < 0)) * abs(exp))
+        runs.append(chr(2 * index + bool(m.group(3))) * n)
         pos = m.end()
         expect_token = False
     if expect_token:
@@ -381,7 +366,7 @@ def format_word(word: Word, sig: SurfaceSignature) -> str:
 
 
 def format_cyclic(cw: CyclicWord, sig: SurfaceSignature) -> str:
-    return format_word(cw.representative(), sig)
+    return format_word(cw, sig)
 
 
 def boundary_word(sig: SurfaceSignature) -> Word:

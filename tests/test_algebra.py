@@ -272,6 +272,17 @@ def test_coefficients_are_ints_or_fractions():
         Tensor2.pure(w("p1"), w("q1"), "1")
 
 
+def test_sums_are_type_strict():
+    # a sum of two kinds of element would key one kind's dict by the other's keys
+    x, t = e("p1"), Tensor2.pure(w("p1"), w("q1"))
+    p, c = Poly.const(2), CyclicAlgElem.collect([(CyclicWord.of(w("q1*p1")), 1)])
+    for bad in (lambda: x + w("q1"), lambda: AlgElem.one() + Word.generator(0), lambda: t + x,
+                lambda: Tensor2() + AlgElem.one(), lambda: p - x, lambda: c + x, lambda: x - c):
+        with pytest.raises(TypeError):
+            bad()
+    assert (x + x).terms == {w("p1"): 2} and (c - c).is_zero()
+
+
 def test_elem_times_word_is_the_product():
     # past rank 24 the letter codes of z25, z25^-1, z26 are the digits '0', '1', '2':
     # read as scalars they would give 0, x and 2x

@@ -136,6 +136,27 @@ def test_ev_rejects_malformed_point(tmp_path, capsys, data, where):
     assert where in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["7" * 5000, '"' + "7" * 5000 + '"', '"1/' + "7" * 5000 + '"'],
+                         ids=["bare integer", "integer string", "denominator"])
+def test_ev_rejects_long_point_numbers(tmp_path, capsys, entry):
+    # int() refuses a string of more than 4300 digits: the entry is refused before it
+    pt = tmp_path / "pt.json"
+    pt.write_text(f'[[["1", "0"], ["0", "1"]], [["1", "0"], [{entry}, "1"]], [["1", "0"], ["0", "1"]]]')
+    code, out, err = run(capsys, "ev", "--dim", "2", "tr(p1)", str(pt))
+    assert code == 2 and out == ""
+    assert "point file: matrix 1, row 1, entry 0 has a number longer than 4300 digits" in err
+    assert "Traceback" not in err
+
+
+def test_ev_reads_a_4300_digit_entry(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    big = "7" * 4300
+    pt.write_text(f'[[[{big}, 0], [0, 1]], [["1/{big}", "0"], ["0", "1"]], [[1, 0], [0, 1]]]')
+    code, out, err = run(capsys, "ev", "--dim", "2", "tr(p1) + tr(q1)", str(pt))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"value": unlimited(str, Fraction(int(big) + 2) + Fraction(1, int(big)))}
+
+
 def test_ev_rejects_deeply_nested_point_file(tmp_path, capsys):
     # json.load recurses once per bracket and would overflow the stack
     pt = tmp_path / "pt.json"

@@ -559,6 +559,20 @@ def test_goldman_jacobi():
         assert total.is_zero()
 
 
+def test_goldman_is_bilinear_on_class_combinations():
+    from surfqp.dbracket import CyclicAlgElem
+    rng = random.Random(19)
+    for _ in range(15):
+        x = CyclicAlgElem.collect((CyclicWord.of(sample_word(rng, SIG, 3)), rng.randint(-3, 3))
+                                  for _ in range(3))
+        c = CyclicWord.of(sample_word(rng, SIG, 3))
+        for got, each in ((goldman(DBL, x, c), lambda cw: goldman(DBL, cw, c)),
+                          (goldman(DBL, c, x), lambda cw: goldman(DBL, c, cw))):
+            want = CyclicAlgElem.collect((z, coeff * k) for cw, coeff in x.items()
+                                         for z, k in each(cw).items())
+            assert got == want
+
+
 # --- moment shapes --------------------------------------------------------------
 
 def test_boundary_word_is_a_moment_element():

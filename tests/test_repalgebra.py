@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import surfqp.poly as poly
 from surfqp.algebra import AlgElem, Tensor2
-from surfqp.dbracket import SurfaceDoubleBracket, angle, goldman
+from surfqp.dbracket import CyclicAlgElem, SurfaceDoubleBracket, angle, goldman
 from surfqp.matrices import identity, mat, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem, cartan_trivector
 from surfqp.words import (CyclicWord, SurfaceSignature, Word, boundary_word,
@@ -515,7 +515,19 @@ def test_trace_bracket_matches_goldman():
         lhs = ALG.qp_bracket(ALG.trace(a), ALG.trace(b))
         assert lhs == ALG.trace(angle(dbl, a, b))
         gold = goldman(dbl, CyclicWord.of(a), CyclicWord.of(b))
-        assert lhs == ALG.trace_cyclic(gold).scale(2)
+        assert lhs == ALG.trace(gold).scale(2)
+
+
+def test_trace_reads_class_combinations():
+    # a class combination's trace is the trace of the AlgElem of its normal-form words
+    rng = random.Random(16)
+    for _ in range(10):
+        words = [sample_word(rng, SIG, 4) for _ in range(3)]
+        coeffs = [rng.randint(-3, 3) for _ in words]
+        x = CyclicAlgElem.collect(zip(map(CyclicWord.of, words), coeffs))
+        assert ALG.trace(x) == ALG.trace(AlgElem.collect((Word(cw.letters), c) for cw, c in x.items()))
+        # traces are conjugation invariant, so any representatives give the same sum
+        assert ALG.trace(x) == ALG.accumulate(ALG.trace(a).scale(c) for a, c in zip(words, coeffs))
 
 
 # --- one-pass sums --------------------------------------------------------------

@@ -245,6 +245,19 @@ def test_words_copy_and_pickle():
             assert type(twin) is Word and twin == x and twin.letters == x.letters
 
 
+def test_cyclic_word_is_its_normal_form_word():
+    for letters in ([(1, 1), (0, 1)], [(3, 1), (1, 1), (0, -1), (3, -1)], [], [(299, -1), (3, 1)]):
+        cw = CyclicWord(letters)
+        assert isinstance(cw, Word) and cw == CyclicWord.of(Word(letters))
+        assert repr(cw) == f"CyclicWord({cw.letters!r})"
+        for twin in (copy.copy(cw), copy.deepcopy(cw), pickle.loads(pickle.dumps(cw))):
+            assert type(twin) is CyclicWord and twin == cw and twin.letters == cw.letters
+    # a class equals the Word of its normal form, as a Word equals its code str
+    cw = CyclicWord.of(w("q1*p1"))
+    assert cw == w("p1*q1") and hash(cw) == hash(w("p1*q1"))
+    assert repr(w("p1*q1")) == "Word(((0, 1), (1, 1)))"
+
+
 def test_signature_rank_is_bounded_by_the_code_points():
     assert SurfaceSignature(278_528, 0).rank == 557_056
     with pytest.raises(ValueError, match="rank"):
@@ -476,12 +489,37 @@ def test_grammar_forms():
     assert format_word(Word.identity(), SIG) == "1"
 
 
+SEVENS = "7" * 5000  # past int()'s 4300-digit limit
+
+
 @pytest.mark.parametrize("bad", ["p1**q1", "w1", "p9", "z3", "p1*", "*p1", "p1^x", "",
-                                 "p1^100001", "p1^60000*q1^60000"])
+                                 "p1^100001", "p1^60000*q1^60000",
+                                 pytest.param("p1^" + SEVENS, id="p1^7...7"),
+                                 pytest.param("p" + SEVENS, id="p7...7"),
+                                 pytest.param("q1 p1^-" + SEVENS, id="q1 p1^-7...7"),
+                                 pytest.param("q1 z" + SEVENS + "^2", id="q1 z7...7^2")])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(WordParseError) as err:
         parse_word(bad, SIG)
     assert err.value.position >= 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p1^" + SEVENS, f"word longer than {MAX_WORD_LETTERS} letters (at position 0)"),
+    ("q1 p1^-" + SEVENS, f"word longer than {MAX_WORD_LETTERS} letters (at position 3)"),
+    ("q1 p1^0000000100001", f"word longer than {MAX_WORD_LETTERS} letters (at position 3)"),
+    ("q1 p" + SEVENS, f"unknown generator 'p{SEVENS}' for genus 2, punctures 2 (at position 3)"),
+], ids=["exponent", "negative exponent", "leading zeros", "generator"])
+def test_long_numbers_are_refused_before_int(text, message):
+    with pytest.raises(WordParseError) as err:
+        parse_word(text, SIG)
+    assert str(err.value) == message
+
+
+def test_exponent_leading_zeros_are_read():
+    assert w("p1^0000003") == w("p1^3")
+    assert w("q1^-" + "0" * 5000 + "2") == w("q1^-2")
+    assert w("p1^-0 q1^00") == Word.identity()
 
 
 def test_boundary_word():

@@ -146,7 +146,24 @@ MUTANTS = (
            "    def counit(self) -> int:\n        return 1\n",
            "    def counit(self) -> int:\n        return 0\n",
            ("tests/test_algebra.py::test_a_word_is_its_one_term_element",)),
+    Mutant("CyclicWord.of keeps the cancelling end pairs", "src/surfqp/words.py",
+           "        k = _end_pairs(word)\n", "        k = 0\n",
+           ("tests/test_words.py::test_cyclic_normal_form_matches_the_old_code",)),
+    Mutant("parse_word reads an exponent of any length", "src/surfqp/words.py",
+           'int(digits or "0") if len(digits) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1',
+           'int(digits or "0")',
+           ("tests/test_words.py::test_long_numbers_are_refused_before_int",)),
+    Mutant("a point entry's digits are unbounded", "src/surfqp/cli.py",
+           "    if max(map(len, _DIGITS.findall(text)), default=0) > MAX_DIGITS:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_ev_rejects_long_point_numbers",)),
     # coefficients and products of the group algebra
+    Mutant("a sum takes any other element", "src/surfqp/algebra.py",
+           "    def __add__(self, other):\n        # sums, like ==, never mix subclasses: "
+           "their keys are different things\n        if type(other) is not type(self):\n"
+           "            return NotImplemented\n",
+           "    def __add__(self, other):\n",
+           ("tests/test_algebra.py::test_sums_are_type_strict",)),
     Mutant("a str coefficient is read as a number again", "src/surfqp/algebra.py",
            "    if not isinstance(k, Fraction):\n",
            "    if isinstance(k, str):\n        k = Fraction(k)\n    elif not isinstance(k, Fraction):\n",
