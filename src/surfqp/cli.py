@@ -265,21 +265,22 @@ def load_rep_point(path: str, sig: SurfaceSignature, dim: int) -> RepPoint:
 # largest decimal exponent, in magnitude, of a point-file entry: Fraction("1e100000000")
 # would build 10**100000000 before anything could refuse it
 MAX_DECIMAL_EXPONENT = 4300
-# the exponent as Fraction reads it: Unicode digits and underscores between them
+# a number and the exponent as Fraction reads them: Unicode digits, single underscores between
+_NUMBER = re.compile(r"\d+(?:_\d+)*")
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _point_entry(x, u: int, i: int, j: int) -> Fraction:
     where, text = f"point file: matrix {u}, row {i}, entry {j}", str(x)
-    if max(map(len, _DIGITS.findall(text)), default=0) > MAX_DIGITS:
+    if any(len(n) - n.count("_") > MAX_DIGITS for n in _NUMBER.findall(text)):
         raise ValueError(f"{where} has a number longer than {MAX_DIGITS} digits")
     if (exp := _EXPONENT.search(text)) and (digits := exp[1].lstrip("0_")):
         if len(digits) > 8 or int(digits.replace("_", "")) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"{where} has a decimal exponent past {MAX_DECIMAL_EXPONENT}: {x!r}")
+            raise ValueError(f"{where} has a decimal exponent past {MAX_DECIMAL_EXPONENT}: {x!r:.60}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{where} is not a rational: {x!r}") from None
+        raise ValueError(f"{where} is not a rational: {x!r:.60}") from None
 
 
 # --- commands ----------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2, permute
+from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2
 from .foxpairing import Pairing
-from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
-                    join, sample_word, trial_rng)
+from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, corner_words,
+                    format_word, join, sample_word, trial_rng)
 
 # SurfaceDoubleBracket empties its memo before an insertion past this size
 MEMO_LIMIT = 4096
@@ -58,12 +58,12 @@ def dbl_from_inner(e: ElemLike, a: ElemLike, b: ElemLike) -> Tensor2:
 class SurfaceDoubleBracket:
     """The surface double bracket, computed from its generator-pair table.
 
-    The table stores the value on every ordered pair of positive generators:
-    above the diagonal the displayed values, below it their skew-symmetric
-    images.  Each a (x) b in the value on (x, y) is y^dj x^(1-di) (x) x^di y^(1-dj)
-    for a corner (di, dj) in {0,1}^2, and the inverse-letter rules
-    dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2), dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1)
-    flip di, resp. dj.  So the derivation rules integrate to a sum over cuts
+    Each a (x) b in the value on positive generators (x, y) is
+    y^dj x^(1-di) (x) x^di y^(1-dj) for a corner (di, dj) in {0,1}^2, and the
+    inverse-letter rules dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2),
+    dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1) flip di, resp. dj.  The stored data
+    is the corners' integer weights, read off the kind of the pair (_weights),
+    and the derivation rules integrate to a sum over cuts
 
         dbl(x1...xn, y1...ym) = sum_{i', j'} W(i', j') F(i', j'),
         F(i', j') = (y_{<j'} x_{>=i'}) (x) (x_{<i'} y_{>=j'}),
@@ -71,7 +71,9 @@ class SurfaceDoubleBracket:
     with integer weights W summed a row at a time; a row slices x once, and a
     factor of F is one join of two slices, built only where W is nonzero.  A
     generic letter pair weighs -1, +1, +1, -1 on its corners, a second
-    difference -D^2 F whose interior cuts cancel as ints.
+    difference -D^2 F whose interior cuts cancel as ints.  base(i, j) is built
+    from the weights on first read and kept.  tests/test_dbracket.py derives
+    the weights from the displayed values and their skew-symmetric images.
 
     The memo maps each whole word pair bracketed so far to its finished
     value, never a pair of suffixes; concurrent readers are safe.  It is
@@ -80,32 +82,26 @@ class SurfaceDoubleBracket:
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
+        self._corners = corner_table(sig.rank, self._weights)
         self._table: dict[tuple[int, int], Tensor2] = {}
-        for i in range(sig.rank):
-            for j in range(i, sig.rank):
-                self._table[(i, j)] = self._display_value(i, j)
-        for i in range(sig.rank):
-            for j in range(i):
-                self._table[(i, j)] = -permute(self._table[(j, i)], (2, 1))
-        self._corners = corner_table(self._table, lambda x, y, di, dj: (
-            y ** dj * x ** (1 - di), x ** di * y ** (1 - dj)))
         self._memo: dict[tuple[Word, Word], Tensor2] = {}
 
-    def _display_value(self, i: int, j: int) -> Tensor2:
+    def _weights(self, i: int, j: int) -> tuple[int, int, int, int]:
+        """The weights of dbl(x_i, x_j) on the corners 00, 01, 10, 11."""
         sig = self.sig
-        one = Word.identity()
-        x, y = Word.generator(i), Word.generator(j)
-        if i == j:
-            sq = x * x
-            if sig.letter_kind(i) == "q":
-                return Tensor2({(one, sq): 1, (sq, one): -1})
-            return Tensor2({(sq, one): 1, (one, sq): -1})
+        if i == j:  # p and z letters bracket the same way with themselves
+            return (0, -1, 1, 0) if sig.letter_kind(i) == "q" else (0, 1, -1, 0)
         if sig.is_handle_pair(i, j):
-            return Tensor2({(one, x * y): 1, (y * x, one): 1, (x, y): -1, (y, x): 1})
-        return Tensor2({(one, x * y): 1, (y * x, one): 1, (x, y): -1, (y, x): -1})
+            return (-1, 1, 1, 1)
+        if sig.is_handle_pair(j, i):
+            return (1, -1, -1, -1)
+        return (-1, 1, 1, -1) if i < j else (1, -1, -1, 1)
 
     def base(self, i: int, j: int) -> Tensor2:
-        return self._table[(i, j)]
+        if (value := self._table.get((i, j))) is None:
+            value = self._table[(i, j)] = Tensor2.collect(zip(corner_words(i, j),
+                                                              self._weights(i, j)))
+        return value
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
         if isinstance(a, Word) and isinstance(b, Word):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .algebra import AlgElem, ElemLike
-from .words import SurfaceSignature, Word, corner_cuts, corner_table, join
+from .words import SurfaceSignature, Word, corner_cuts, corner_table, corner_words, join
 
 Pairing = Callable[[ElemLike, ElemLike], AlgElem]
 
@@ -45,45 +45,41 @@ def transpose_apply(rho: Pairing, a: ElemLike, b: ElemLike) -> AlgElem:
 class SurfaceFoxPairing:
     """The homotopy intersection pairing eta for a fixed signature.
 
-    The stored data is the value on ordered generator pairs x <= y only;
-    x > y follows by the transpose identity eta(x, y) = x S(etabar(y, x)) y,
-    etabar = -eta - rho_1.  Each word u of eta(x, y) is x^di y^(1-dj) for a
+    Each word u of eta(x, y) on positive generators is x^di y^(1-dj) for a
     corner (di, dj) in {0,1}^2, flipped in di by eta(x^-1, b) = -x^-1 eta(x, b)
-    and in dj by eta(a, y^-1) = -eta(a, y) y^-1.  So the Fox rules integrate to
-    eta(x1...xn, y1...ym) = sum W(i', j') G(i', j') over the cuts
-    G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed a row at a
-    time: no recursion, no cache, and a word only where W is nonzero.
+    and in dj by eta(a, y^-1) = -eta(a, y) y^-1.  The stored data is the
+    corners' integer weights, read off the kind of the pair (_weights).  So
+    the Fox rules integrate to eta(x1...xn, y1...ym) = sum W(i', j') G(i', j')
+    over the cuts G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed
+    a row at a time: no recursion, no cache, and a word only where W is nonzero.
+    tests/test_dbracket.py derives the weights from the displayed values (x <= y)
+    and the transpose identity eta(x, y) = x S(etabar(y, x)) y, etabar =
+    -eta - rho_1 (x > y), which the fox suite checks on sampled words.
     """
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        values = {}
-        for i in range(sig.rank):
-            for j in range(sig.rank):
-                if i <= j:
-                    values[(i, j)] = self.base(i, j)
-                else:
-                    x, y = (AlgElem.from_word(Word.generator(k)) for k in (i, j))
-                    values[(i, j)] = x * (-self.base(j, i) - rho_1(y, x)).antipode() * y
-        self._corners = corner_table(values, lambda x, y, di, dj: x ** di * y ** (1 - dj))
+        self._corners = corner_table(sig.rank, self._weights)
+
+    def _weights(self, i: int, j: int) -> tuple[int, int, int, int]:
+        """The weights of eta(x_i, x_j) on the corners 00, 01, 10, 11."""
+        sig = self.sig
+        if i == j:  # p and z letters pair the same way with themselves
+            return (1, -1, 0, 0) if sig.letter_kind(i) == "q" else (1, 0, -1, 0)
+        if sig.is_handle_pair(i, j):
+            return (0, 0, 0, 1)
+        if sig.is_handle_pair(j, i):
+            return (1, -1, -1, 0)
+        return (0, 0, 0, 0) if i < j else (1, -1, -1, 1)
 
     def base(self, i: int, j: int) -> AlgElem:
-        """Table value on the ordered generator pair (i, j), i <= j."""
-        sig = self.sig
-        if not (0 <= i < sig.rank and 0 <= j < sig.rank):
+        """Value on the ordered generator pair (i, j), i <= j."""
+        if not (0 <= i < self.sig.rank and 0 <= j < self.sig.rank):
             raise IndexError(f"generator index out of range: ({i}, {j})")
         if i > j:
             raise ValueError(f"base table holds ordered pairs only, got ({i}, {j}); "
                              "use the transpose path")
-        x = Word.generator(i)
-        if i == j:
-            if sig.letter_kind(i) == "q":
-                return AlgElem.from_word(x) - AlgElem.one()
-            # p and z letters pair the same way with themselves
-            return AlgElem.from_word(x) - AlgElem.from_word(x * x)
-        if sig.is_handle_pair(i, j):
-            return AlgElem.from_word(x)
-        return AlgElem.zero()
+        return AlgElem.collect((u, c) for (_, u), c in zip(corner_words(i, j), self._weights(i, j)))
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         return AlgElem.collect((join(head, w[j:]), cv * cw * k)

@@ -98,9 +98,7 @@ class SurfaceSignature:
         return j == i + 1 and i % 2 == 0 and j < 2 * self.genus
 
     def letter_kind(self, index: int) -> str:
-        if index >= 2 * self.genus:
-            return "z"
-        return "pq"[index % 2]
+        return "z" if index >= 2 * self.genus else "pq"[index % 2]
 
 
 def _letter_code(gen: int, exp: int) -> int:
@@ -257,25 +255,30 @@ def conjugacy_class(word: Word) -> CyclicWord:
 
 # --- cut corners ----------------------------------------------------------
 
-def corner_table(values: Mapping, corner_key: Callable) -> dict:
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def corner_words(i: int, j: int) -> list[tuple[Word, Word]]:
+    """(y^dj x^(1-di), x^di y^(1-dj)) on the corners 00, 01, 10, 11 of x = x_i, y = x_j."""
+    x, y = chr(2 * i), chr(2 * j)
+    return [(_word(y * dj + x * (1 - di)), _word(x * di + y * (1 - dj))) for di, dj in _CORNERS]
+
+
+def corner_table(rank: int, weights: Callable[[int, int], tuple]) -> dict:
     """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of every
-    signed letter pair, by codes, from the values on generator pairs (i, j): a
-    term (key, c) goes to the first corner with corner_key(x_i, x_j, di, dj) == key
-    (equal keys have equal cuts) or raises ValueError.  x^-1 flips di, y^-1 flips dj."""
-    corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
-    for (i, j), value in values.items():
-        x, y, index = Word.generator(i), Word.generator(j), {}
-        for n, d in enumerate(corners):
-            index.setdefault(corner_key(x, y, *d), n)
-        sums = [0] * 4
-        for key, c in value.items():
-            if (n := index.get(key)) is None:
-                raise ValueError(f"table term {key!r} of pair {(i, j)} is at no cut corner")
-            sums[n] += c
-        for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            out.setdefault(chr(2 * i + (ex < 0)), {})[chr(2 * j + (ey < 0))] = tuple(
-                (di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)
-                for (di, dj), c in zip(corners, sums) if c)
+    signed letter pair, by codes, from weights(i, j), the weights of the positive
+    pair (x_i, x_j) on the corners 00, 01, 10, 11.  x^-1 flips di and y^-1 flips
+    dj, each negating c; the four signed entries are built once per weight tuple."""
+    out, signed = {chr(c): {} for c in range(2 * rank)}, {}
+    for i in range(rank):
+        for j in range(rank):
+            key = weights(i, j)
+            if (entries := signed.get(key)) is None:
+                entries = signed[key] = [tuple((di ^ sx, dj ^ sy, -c if sx ^ sy else c)
+                                               for (di, dj), c in zip(_CORNERS, key) if c)
+                                         for sx in (0, 1) for sy in (0, 1)]
+            for n, entry in enumerate(entries):
+                out[chr(2 * i + (n >> 1))][chr(2 * j + (n & 1))] = entry
     return out
 
 
@@ -284,16 +287,20 @@ def corner_cuts(xs: str, ys: str, table: Mapping) -> Iterator:
     (i, j) adding the corners (di, dj, c) of table[x_i][y_j] at (i + di, j + dj);
     row i' is done, and yielded, once letter i' has added to it."""
     row = [0] * (len(ys) + 1)
-    for i in range(len(xs) + 1):
-        nxt = [0] * (len(ys) + 1)
-        if i < len(xs):
-            rows, entries = (row, nxt), table[xs[i]]
-            for j, y in enumerate(ys):
-                for di, dj, c in entries[y]:
-                    rows[di][j + dj] += c
-        if cuts := [(j, c) for j, c in enumerate(row) if c]:
-            yield i, cuts
-        row = nxt
+    try:
+        for i in range(len(xs) + 1):
+            nxt = [0] * (len(ys) + 1)
+            if i < len(xs):
+                rows, entries = (row, nxt), table[xs[i]]
+                for j, y in enumerate(ys):
+                    for di, dj, c in entries[y]:
+                        rows[di][j + dj] += c
+            if cuts := [(j, c) for j, c in enumerate(row) if c]:
+                yield i, cuts
+            row = nxt
+    except KeyError as e:  # a letter past the table's rank
+        raise IndexError(f"generator index {ord(e.args[0]) >> 1} out of range "
+                         f"for rank {len(table) // 2}") from None
 
 
 # --- parsing / formatting -------------------------------------------------

@@ -148,6 +148,40 @@ def test_ev_rejects_long_point_numbers(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["_".join("7" * 4401), "٧" * 5000],
+                         ids=["underscores", "arabic-indic digits"])
+def test_ev_counts_point_digits_as_fraction_reads_them(tmp_path, capsys, entry):
+    # Fraction reads both as one number of more than 4300 digits
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps([[[entry]]]))
+    code, out, err = run(capsys, "ev", "--dim", "1", "--genus", "0", "--punctures", "1",
+                         "tr(z1)", str(pt))
+    assert code == 2 and out == ""
+    assert "point file: matrix 0, row 0, entry 0 has a number longer than 4300 digits" in err
+    assert len(err) < 300
+
+
+def test_ev_echoes_a_long_bad_entry_cut_short(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps([[["7" * 4000 + "x"]]]))
+    code, out, err = run(capsys, "ev", "--dim", "1", "--genus", "0", "--punctures", "1",
+                         "tr(z1)", str(pt))
+    assert code == 2 and out == ""
+    assert "point file: matrix 0, row 0, entry 0 is not a rational: '777" in err
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("entry,value", [("٧", "7"), ("1_000", "1000"),
+                                         ("٧/٣", "7/3")])
+def test_ev_reads_entries_as_fraction_does(tmp_path, capsys, entry, value):
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps([[[entry]]]))
+    code, out, err = run(capsys, "ev", "--dim", "1", "--genus", "0", "--punctures", "1",
+                         "tr(z1)", str(pt))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"value": value}
+
+
 def test_ev_reads_a_4300_digit_entry(tmp_path, capsys):
     pt = tmp_path / "pt.json"
     big = "7" * 4300

@@ -2,6 +2,7 @@
 cross-check, the canonical triple bracket, and the Goldman bracket."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from surfqp.dbracket import (MEMO_LIMIT, SurfaceDoubleBracket, angle, dbl_from_i
                              is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs,
                              moment_rhs, project_cyclic, triple, triple_e)
 from surfqp.foxpairing import SurfaceFoxPairing, rho_1
+from surfqp.suites import ALL_MATRIX
 from surfqp.words import (CyclicWord, SurfaceSignature, Word, boundary_word,
                           parse_word, sample_word)
 
@@ -113,25 +115,72 @@ def test_cross_oracle_long_inverse_heavy_words(data):
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+def reference_eta_base(sig, i, j):
+    """eta(x_i, x_j) for i <= j as displayed: the table the corner weights replace."""
+    x = Word.generator(i)
+    if i == j:
+        if sig.letter_kind(i) == "q":
+            return AlgElem.from_word(x) - AlgElem.one()
+        # p and z letters pair the same way with themselves
+        return AlgElem.from_word(x) - AlgElem.from_word(x * x)
+    if sig.is_handle_pair(i, j):
+        return AlgElem.from_word(x)
+    return AlgElem.zero()
+
+
+def reference_eta_values(sig):
+    """eta on every generator pair: displayed for i <= j, and for i > j by the
+    transpose identity eta(x, y) = x S(etabar(y, x)) y, etabar = -eta - rho_1."""
+    values = {}
+    for i in range(sig.rank):
+        for j in range(sig.rank):
+            if i <= j:
+                values[(i, j)] = reference_eta_base(sig, i, j)
+            else:
+                x, y = (AlgElem.from_word(Word.generator(k)) for k in (i, j))
+                values[(i, j)] = x * (-reference_eta_base(sig, j, i) - rho_1(y, x)).antipode() * y
+    return values
+
+
+def reference_dbl_display(sig, i, j):
+    """dbl(x_i, x_j) for i <= j as displayed."""
+    one = Word.identity()
+    x, y = Word.generator(i), Word.generator(j)
+    if i == j:
+        sq = x * x
+        if sig.letter_kind(i) == "q":
+            return Tensor2({(one, sq): 1, (sq, one): -1})
+        return Tensor2({(sq, one): 1, (one, sq): -1})
+    if sig.is_handle_pair(i, j):
+        return Tensor2({(one, x * y): 1, (y * x, one): 1, (x, y): -1, (y, x): 1})
+    return Tensor2({(one, x * y): 1, (y * x, one): 1, (x, y): -1, (y, x): -1})
+
+
+def reference_dbl_values(sig):
+    """dbl on every generator pair: displayed for i <= j, their skew-symmetric
+    images for i > j."""
+    values = {(i, j): reference_dbl_display(sig, i, j)
+              for i in range(sig.rank) for j in range(i, sig.rank)}
+    for i in range(sig.rank):
+        for j in range(i):
+            values[(i, j)] = -permute(values[(j, i)], (2, 1))
+    return values
+
+
 def letter_pair_tables(sig):
-    """Both generator tables extended to signed letter pairs term by term:
+    """Both reference tables extended to signed letter pairs term by term:
     eta(x, y) as (u, c) and dbl(x, y) as ((a1, a2), c)."""
-    eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+    eta, dbl = reference_eta_values(sig), reference_dbl_values(sig)
     fox, bracket = {}, {}
     for i in range(sig.rank):
         for j in range(sig.rank):
             x, y = Word.generator(i), Word.generator(j)
-            if i <= j:
-                val = eta.base(i, j)
-            else:
-                etabar = -eta.base(j, i) - rho_1(y, x)
-                val = AlgElem.from_word(x) * etabar.antipode() * AlgElem.from_word(y)
             for ex, ey in SIGNS:
                 l = x.inverse() if ex < 0 else Word.identity()
                 r = y.inverse() if ey < 0 else Word.identity()
-                fox[((i, ex), (j, ey))] = [(l * u * r, ex * ey * c) for u, c in val.items()]
+                fox[((i, ex), (j, ey))] = [(l * u * r, ex * ey * c) for u, c in eta[(i, j)].items()]
                 bracket[((i, ex), (j, ey))] = [((r * a1 * l, l * a2 * r), ex * ey * c)
-                                               for (a1, a2), c in dbl.base(i, j).items()]
+                                               for (a1, a2), c in dbl[(i, j)].items()]
     return fox, bracket
 
 
@@ -204,9 +253,10 @@ def test_corner_weights_are_ints():
 
 
 def reference_corner_table(values, corner_key):
-    """words.corner_table as it was before its dict lookup: each term goes
-    to the first corner in a list of the four corner keys.  A signed letter
-    pair is keyed by the codes of its two one-letter words."""
+    """The corner weights derived from table values by word algebra: each term
+    goes to the first corner in a list of the four corner keys, and a term at
+    no corner raises.  A signed letter pair is keyed by the codes of its two
+    one-letter words."""
     corners, out = ((0, 0), (0, 1), (1, 0), (1, 1)), {}
     for (i, j), value in values.items():
         keys = [corner_key(Word.generator(i), Word.generator(j), *d) for d in corners]
@@ -222,38 +272,60 @@ def reference_corner_table(values, corner_key):
     return out
 
 
-def test_corner_table_matches_the_list_lookup(monkeypatch):
-    from surfqp import dbracket, foxpairing, words
-    seen = []
+VERIFY_SIGS = tuple(SurfaceSignature(g, p)
+                    for g, p in sorted({s for sigs in ALL_MATRIX.values() for s in sigs}))
+WEIGHT_SIGS = VERIFY_SIGS + tuple(SurfaceSignature(g, p)
+                                  for g, p in ((0, 3), (2, 0), (2, 2), (3, 0), (3, 4)))
 
-    def recorded(values, corner_key):
-        seen.append((values, corner_key))
-        return words.corner_table(values, corner_key)
 
+def test_corner_table_matches_the_list_lookup():
     # the corner keys as x^di y^(1-dj) spelled out, without Word.__pow__
     power = lambda x, n: Word(x.letters * n)
-    keys = (lambda x, y, di, dj: power(x, di) * power(y, 1 - dj),
-            lambda x, y, di, dj: (power(y, dj) * power(x, 1 - di), power(x, di) * power(y, 1 - dj)))
-    for module in (foxpairing, dbracket):
-        monkeypatch.setattr(module, "corner_table", recorded)
-    for sig in CORNER_SIGS:
-        for cls, key in zip((SurfaceFoxPairing, SurfaceDoubleBracket), keys):
-            seen.clear()
-            table = cls(sig)._corners
-            (values, _), = seen
-            assert table == reference_corner_table(values, key)
+    eta_key = lambda x, y, di, dj: power(x, di) * power(y, 1 - dj)
+    dbl_key = lambda x, y, di, dj: (power(y, dj) * power(x, 1 - di), eta_key(x, y, di, dj))
+    for sig in WEIGHT_SIGS:
+        eta_values, dbl_values = reference_eta_values(sig), reference_dbl_values(sig)
+        eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+        assert eta._corners == reference_corner_table(eta_values, eta_key)
+        assert dbl._corners == reference_corner_table(dbl_values, dbl_key)
+        for (i, j), value in dbl_values.items():
+            assert dbl.base(i, j) == value
+            if i <= j:
+                assert eta.base(i, j) == eta_values[(i, j)]
 
 
-def test_table_term_at_no_corner_raises(monkeypatch):
-    # x^3 is no x^di y^(1-dj), and (x^2, x^2) no corner pair of (x, x)
-    cube = lambda self, i, j: AlgElem.from_word(Word.generator(i) ** 3)
-    monkeypatch.setattr(SurfaceFoxPairing, "base", cube)
-    with pytest.raises(ValueError, match="no cut corner"):
-        SurfaceFoxPairing(SurfaceSignature(0, 1))
-    square = lambda self, i, j: Tensor2.pure(Word.generator(i) ** 2, Word.generator(j) ** 2)
-    monkeypatch.setattr(SurfaceDoubleBracket, "_display_value", square)
-    with pytest.raises(ValueError, match="no cut corner"):
-        SurfaceDoubleBracket(SurfaceSignature(0, 1))
+def test_constructing_a_bracket_builds_no_word():
+    from surfqp import words
+    counted = {words.join.__code__: 0, Word.__pow__.__code__: 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    for sig in VERIFY_SIGS:
+        sys.setprofile(count)
+        try:
+            SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+        finally:
+            sys.setprofile(None)
+    assert list(counted.values()) == [0, 0]
+    # the counter sees a call of either
+    sys.setprofile(count)
+    try:
+        Word.generator(0) * Word.generator(1), Word.generator(0) ** 2
+    finally:
+        sys.setprofile(None)
+    assert list(counted.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("cls", [SurfaceFoxPairing, SurfaceDoubleBracket])
+@pytest.mark.parametrize("a,b", [(5, 0), (0, 5)], ids=["first slot", "second slot"])
+def test_a_letter_past_the_rank_is_named(cls, a, b):
+    pairing = cls(SurfaceSignature(1, 0))
+    with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
+        pairing(Word.generator(a), Word.generator(b))
+    with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
+        pairing(Word.generator(a, -1) * Word.generator(1), Word.generator(b, -1))
 
 
 def test_integer_brackets_keep_int_coefficients():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the test suite, run from the root of a checkout:
 
-    python3 tools/mutants.py    # every row, about a minute on 2 cores
+    python3 tools/mutants.py    # every row, about two minutes on 2 cores
 
 Each row of MUTANTS names a source file, an exact snippet in it, the
 snippet's replacement, and the pytest node ids expected to fail once the
@@ -137,10 +137,13 @@ MUTANTS = (
            "*runs[len(runs) & ~1:]]", "]",
            ("tests/test_words.py::test_parse_word_matches_the_letter_reference",)),
     Mutant("di not flipped", "src/surfqp/words.py",
-           "(di ^ (ex < 0), dj ^ (ey < 0), ex * ey * c)", "(di, dj ^ (ey < 0), ex * ey * c)",
+           "(di ^ sx, dj ^ sy, -c if sx ^ sy else c)", "(di, dj ^ sy, -c if sx ^ sy else c)",
            ("tests/test_dbracket.py::test_corner_sums_match_letter_pair_reference",)),
-    Mutant("last corner wins", "src/surfqp/words.py",
-           "index.setdefault(corner_key(x, y, *d), n)", "index[corner_key(x, y, *d)] = n",
+    Mutant("eta's reversed-handle weights end in 1", "src/surfqp/foxpairing.py",
+           "return (1, -1, -1, 0)", "return (1, -1, -1, 1)",
+           ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
+    Mutant("the bracket's generic i > j weights are the i < j ones", "src/surfqp/dbracket.py",
+           "(-1, 1, 1, -1) if i < j else (1, -1, -1, 1)", "(-1, 1, 1, -1) if i < j else (-1, 1, 1, -1)",
            ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
     Mutant("a word's counit is 0", "src/surfqp/words.py",
            "    def counit(self) -> int:\n        return 1\n",
@@ -154,9 +157,12 @@ MUTANTS = (
            'int(digits or "0")',
            ("tests/test_words.py::test_long_numbers_are_refused_before_int",)),
     Mutant("a point entry's digits are unbounded", "src/surfqp/cli.py",
-           "    if max(map(len, _DIGITS.findall(text)), default=0) > MAX_DIGITS:\n",
+           '    if any(len(n) - n.count("_") > MAX_DIGITS for n in _NUMBER.findall(text)):\n',
            "    if False:\n",
            ("tests/test_cli.py::test_ev_rejects_long_point_numbers",)),
+    Mutant("a point entry's digits are ASCII runs", "src/surfqp/cli.py",
+           'r"\\d+(?:_\\d+)*"', 'r"[0-9]+"',
+           ("tests/test_cli.py::test_ev_counts_point_digits_as_fraction_reads_them",)),
     # coefficients and products of the group algebra
     Mutant("a sum takes any other element", "src/surfqp/algebra.py",
            "    def __add__(self, other):\n        # sums, like ==, never mix subclasses: "
