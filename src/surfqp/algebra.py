@@ -157,10 +157,6 @@ class Tensor3(LinComb):
     __slots__ = ()
     arity = 3
 
-    @staticmethod
-    def pure(w1: Word, w2: Word, w3: Word, coeff: Scalar = 1) -> "Tensor3":
-        return Tensor3({(w1, w2, w3): _coeff(coeff)})
-
 
 def tensor2(a: ElemLike, b: ElemLike) -> Tensor2:
     return Tensor2.collect(((v, w), cv * cw) for v, cv in a.items() for w, cw in b.items())

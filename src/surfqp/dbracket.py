@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2
 from .foxpairing import Pairing
-from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, corner_words,
-                    format_word, join, sample_word, trial_rng)
+from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
+                    join, sample_word, trial_rng)
 
 # SurfaceDoubleBracket empties its memo before an insertion past this size
 MEMO_LIMIT = 4096
@@ -71,9 +71,9 @@ class SurfaceDoubleBracket:
     with integer weights W summed a row at a time; a row slices x once, and a
     factor of F is one join of two slices, built only where W is nonzero.  A
     generic letter pair weighs -1, +1, +1, -1 on its corners, a second
-    difference -D^2 F whose interior cuts cancel as ints.  base(i, j) is built
-    from the weights on first read and kept.  tests/test_dbracket.py derives
-    the weights from the displayed values and their skew-symmetric images.
+    difference -D^2 F whose interior cuts cancel as ints.  base(i, j) is the
+    memoised cut sum of the two letters.  tests/test_dbracket.py derives the
+    weights from the displayed values and their skew-symmetric images.
 
     The memo maps each whole word pair bracketed so far to its finished
     value, never a pair of suffixes; concurrent readers are safe.  It is
@@ -83,7 +83,6 @@ class SurfaceDoubleBracket:
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
         self._corners = corner_table(sig.rank, self._weights)
-        self._table: dict[tuple[int, int], Tensor2] = {}
         self._memo: dict[tuple[Word, Word], Tensor2] = {}
 
     def _weights(self, i: int, j: int) -> tuple[int, int, int, int]:
@@ -98,10 +97,7 @@ class SurfaceDoubleBracket:
         return (-1, 1, 1, -1) if i < j else (1, -1, -1, 1)
 
     def base(self, i: int, j: int) -> Tensor2:
-        if (value := self._table.get((i, j))) is None:
-            value = self._table[(i, j)] = Tensor2.collect(zip(corner_words(i, j),
-                                                              self._weights(i, j)))
-        return value
+        return self._memoized(Word.generator(i), Word.generator(j))
 
     def __call__(self, a: ElemLike, b: ElemLike) -> Tensor2:
         if isinstance(a, Word) and isinstance(b, Word):

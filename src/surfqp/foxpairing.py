@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .algebra import AlgElem, ElemLike
-from .words import SurfaceSignature, Word, corner_cuts, corner_table, corner_words, join
+from .words import SurfaceSignature, Word, corner_cuts, corner_table, join
 
 Pairing = Callable[[ElemLike, ElemLike], AlgElem]
 
@@ -52,9 +52,10 @@ class SurfaceFoxPairing:
     the Fox rules integrate to eta(x1...xn, y1...ym) = sum W(i', j') G(i', j')
     over the cuts G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed
     a row at a time: no recursion, no cache, and a word only where W is nonzero.
-    tests/test_dbracket.py derives the weights from the displayed values (x <= y)
-    and the transpose identity eta(x, y) = x S(etabar(y, x)) y, etabar =
-    -eta - rho_1 (x > y), which the fox suite checks on sampled words.
+    base(i, j) is that sum on the two letters.  tests/test_dbracket.py derives
+    the weights from the displayed values (x <= y) and the transpose identity
+    eta(x, y) = x S(etabar(y, x)) y, etabar = -eta - rho_1 (x > y), which the
+    fox suite checks on sampled words.
     """
 
     def __init__(self, sig: SurfaceSignature):
@@ -73,13 +74,12 @@ class SurfaceFoxPairing:
         return (0, 0, 0, 0) if i < j else (1, -1, -1, 1)
 
     def base(self, i: int, j: int) -> AlgElem:
-        """Value on the ordered generator pair (i, j), i <= j."""
-        if not (0 <= i < self.sig.rank and 0 <= j < self.sig.rank):
-            raise IndexError(f"generator index out of range: ({i}, {j})")
+        """Value on the ordered generator pair (i, j), i <= j: the cut sum of the two letters."""
+        value = self(Word.generator(i), Word.generator(j))  # refuses an index past the rank
         if i > j:
             raise ValueError(f"base table holds ordered pairs only, got ({i}, {j}); "
                              "use the transpose path")
-        return AlgElem.collect((u, c) for (_, u), c in zip(corner_words(i, j), self._weights(i, j)))
+        return value
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         return AlgElem.collect((join(head, w[j:]), cv * cw * k)

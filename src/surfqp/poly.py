@@ -10,10 +10,10 @@ stay below 2**31 and a sum of two fields never carries into its
 neighbour; a product that sets a guard bit raises OverflowError.
 
 Poly.dot, the one multiply loop, adds c * p * q over many triples into one
-dict and drops zeros once, at the end; a product is its one-triple case or,
-with a one-term factor, a shifted copy.  Guard bits are checked on surviving
-monomials only, even for fused sums: no m1 + m2 carries between fields, so a
-key that sets a guard bit and then cancels leaves an exact sum behind.
+dict and drops zeros once, at the end; a product p * q is its one-triple
+case.  Guard bits are checked on surviving monomials only, even for fused
+sums: no m1 + m2 carries between fields, so a key that sets a guard bit and
+then cancels leaves an exact sum behind.
 
 A polynomial is a LinComb mapping monomials to nonzero coefficients, so
 equality is structural.  Coefficients follow the group algebra's scalar
@@ -116,10 +116,7 @@ class Poly(LinComb):
                 for m1, c1 in big.items():
                     m = m1 + m2
                     out[m] = get(m, 0) + k * c1
-        return Poly._checked({m: c for m, c in out.items() if c})
-
-    @staticmethod
-    def _checked(terms: dict) -> "Poly":
+        terms = {m: c for m, c in out.items() if c}
         if reduce(or_, terms, 0) & _guards:
             raise OverflowError(f"a product exponent exceeds {MAX_FIELD_EXPONENT}")
         return Poly._wrap(terms)
@@ -127,12 +124,7 @@ class Poly(LinComb):
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(small.terms) != 1:
-            return Poly.dot(((1, self, other),))
-        # one monomial times distinct monomials stays distinct and nonzero
-        [(m2, c2)] = small.terms.items()
-        return Poly._checked({m1 + m2: c1 * c2 for m1, c1 in big.terms.items()})
+        return Poly.dot(((1, self, other),))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -104,6 +104,8 @@ class SurfaceSignature:
 def _letter_code(gen: int, exp: int) -> int:
     if exp not in (1, -1):
         raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
+    if not 0 <= gen < MAX_RANK:
+        raise IndexError(f"generator index {gen} out of range")
     return 2 * gen + (exp < 0)
 
 
@@ -256,12 +258,6 @@ def conjugacy_class(word: Word) -> CyclicWord:
 # --- cut corners ----------------------------------------------------------
 
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def corner_words(i: int, j: int) -> list[tuple[Word, Word]]:
-    """(y^dj x^(1-di), x^di y^(1-dj)) on the corners 00, 01, 10, 11 of x = x_i, y = x_j."""
-    x, y = chr(2 * i), chr(2 * j)
-    return [(_word(y * dj + x * (1 - di)), _word(x * di + y * (1 - dj))) for di, dj in _CORNERS]
 
 
 def corner_table(rank: int, weights: Callable[[int, int], tuple]) -> dict:

@@ -326,6 +326,19 @@ def test_a_letter_past_the_rank_is_named(cls, a, b):
         pairing(Word.generator(a), Word.generator(b))
     with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
         pairing(Word.generator(a, -1) * Word.generator(1), Word.generator(b, -1))
+    with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
+        pairing.base(a, b)
+
+
+def test_base_is_the_cut_sum_of_two_letters():
+    # one path per value: a generator pair is the pairing of two one-letter words
+    for sig in VERIFY_SIGS:
+        eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+        for i in range(sig.rank):
+            for j in range(sig.rank):
+                assert dbl.base(i, j) is dbl(Word.generator(i), Word.generator(j))
+                if i <= j:
+                    assert eta.base(i, j) == eta(Word.generator(i), Word.generator(j))
 
 
 def test_integer_brackets_keep_int_coefficients():

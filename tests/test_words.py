@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from surfqp.dbracket import SurfaceDoubleBracket
+from surfqp.foxpairing import SurfaceFoxPairing
 from surfqp.suites import ALL_MATRIX
-from surfqp.words import (MAX_WORD_LETTERS, CyclicWord, SurfaceSignature, Word, WordParseError,
-                          boundary_word, conjugacy_class, format_cyclic, format_word,
-                          join, parse_word, sample_word)
+from surfqp.words import (MAX_RANK, MAX_WORD_LETTERS, CyclicWord, SurfaceSignature, Word,
+                          WordParseError, boundary_word, conjugacy_class, format_cyclic,
+                          format_word, join, parse_word, sample_word)
 
 SIG = SurfaceSignature(2, 2)
 
@@ -282,6 +284,18 @@ def test_letter_exponent_must_be_a_unit(exp):
     for e in (1, -1):
         x = Word.generator(3, e)
         assert type(x) is Word and x == Word([(3, e)]) and x.letters == ((3, e),)
+
+
+@pytest.mark.parametrize("index", [-1, -557_056, MAX_RANK])
+def test_letter_index_must_have_a_code(index):
+    # a negative index or one past MAX_RANK has no code point, so chr() must never see it
+    sig = SurfaceSignature(1, 0)
+    for make in (lambda: Word([(index, 1)]), lambda: Word.generator(index),
+                 lambda: Word.generator(index, -1), lambda: SurfaceFoxPairing(sig).base(index, 0),
+                 lambda: SurfaceDoubleBracket(sig).base(0, index)):
+        with pytest.raises(IndexError, match=f"^generator index {index} out of range$"):
+            make()
+    assert Word.generator(MAX_RANK - 1, -1).letters == ((MAX_RANK - 1, -1),)
 
 
 def test_invert():

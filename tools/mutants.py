@@ -190,6 +190,13 @@ MUTANTS = (
     Mutant("wrong triple-leg cycle", "src/surfqp/dbracket.py",
            "yield from (((k2, d1, d2), ck * cd)", "yield from (((d1, d2, k2), ck * cd)",
            ("tests/test_dbracket.py::test_triple_matches_reference_on_words",)),
+    Mutant("the bracket's base reads the pair transposed", "src/surfqp/dbracket.py",
+           "self._memoized(Word.generator(i), Word.generator(j))",
+           "self._memoized(Word.generator(j), Word.generator(i))",
+           ("tests/test_dbracket.py::test_base_is_the_cut_sum_of_two_letters",)),
+    Mutant("eta's base reads the pair transposed", "src/surfqp/foxpairing.py",
+           "self(Word.generator(i), Word.generator(j))", "self(Word.generator(j), Word.generator(i))",
+           ("tests/test_dbracket.py::test_base_is_the_cut_sum_of_two_letters",)),
     Mutant("is_quasi_poisson accepts zero trials", "src/surfqp/dbracket.py",
            "    if trials < 1:\n", "    if trials < 0:\n",
            ("tests/test_dbracket.py::test_quasi_poisson_check_needs_a_trial",)),
@@ -200,9 +207,11 @@ MUTANTS = (
            "k = c * c2", "k = c2",
            ("tests/test_product_kernel.py::test_kernel_is_the_sum_of_reference_products",)),
     Mutant("kernel keeps cancelled terms", "src/surfqp/poly.py",
-           "return Poly._checked({m: c for m, c in out.items() if c})",
-           "return Poly._checked(out)",
+           "terms = {m: c for m, c in out.items() if c}", "terms = out",
            ("tests/test_product_kernel.py::test_kernel_is_the_sum_of_reference_products",)),
+    Mutant("a product multiplies self by itself", "src/surfqp/poly.py",
+           "return Poly.dot(((1, self, other),))", "return Poly.dot(((1, self, self),))",
+           ("tests/test_poly.py::test_packed_poly_matches_reference",)),
     Mutant("grouping by a.den alone", "src/surfqp/repalgebra.py",
            "groups.setdefault(tuple(map(add, a.den, b.den)), [])",
            "groups.setdefault(a.den, [])",
