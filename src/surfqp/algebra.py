@@ -146,10 +146,6 @@ class Tensor2(LinComb):
     __slots__ = ()
     arity = 2
 
-    @staticmethod
-    def pure(w1: Word, w2: Word, coeff: Scalar = 1) -> "Tensor2":
-        return Tensor2({(w1, w2): _coeff(coeff)})
-
 
 class Tensor3(LinComb):
     """Element of the tensor cube, keyed by ordered word triples."""

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from typing import Callable, Mapping, Optional
 
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2
 from .foxpairing import Pairing
 from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
                     join, sample_word, trial_rng)
 
-# SurfaceDoubleBracket empties its memo before an insertion past this size
+# the number of word pairs SurfaceDoubleBracket's memo keeps, the ones used last
 MEMO_LIMIT = 4096
 
 
@@ -62,7 +63,7 @@ class SurfaceDoubleBracket:
     y^dj x^(1-di) (x) x^di y^(1-dj) for a corner (di, dj) in {0,1}^2, and the
     inverse-letter rules dbl(x^-1, b) = -(a1 x^-1 (x) x^-1 a2),
     dbl(a, y^-1) = -(y^-1 a1 (x) a2 y^-1) flip di, resp. dj.  The stored data
-    is the corners' integer weights, read off the kind of the pair (_weights),
+    is the corners' integer weights by the kind of the pair, the table WEIGHTS,
     and the derivation rules integrate to a sum over cuts
 
         dbl(x1...xn, y1...ym) = sum_{i', j'} W(i', j') F(i', j'),
@@ -75,26 +76,20 @@ class SurfaceDoubleBracket:
     memoised cut sum of the two letters.  tests/test_dbracket.py derives the
     weights from the displayed values and their skew-symmetric images.
 
-    The memo maps each whole word pair bracketed so far to its finished
-    value, never a pair of suffixes; concurrent readers are safe.  It is
-    emptied before an insertion once it holds MEMO_LIMIT entries.
+    The memo, a functools.lru_cache of the cut sum, maps each whole word
+    pair bracketed lately to its finished value, never a pair of suffixes;
+    concurrent readers are safe.  It keeps the MEMO_LIMIT pairs used last.
     """
+
+    # the weights of dbl(x_i, x_j) on the corners 00, 01, 10, 11, by sig.pair_kind(i, j)
+    WEIGHTS = {"q": (0, -1, 1, 0), "pz": (0, 1, -1, 0), "handle": (-1, 1, 1, 1),
+               "handle^t": (1, -1, -1, -1), "<": (-1, 1, 1, -1), ">": (1, -1, -1, 1)}
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        self._corners = corner_table(sig.rank, self._weights)
-        self._memo: dict[tuple[Word, Word], Tensor2] = {}
-
-    def _weights(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """The weights of dbl(x_i, x_j) on the corners 00, 01, 10, 11."""
-        sig = self.sig
-        if i == j:  # p and z letters bracket the same way with themselves
-            return (0, -1, 1, 0) if sig.letter_kind(i) == "q" else (0, 1, -1, 0)
-        if sig.is_handle_pair(i, j):
-            return (-1, 1, 1, 1)
-        if sig.is_handle_pair(j, i):
-            return (1, -1, -1, -1)
-        return (-1, 1, 1, -1) if i < j else (1, -1, -1, 1)
+        self._corners = corner_table(sig, self.WEIGHTS)
+        # bound to the table, not to self, so the bracket holds no reference cycle
+        self._memoized = lru_cache(maxsize=MEMO_LIMIT)(partial(_cut_sum, self._corners))
 
     def base(self, i: int, j: int) -> Tensor2:
         return self._memoized(Word.generator(i), Word.generator(j))
@@ -105,19 +100,12 @@ class SurfaceDoubleBracket:
         return Tensor2.collect((key, cv * cw * c) for v, cv in a.items() for w, cw in b.items()
                                for key, c in self._memoized(v, w).items())
 
-    def _memoized(self, v: Word, w: Word) -> Tensor2:
-        value = self._memo.get((v, w))
-        if value is None:
-            if len(self._memo) >= MEMO_LIMIT:
-                self._memo.clear()
-            value = self._memo[(v, w)] = self._pair(v, w)
-        return value
 
-    def _pair(self, v: Word, w: Word) -> Tensor2:
-        """The cut-corner sum on one pair of words."""
-        return Tensor2.collect(((join(w[:j], tail), join(head, w[j:])), c)
-                               for i, row in corner_cuts(v, w, self._corners)
-                               for head, tail in ((v[:i], v[i:]),) for j, c in row)
+def _cut_sum(corners: Mapping, v: Word, w: Word) -> Tensor2:
+    """The cut-corner sum of a bracket's corner table on one pair of words."""
+    return Tensor2.collect(((join(w[:j], tail), join(head, w[j:])), c)
+                           for i, row in corner_cuts(v, w, corners)
+                           for head, tail in ((v[:i], v[i:]),) for j, c in row)
 
 
 DoubleBracket = Callable[[ElemLike, ElemLike], Tensor2]

@@ -48,7 +48,7 @@ class SurfaceFoxPairing:
     Each word u of eta(x, y) on positive generators is x^di y^(1-dj) for a
     corner (di, dj) in {0,1}^2, flipped in di by eta(x^-1, b) = -x^-1 eta(x, b)
     and in dj by eta(a, y^-1) = -eta(a, y) y^-1.  The stored data is the
-    corners' integer weights, read off the kind of the pair (_weights).  So
+    corners' integer weights by the kind of the pair, the table WEIGHTS.  So
     the Fox rules integrate to eta(x1...xn, y1...ym) = sum W(i', j') G(i', j')
     over the cuts G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed
     a row at a time: no recursion, no cache, and a word only where W is nonzero.
@@ -58,20 +58,13 @@ class SurfaceFoxPairing:
     fox suite checks on sampled words.
     """
 
+    # the weights of eta(x_i, x_j) on the corners 00, 01, 10, 11, by sig.pair_kind(i, j)
+    WEIGHTS = {"q": (1, -1, 0, 0), "pz": (1, 0, -1, 0), "handle": (0, 0, 0, 1),
+               "handle^t": (1, -1, -1, 0), "<": (0, 0, 0, 0), ">": (1, -1, -1, 1)}
+
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        self._corners = corner_table(sig.rank, self._weights)
-
-    def _weights(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """The weights of eta(x_i, x_j) on the corners 00, 01, 10, 11."""
-        sig = self.sig
-        if i == j:  # p and z letters pair the same way with themselves
-            return (1, -1, 0, 0) if sig.letter_kind(i) == "q" else (1, 0, -1, 0)
-        if sig.is_handle_pair(i, j):
-            return (0, 0, 0, 1)
-        if sig.is_handle_pair(j, i):
-            return (1, -1, -1, 0)
-        return (0, 0, 0, 0) if i < j else (1, -1, -1, 1)
+        self._corners = corner_table(sig, self.WEIGHTS)
 
     def base(self, i: int, j: int) -> AlgElem:
         """Value on the ordered generator pair (i, j), i <= j: the cut sum of the two letters."""

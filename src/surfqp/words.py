@@ -100,6 +100,16 @@ class SurfaceSignature:
     def letter_kind(self, index: int) -> str:
         return "z" if index >= 2 * self.genus else "pq"[index % 2]
 
+    def pair_kind(self, i: int, j: int) -> str:
+        """The kind of the generator pair (i, j), which fixes its table values: "q" or
+        "pz" for a letter with itself, "handle" or "handle^t" for the p/q letters of one
+        handle in order or reversed, and "<" or ">" for any other pair, by order."""
+        if i == j:
+            return "q" if self.letter_kind(i) == "q" else "pz"
+        if self.is_handle_pair(min(i, j), max(i, j)):
+            return "handle" if i < j else "handle^t"
+        return "<" if i < j else ">"
+
 
 def _letter_code(gen: int, exp: int) -> int:
     if exp not in (1, -1):
@@ -246,9 +256,13 @@ def _min_rotation(codes: str) -> str:
     n = len(codes)
     if n < 2:
         return codes
-    # a least rotation starts at a least code
+    # a least rotation starts where a longest cyclic run of the least code starts; a
+    # run at 0 that goes on from the end is shorter than the run it continues
     least, twice = min(codes), codes + codes
-    return min(twice[i:i + n] for i in range(n) if codes[i] == least)
+    runs = [(m.start(), m.end() - m.start())
+            for m in re.finditer(re.escape(least) + "+", twice) if m.start() < n]
+    longest = max(k for _, k in runs)
+    return min(twice[i:i + n] for i, k in runs if k == longest)
 
 
 def conjugacy_class(word: Word) -> CyclicWord:
@@ -260,20 +274,18 @@ def conjugacy_class(word: Word) -> CyclicWord:
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def corner_table(rank: int, weights: Callable[[int, int], tuple]) -> dict:
+def corner_table(sig: SurfaceSignature, weights: Mapping[str, tuple]) -> dict:
     """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of every
-    signed letter pair, by codes, from weights(i, j), the weights of the positive
-    pair (x_i, x_j) on the corners 00, 01, 10, 11.  x^-1 flips di and y^-1 flips
-    dj, each negating c; the four signed entries are built once per weight tuple."""
-    out, signed = {chr(c): {} for c in range(2 * rank)}, {}
-    for i in range(rank):
-        for j in range(rank):
-            key = weights(i, j)
-            if (entries := signed.get(key)) is None:
-                entries = signed[key] = [tuple((di ^ sx, dj ^ sy, -c if sx ^ sy else c)
-                                               for (di, dj), c in zip(_CORNERS, key) if c)
-                                         for sx in (0, 1) for sy in (0, 1)]
-            for n, entry in enumerate(entries):
+    signed letter pair, by codes, from weights[sig.pair_kind(i, j)], the weights
+    of the positive pair (x_i, x_j) on the corners 00, 01, 10, 11.  x^-1 flips di
+    and y^-1 flips dj, each negating c; the four signed entries are built once per kind."""
+    signed = {kind: [tuple((di ^ sx, dj ^ sy, -c if sx ^ sy else c)
+                           for (di, dj), c in zip(_CORNERS, key) if c)
+                     for sx in (0, 1) for sy in (0, 1)] for kind, key in weights.items()}
+    out = {chr(c): {} for c in range(2 * sig.rank)}
+    for i in range(sig.rank):
+        for j in range(sig.rank):
+            for n, entry in enumerate(signed[sig.pair_kind(i, j)]):
                 out[chr(2 * i + (n >> 1))][chr(2 * j + (n & 1))] = entry
     return out
 

@@ -62,7 +62,7 @@ def test_criterion_03_displayed_tables():
     eta = SurfaceFoxPairing(sig)
     one = Word.identity()
     w = lambda s: parse_word(s, sig)
-    t2 = lambda a, b, c=1: Tensor2.pure(w(a), w(b), c)
+    t2 = lambda a, b, c=1: Tensor2({(w(a), w(b)): c})
     ok = True
 
     # bracket of the unskewed pairing on generators
@@ -92,7 +92,7 @@ def test_criterion_03_displayed_tables():
     for a, b in [("z1", "z2"), ("p1", "p2"), ("p1", "q2"), ("q1", "p2"), ("q1", "q2"),
                  ("p1", "z1"), ("p1", "z2"), ("q1", "z1"), ("q1", "z2"),
                  ("p2", "z1"), ("q2", "z2")]:
-        skewed[(a, b)] = (t2("1", f"{a}*{b}") + Tensor2.pure(w(b) * w(a), one)
+        skewed[(a, b)] = (t2("1", f"{a}*{b}") + Tensor2({(w(b) * w(a), one): 1})
                           - t2(a, b) - t2(b, a))
     for (a, b), want in skewed.items():
         ok = ok and dbl(w(a), w(b)) == want

@@ -91,7 +91,7 @@ def test_hopf_axioms_random():
         rhs = Tensor2()
         for (a, b), c in x.comultiply().items():
             for (u, v), d in y.comultiply().items():
-                rhs = rhs + Tensor2.pure(a * u, b * v, c * d)
+                rhs = rhs + Tensor2({(a * u, b * v): c * d})
         assert lhs == rhs
 
 
@@ -269,12 +269,12 @@ def test_coefficients_are_ints_or_fractions():
     with pytest.raises(TypeError, match="not float"):
         Poly.const(0.5)
     with pytest.raises(TypeError, match="not str"):
-        Tensor2.pure(w("p1"), w("q1"), "1")
+        tensor2(w("p1"), w("q1")).scale("1")
 
 
 def test_sums_are_type_strict():
     # a sum of two kinds of element would key one kind's dict by the other's keys
-    x, t = e("p1"), Tensor2.pure(w("p1"), w("q1"))
+    x, t = e("p1"), Tensor2({(w("p1"), w("q1")): 1})
     p, c = Poly.const(2), CyclicAlgElem.collect([(CyclicWord.of(w("q1*p1")), 1)])
     for bad in (lambda: x + w("q1"), lambda: AlgElem.one() + Word.generator(0), lambda: t + x,
                 lambda: Tensor2() + AlgElem.one(), lambda: p - x, lambda: c + x, lambda: x - c):

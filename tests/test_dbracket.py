@@ -33,7 +33,7 @@ def e(text, sig=SIG):
 
 
 def t2(s1, s2, coeff=1):
-    return Tensor2.pure(w(s1), w(s2), coeff)
+    return Tensor2({(w(s1), w(s2)): coeff})
 
 
 # --- generator-table fixtures --------------------------------------------
@@ -54,7 +54,7 @@ def test_displayed_handle_pair_value():
     ("p1", "z1"), ("q1", "z2"), ("p2", "z1"),
 ])
 def test_displayed_generic_pairs(a, b):
-    want = (t2("1", f"{a}*{b}") + Tensor2.pure(w(b) * w(a), Word.identity())
+    want = (t2("1", f"{a}*{b}") + Tensor2({(w(b) * w(a), Word.identity()): 1})
             - t2(a, b) - t2(b, a))
     assert DBL(w(a), w(b)) == want
 
@@ -377,10 +377,25 @@ def test_bracket_memo_is_bounded():
     dbl = SurfaceDoubleBracket(sig)
     for a, b in pairs:
         dbl(a, b)
-        assert len(dbl._memo) <= MEMO_LIMIT
+        assert dbl._memoized.cache_info().currsize <= MEMO_LIMIT
     fresh = SurfaceDoubleBracket(sig)
     for a, b in pairs[:20] + pairs[-20:]:
         assert dbl(a, b) == fresh(a, b)
+
+
+def test_bracket_memo_keeps_a_pair_in_use():
+    # the memo drops the pair used longest ago, so a pair read between new ones stays
+    sig = SurfaceSignature(1, 1)
+    rng = random.Random(5000)
+    pairs = list(dict.fromkeys((sample_word(rng, sig, 8), sample_word(rng, sig, 8))
+                               for _ in range(5000)))
+    a, b = pairs.pop()
+    assert len(pairs) > MEMO_LIMIT
+    dbl = SurfaceDoubleBracket(sig)
+    kept = dbl(a, b)
+    for x, y in pairs[:MEMO_LIMIT + 1]:
+        dbl(x, y)
+        assert dbl(a, b) is kept
 
 
 def test_pairing_route_unskewed_displays():

@@ -35,7 +35,7 @@ def group_like_bracket(val: AlgElem, a: Word, b: Word) -> Tensor2:
     """The pairing-to-bracket formula specialized to group-like arguments."""
     out = Tensor2.zero()
     for u, c in val.items():
-        out = out + Tensor2.pure(b * u.inverse() * a, u, c)
+        out = out + Tensor2({(b * u.inverse() * a, u): c})
     return out
 
 
@@ -44,10 +44,10 @@ def test_base_values_solve_displays():
     p, q, z = w("p1"), w("q1"), w("z1")
     one = Word.identity()
     cases = [
-        (p, q, ETA.base(0, 1), Tensor2.pure(q, p)),
-        (p, p, ETA.base(0, 0), Tensor2.pure(p, p) - Tensor2.pure(one, p * p)),
-        (q, q, ETA.base(1, 1), Tensor2.pure(q, q) - Tensor2.pure(q * q, one)),
-        (z, z, ETA.base(4, 4), Tensor2.pure(z, z) - Tensor2.pure(one, z * z)),
+        (p, q, ETA.base(0, 1), Tensor2({(q, p): 1})),
+        (p, p, ETA.base(0, 0), Tensor2({(p, p): 1, (one, p * p): -1})),
+        (q, q, ETA.base(1, 1), Tensor2({(q, q): 1, (q * q, one): -1})),
+        (z, z, ETA.base(4, 4), Tensor2({(z, z): 1, (one, z * z): -1})),
         (w("z1"), w("z2"), ETA.base(4, 5), Tensor2.zero()),
         (p, w("q2"), ETA.base(0, 3), Tensor2.zero()),
         (p, z, ETA.base(0, 4), Tensor2.zero()),

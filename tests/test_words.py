@@ -15,7 +15,7 @@ from surfqp.foxpairing import SurfaceFoxPairing
 from surfqp.suites import ALL_MATRIX
 from surfqp.words import (MAX_RANK, MAX_WORD_LETTERS, CyclicWord, SurfaceSignature, Word,
                           WordParseError, boundary_word, conjugacy_class, format_cyclic,
-                          format_word, join, parse_word, sample_word)
+                          _min_rotation, format_word, join, parse_word, sample_word)
 
 SIG = SurfaceSignature(2, 2)
 
@@ -151,6 +151,16 @@ def test_cyclic_normal_form_matches_the_old_code(letters):
     want = old_cyclic_letters(letters)
     assert CyclicWord(letters).letters == want
     assert CyclicWord.of(Word(letters)).letters == want
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    # code 10 is "\n" and code 42 is "*", a regex metacharacter; a string drawn from
+    # few codes has long runs of the least code, which tie and wrap around the end
+    rng, codes = random.Random(20261020), "".join(map(chr, (0, 1, 2, 10, 42, 43)))
+    for _ in range(30_000):
+        text = "".join(rng.choices(rng.sample(codes, rng.randint(1, 3)), k=rng.randint(0, 12)))
+        assert _min_rotation(text) == min((text[i:] + text[:i] for i in range(len(text))),
+                                          default="")
 
 
 class TupleWord:

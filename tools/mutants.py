@@ -140,11 +140,17 @@ MUTANTS = (
            "(di ^ sx, dj ^ sy, -c if sx ^ sy else c)", "(di, dj ^ sy, -c if sx ^ sy else c)",
            ("tests/test_dbracket.py::test_corner_sums_match_letter_pair_reference",)),
     Mutant("eta's reversed-handle weights end in 1", "src/surfqp/foxpairing.py",
-           "return (1, -1, -1, 0)", "return (1, -1, -1, 1)",
+           '"handle^t": (1, -1, -1, 0)', '"handle^t": (1, -1, -1, 1)',
            ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
     Mutant("the bracket's generic i > j weights are the i < j ones", "src/surfqp/dbracket.py",
-           "(-1, 1, 1, -1) if i < j else (1, -1, -1, 1)", "(-1, 1, 1, -1) if i < j else (-1, 1, 1, -1)",
+           '">": (1, -1, -1, 1)}', '">": (-1, 1, 1, -1)}',
            ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
+    Mutant("pair_kind calls a reversed handle pair a handle", "src/surfqp/words.py",
+           'return "handle" if i < j else "handle^t"', 'return "handle"',
+           ("tests/test_dbracket.py::test_corner_table_matches_the_list_lookup",)),
+    Mutant("the least code is read as a regex", "src/surfqp/words.py",
+           're.escape(least) + "+"', 'least + "+"',
+           ("tests/test_words.py::test_least_rotation_is_the_least_of_all_rotations",)),
     Mutant("a word's counit is 0", "src/surfqp/words.py",
            "    def counit(self) -> int:\n        return 1\n",
            "    def counit(self) -> int:\n        return 0\n",
@@ -194,6 +200,9 @@ MUTANTS = (
            "self._memoized(Word.generator(i), Word.generator(j))",
            "self._memoized(Word.generator(j), Word.generator(i))",
            ("tests/test_dbracket.py::test_base_is_the_cut_sum_of_two_letters",)),
+    Mutant("the bracket memo is unbounded", "src/surfqp/dbracket.py",
+           "lru_cache(maxsize=MEMO_LIMIT)", "lru_cache(maxsize=None)",
+           ("tests/test_dbracket.py::test_bracket_memo_is_bounded",)),
     Mutant("eta's base reads the pair transposed", "src/surfqp/foxpairing.py",
            "self(Word.generator(i), Word.generator(j))", "self(Word.generator(j), Word.generator(i))",
            ("tests/test_dbracket.py::test_base_is_the_cut_sum_of_two_letters",)),
