@@ -1,6 +1,6 @@
-"""The group algebra of a free group over exact rationals, with its Hopf
-structure, and the tensor squares/cubes carrying the outer and inner
-bimodule actions used by double and triple brackets.
+"""The group algebra of a free group over exact rationals, and the tensor
+squares/cubes carrying the outer and inner bimodule actions used by double
+and triple brackets.
 
 All elements are LinComb instances: sparse maps from basis keys (words,
 or pairs/triples of words) to nonzero coefficients, so equality is
@@ -128,12 +128,6 @@ class AlgElem(LinComb):
 
     def counit(self) -> int | Fraction:
         return sum(self.terms.values())
-
-    def antipode(self) -> "AlgElem":
-        return AlgElem({w.inverse(): c for w, c in self.terms.items()})
-
-    def comultiply(self) -> "Tensor2":
-        return Tensor2({(w, w): c for w, c in self.terms.items()})
 
 
 # a Word is a one-term element: bilinear maps read items() of either

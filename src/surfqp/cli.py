@@ -21,7 +21,7 @@ from .evaluation import RepPoint, evaluate
 from .matrices import mat
 from .foxpairing import SurfaceFoxPairing
 from .repalgebra import RepAlgebra, RepElem
-from .suites import SUITE_NAMES, run_all, run_suite
+from .suites import DEFAULT_TRIALS, MOMENT_POWERS, SUITE_NAMES, moment_suite, run_all, run_suite
 from .words import (CyclicWord, SurfaceSignature, WordParseError, format_cyclic,
                     format_word, parse_word)
 
@@ -344,16 +344,15 @@ def cmd_ev(args) -> int:
     alg = RepAlgebra(sig, args.dim)
     P = parse_expression(args.expr, alg)
     pt = load_rep_point(args.point_file, sig, args.dim)
-    value = evaluate(alg, P, pt)
+    value = evaluate(P, pt)
     return _print_answer(lambda: {"value": str(value)})
 
 
 def cmd_moment_check(args) -> int:
-    from .suites import moment_suite
     sig = _signature(args)
     mu = parse_word(args.word, sig) if args.word else None
-    trials = args.trials if args.trials is not None else 5
-    report = moment_suite(sig, args.dim, (1, 2, 3), trials, args.seed, mu=mu)
+    trials = args.trials if args.trials is not None else DEFAULT_TRIALS["moment"]
+    report = moment_suite(sig, args.dim, MOMENT_POWERS, trials, args.seed, mu=mu)
     return _emit_report(report.to_dict(), args.json)
 
 

@@ -25,7 +25,7 @@ generator-entry brackets there once, from the table's words multiplied out,
 and contracts each function's partials with them once.  Each side of a
 bracket is one integer dot product over two denominators, cross-multiplied.
 Sampled points keep integer entries, so brackets and gradients are
-evaluated in ints; points from lists or files may hold any rationals.
+evaluated in ints; points read from files may hold any rationals.
 
 The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keyed
 (r, s) per (slot, side), from the algebra's partials, never from the gradient.
@@ -42,7 +42,7 @@ from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .matrices import Matrix, mat, mat_adjugate, mat_det, mat_mul
+from .matrices import Matrix, mat_adjugate, mat_det, mat_mul
 from .poly import Scalar
 from .repalgebra import Differential, RepAlgebra, RepElem
 from .words import SurfaceSignature, Word, format_word, trial_rng
@@ -62,10 +62,6 @@ class RepPoint:
         for m in self.matrices:
             if not mat_det(m):
                 raise ValueError("representation point needs invertible matrices")
-
-    @staticmethod
-    def from_lists(rows: Sequence[Sequence[Sequence]]) -> "RepPoint":
-        return RepPoint(tuple(mat(m) for m in rows))
 
 
 def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> RepPoint:
@@ -89,7 +85,7 @@ def _at(pt: RepPoint) -> tuple[dict, list, tuple[Matrix, ...]]:
             [mat_det(m) for m in pt.matrices], pt.matrices)
 
 
-def evaluate(alg: RepAlgebra, P: RepElem, pt: RepPoint) -> Fraction:
+def evaluate(P: RepElem, pt: RepPoint) -> Fraction:
     """Evaluate at a point; determinant denominators become exact divisions."""
     assign, dets, _ = _at(pt)
     return Fraction(P.num.evaluate(assign), prod(map(pow, dets, P.den)))
@@ -255,8 +251,7 @@ def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fracti
     return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
 
 
-def bivector_bracket(alg: RepAlgebra, biv: FusionBivector, P: RepElem,
-                     Q: RepElem, pt: RepPoint) -> Fraction:
+def bivector_bracket(biv: FusionBivector, P: RepElem, Q: RepElem, pt: RepPoint) -> Fraction:
     """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
     function."""
     return _pair(_covector(biv, _fields(P, pt)), _covector(biv, _fields(Q, pt)))

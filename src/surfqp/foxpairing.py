@@ -6,11 +6,11 @@ derivative in the first slot and a right Fox derivative in the second:
     rho(a1 a2, b) = rho(a1, b) eps(a2) + a1 rho(a2, b)
     rho(a, b1 b2) = rho(a, b1) b2 + eps(b1) rho(a, b2)
 
-The homotopy intersection pairing eta of the surface is pinned here by its
-values on ordered generator pairs (everything else is forced by the Fox
-rules, the inverse-letter rules and the transpose identity), not by loop
-geometry.  Its skew-symmetrization eta^s = 2 eta + rho_1 feeds the surface
-double bracket.
+The homotopy intersection pairing eta of the surface (SurfaceFoxPairing)
+is pinned by its values on ordered generator pairs (everything else is
+forced by the Fox rules, the inverse-letter rules and the transpose
+identity), not by loop geometry.  Its skew-symmetrization
+eta^s = 2 eta + rho_1 (SurfaceFoxPairing.skew) feeds the double bracket.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ class SurfaceFoxPairing:
     the Fox rules integrate to eta(x1...xn, y1...ym) = sum W(i', j') G(i', j')
     over the cuts G(i', j') = x_{<i'} y_{>=j'}, with integer weights W summed
     a row at a time: no recursion, no cache, and a word only where W is nonzero.
-    base(i, j) is that sum on the two letters.  tests/test_dbracket.py derives
-    the weights from the displayed values (x <= y) and the transpose identity
-    eta(x, y) = x S(etabar(y, x)) y, etabar = -eta - rho_1 (x > y), which the
-    fox suite checks on sampled words.
+    A generator pair (x_i, x_j) is the pairing of two one-letter words, for
+    i > j as for i <= j.  tests/test_dbracket.py derives the weights from the
+    displayed values (x <= y) and the transpose identity eta(x, y) =
+    x S(etabar(y, x)) y, etabar = -eta - rho_1 (x > y), which the fox suite
+    checks on sampled words.
     """
 
     # the weights of eta(x_i, x_j) on the corners 00, 01, 10, 11, by sig.pair_kind(i, j)
@@ -66,14 +67,6 @@ class SurfaceFoxPairing:
         self.sig = sig
         self._corners = corner_table(sig, self.WEIGHTS)
 
-    def base(self, i: int, j: int) -> AlgElem:
-        """Value on the ordered generator pair (i, j), i <= j: the cut sum of the two letters."""
-        value = self(Word.generator(i), Word.generator(j))  # refuses an index past the rank
-        if i > j:
-            raise ValueError(f"base table holds ordered pairs only, got ({i}, {j}); "
-                             "use the transpose path")
-        return value
-
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         return AlgElem.collect((join(head, w[j:]), cv * cw * k)
                                for v, cv in a.items() for w, cw in b.items()
@@ -83,15 +76,3 @@ class SurfaceFoxPairing:
     def skew(self, a: ElemLike, b: ElemLike) -> AlgElem:
         """eta^s(a, b) = 2 eta(a, b) + (a - eps(a) 1)(b - eps(b) 1)."""
         return self(a, b).scale(2) + rho_1(a, b)
-
-
-def eta_base(sig: SurfaceSignature, i: int, j: int) -> AlgElem:
-    return SurfaceFoxPairing(sig).base(i, j)
-
-
-def eta(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> AlgElem:
-    return SurfaceFoxPairing(sig)(a, b)
-
-
-def eta_s(sig: SurfaceSignature, a: ElemLike, b: ElemLike) -> AlgElem:
-    return SurfaceFoxPairing(sig).skew(a, b)

@@ -22,10 +22,6 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(

@@ -271,7 +271,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
         def run(name: str, count: int, predicate) -> None:
             for t in range(count):
                 rng = trial_rng(seed, f"rep:{name}:{dim}", t)
-                if not predicate(rng, t):
+                if not predicate(rng):
                     checks.append(Check(f"{tag}:{name}", False, {"trial": t}))
                     return
             checks.append(Check(f"{tag}:{name}", True, {"trials": count}))
@@ -279,7 +279,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
         def rand_sym(rng):
             return alg.sym(rng.randrange(sig.rank), rng.randrange(dim), rng.randrange(dim))
 
-        def quasi_jacobi(rng, t) -> bool:
+        def quasi_jacobi(rng) -> bool:
             if sig.rank == 0:
                 return True
             P, Q, S = rand_sym(rng), rand_sym(rng), rand_sym(rng)
@@ -288,7 +288,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
                    + alg.qp_bracket(S, alg.qp_bracket(P, Q)))
             return lhs == alg.phi_action(P, Q, S)
 
-        def skew_and_leibniz(rng, t) -> bool:
+        def skew_and_leibniz(rng) -> bool:
             a = sample_word(rng, sig, max_len)
             b = sample_word(rng, sig, max_len)
             i, j, k, l = (rng.randrange(1, dim + 1) for _ in range(4))
@@ -298,7 +298,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
             S = rand_sym(rng) if sig.rank else alg.one()
             return alg.qp_bracket(P * Q, S) == alg.qp_bracket(P, S) * Q + P * alg.qp_bracket(Q, S)
 
-        def matrix_relation(rng, t) -> bool:
+        def matrix_relation(rng) -> bool:
             # (ab)_ij = sum_l a_il b_lj, compatibly with the bracket
             a = sample_word(rng, sig, max_len)
             b = sample_word(rng, sig, max_len)
@@ -311,14 +311,14 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
             S = rand_sym(rng) if sig.rank else alg.one()
             return alg.qp_bracket(lhs, S) == alg.qp_bracket(rhs, S)
 
-        def dual_route(rng, t) -> bool:
+        def dual_route(rng) -> bool:
             a = sample_word(rng, sig, max_len)
             b = sample_word(rng, sig, max_len)
             i, j, k, l = (rng.randrange(1, dim + 1) for _ in range(4))
             return (alg.qp_bracket(alg.entry(a, i, j), alg.entry(b, k, l))
                     == alg.qp_bracket_entries(a, i, j, b, k, l))
 
-        def lie_equivariance(rng, t) -> bool:
+        def lie_equivariance(rng) -> bool:
             w = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
             P, Q = (rand_sym(rng), rand_sym(rng)) if sig.rank else (alg.one(), alg.one())
             lhs = alg.gl_action(w, alg.qp_bracket(P, Q))
@@ -329,7 +329,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
             a = sample_word(rng, sig, max_len)
             return alg.gl_action(w, alg.trace(a)).is_zero()
 
-        def group_equivariance(rng, t) -> bool:
+        def group_equivariance(rng) -> bool:
             while True:
                 g = mat([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
                 if mat_det(g):
@@ -342,7 +342,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
             a = sample_word(rng, sig, max_len)
             return alg.group_action(g, alg.trace(a)) == alg.trace(a)
 
-        def trace_homomorphism(rng, t) -> bool:
+        def trace_homomorphism(rng) -> bool:
             a = sample_word(rng, sig, max_len)
             b = sample_word(rng, sig, max_len)
             lhs = alg.qp_bracket(alg.trace(a), alg.trace(b))
@@ -524,6 +524,7 @@ DEFAULT_TRIALS = {
     "moment": 5,
     "aksm": 20,
 }
+MOMENT_POWERS = (1, 2, 3)  # the moment element powers of `verify moment` and `moment-check`
 
 
 def run_suite(name: str, sig: SurfaceSignature, seed: int, trials: Optional[int] = None,
@@ -541,7 +542,7 @@ def run_suite(name: str, sig: SurfaceSignature, seed: int, trials: Optional[int]
         dims = sorted({1, dim})
         return rep_suite(sig, dims, n, seed, max_len=min(max_len, 3))
     if name == "moment":
-        return moment_suite(sig, dim, (1, 2, 3), n, seed)
+        return moment_suite(sig, dim, MOMENT_POWERS, n, seed)
     if name == "aksm":
         return aksm_suite(sig, dim, n, seed)
     raise ValueError(f"unknown suite {name!r}")

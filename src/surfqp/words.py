@@ -185,9 +185,6 @@ class Word(str):
     def generator(index: int, exp: int = 1) -> "Word":
         return _word(chr(_letter_code(index, exp)))
 
-    def is_identity(self) -> bool:
-        return not self
-
     def items(self) -> tuple[tuple["Word", int]]:
         return ((self, 1),)
 
@@ -263,10 +260,6 @@ def _min_rotation(codes: str) -> str:
             for m in re.finditer(re.escape(least) + "+", twice) if m.start() < n]
     longest = max(k for _, k in runs)
     return min(twice[i:i + n] for i, k in runs if k == longest)
-
-
-def conjugacy_class(word: Word) -> CyclicWord:
-    return CyclicWord.of(word)
 
 
 # --- cut corners ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Group-algebra arithmetic, Hopf structure, tensor actions."""
+"""Group-algebra arithmetic, counit, tensor actions."""
 
 import random
 from fractions import Fraction
@@ -53,46 +53,6 @@ def test_counit():
     for _ in range(50):
         x, y = rand_elem(rng), rand_elem(rng)
         assert (x * y).counit() == x.counit() * y.counit()
-
-
-def test_antipode():
-    assert e("p1*q1").antipode() == e("q1^-1*p1^-1")
-    assert (e("p1").scale(2) + e("q1")).antipode() == e("p1^-1").scale(2) + e("q1^-1")
-    rng = random.Random(1)
-    for _ in range(50):
-        x = rand_elem(rng)
-        assert x.antipode().antipode() == x
-
-
-def test_comultiply():
-    assert e("p1").comultiply() == tensor2(e("p1"), e("p1"))
-    assert (e("p1") + e("q1")).comultiply() == \
-        tensor2(e("p1"), e("p1")) + tensor2(e("q1"), e("q1"))
-    assert AlgElem.one().comultiply() == tensor2(AlgElem.one(), AlgElem.one())
-
-
-def test_hopf_axioms_random():
-    rng = random.Random(2)
-    one = AlgElem.one()
-    for _ in range(50):
-        x = rand_elem(rng)
-        delta = x.comultiply()
-        # (counit (x) id) after comultiplication recovers the element
-        recovered = AlgElem.zero()
-        antipode_leg = AlgElem.zero()
-        for (a, b), c in delta.items():
-            recovered = recovered + AlgElem.from_word(b, c)
-            antipode_leg = antipode_leg + AlgElem.from_word(a.inverse()) * AlgElem.from_word(b, c)
-        assert recovered == x
-        assert antipode_leg == one.scale(x.counit())
-    for _ in range(30):
-        x, y = rand_elem(rng), rand_elem(rng)
-        lhs = (x * y).comultiply()
-        rhs = Tensor2()
-        for (a, b), c in x.comultiply().items():
-            for (u, v), d in y.comultiply().items():
-                rhs = rhs + Tensor2({(a * u, b * v): c * d})
-        assert lhs == rhs
 
 
 def test_permute():
@@ -172,8 +132,8 @@ def test_lincomb_stores_no_zero_coefficient(data):
     k = data.draw(COEFFS)
     results = [x, x + y, x - y, -x, x.scale(k), x.scale(0), k * x, x + y.scale(-1)]
     if cls is AlgElem:
-        g = AlgElem.from_word(data.draw(WORDS))
-        gi = g.antipode()
+        u = data.draw(WORDS)
+        g, gi = AlgElem.from_word(u), AlgElem.from_word(u.inverse())
         # the identity terms of (g + g^-1)(g - g^-1) cancel inside one product
         results += [(g + gi) * (g - gi), x * y - y * x, x * (y - y)]
     if cls is Poly:

@@ -358,6 +358,15 @@ def test_moment_check_accepts_boundary(capsys):
     assert json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("trials", [[], ["--trials", "2"]], ids=["default trials", "--trials 2"])
+def test_moment_check_is_verify_moment(capsys, trials):
+    # both commands read the moment suite's trial count and powers from one home
+    where = ["--genus", "0", "--punctures", "2", "--dim", "2", "--seed", "3", "--json", *trials]
+    code, out, _ = run(capsys, "moment-check", *where)
+    assert (code, out) == run(capsys, "verify", "moment", *where)[:2]
+    assert json.loads(out)["params"]["trials"] == (int(trials[1]) if trials else 5)
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ["verify", "quasi-poisson", "--json", "--seed", "11", "--trials", "10",
             "--max-word-len", "3"]

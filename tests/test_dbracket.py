@@ -138,7 +138,8 @@ def reference_eta_values(sig):
                 values[(i, j)] = reference_eta_base(sig, i, j)
             else:
                 x, y = (AlgElem.from_word(Word.generator(k)) for k in (i, j))
-                values[(i, j)] = x * (-reference_eta_base(sig, j, i) - rho_1(y, x)).antipode() * y
+                etabar = -reference_eta_base(sig, j, i) - rho_1(y, x)
+                values[(i, j)] = x * AlgElem({u.inverse(): c for u, c in etabar.items()}) * y
     return values
 
 
@@ -290,8 +291,7 @@ def test_corner_table_matches_the_list_lookup():
         assert dbl._corners == reference_corner_table(dbl_values, dbl_key)
         for (i, j), value in dbl_values.items():
             assert dbl.base(i, j) == value
-            if i <= j:
-                assert eta.base(i, j) == eta_values[(i, j)]
+            assert eta(Word.generator(i), Word.generator(j)) == eta_values[(i, j)]
 
 
 def test_constructing_a_bracket_builds_no_word():
@@ -326,19 +326,18 @@ def test_a_letter_past_the_rank_is_named(cls, a, b):
         pairing(Word.generator(a), Word.generator(b))
     with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
         pairing(Word.generator(a, -1) * Word.generator(1), Word.generator(b, -1))
-    with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
-        pairing.base(a, b)
+    if cls is SurfaceDoubleBracket:  # eta's generator pairs are the first call above
+        with pytest.raises(IndexError, match=r"^generator index 5 out of range for rank 2$"):
+            pairing.base(a, b)
 
 
 def test_base_is_the_cut_sum_of_two_letters():
-    # one path per value: a generator pair is the pairing of two one-letter words
+    # one path per value: a generator pair is the bracket of two one-letter words
     for sig in VERIFY_SIGS:
-        eta, dbl = SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+        dbl = SurfaceDoubleBracket(sig)
         for i in range(sig.rank):
             for j in range(sig.rank):
                 assert dbl.base(i, j) is dbl(Word.generator(i), Word.generator(j))
-                if i <= j:
-                    assert eta.base(i, j) == eta(Word.generator(i), Word.generator(j))
 
 
 def test_integer_brackets_keep_int_coefficients():

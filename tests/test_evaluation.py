@@ -16,7 +16,7 @@ from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, 
                                _sides, bivector_bracket, build_fusion_bivector,
                                compare_bivectors, compare_constructions, evaluate, fields_sym,
                                sample_rep_point, wedge_sym)
-from surfqp.matrices import identity, mat, mat_adjugate, mat_det, mat_inv, mat_mul
+from surfqp.matrices import mat, mat_adjugate, mat_det, mat_inv, mat_mul
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
 
@@ -70,12 +70,12 @@ def test_evaluate_entry_symbol():
     for u in range(3):
         for i in (1, 2):
             for j in (1, 2):
-                got = evaluate(ALG, ALG.entry(Word.generator(u), i, j), pt)
+                got = evaluate(ALG.entry(Word.generator(u), i, j), pt)
                 assert got == pt.matrices[u][i - 1][j - 1]
 
 
 def test_evaluate_trace_of_unit():
-    assert evaluate(ALG, ALG.trace(Word.identity()), point()) == 2
+    assert evaluate(ALG.trace(Word.identity()), point()) == 2
 
 
 def test_evaluate_inverse_letter():
@@ -83,7 +83,7 @@ def test_evaluate_inverse_letter():
     minv = mat_inv(pt.matrices[0])
     for i in (1, 2):
         for j in (1, 2):
-            assert evaluate(ALG, ALG.entry(w("p1^-1"), i, j), pt) == minv[i - 1][j - 1]
+            assert evaluate(ALG.entry(w("p1^-1"), i, j), pt) == minv[i - 1][j - 1]
 
 
 def test_evaluate_is_multiplicative():
@@ -92,8 +92,8 @@ def test_evaluate_is_multiplicative():
     for _ in range(25):
         P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
         Q = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
-        assert evaluate(ALG, P * Q, pt) == evaluate(ALG, P, pt) * evaluate(ALG, Q, pt)
-        assert evaluate(ALG, P + Q, pt) == evaluate(ALG, P, pt) + evaluate(ALG, Q, pt)
+        assert evaluate(P * Q, pt) == evaluate(P, pt) * evaluate(Q, pt)
+        assert evaluate(P + Q, pt) == evaluate(P, pt) + evaluate(Q, pt)
 
 
 def test_field_actions_on_entries():
@@ -155,7 +155,7 @@ def test_every_symbolic_field_is_the_pointwise_field():
                         got = on[slot, side].get((r, s))
                         assert got is None or not got.is_zero()
                         assert Fraction(fields[slot, side][r][s], D) == \
-                            (0 if got is None else evaluate(alg, got, pt)), (slot, side, r, s)
+                            (0 if got is None else evaluate(got, pt)), (slot, side, r, s)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -218,7 +218,7 @@ def test_annulus_bracket_formula():
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        got = bivector_bracket(alg, biv, alg.sym(0, i, j),
+                        got = bivector_bracket(biv, alg.sym(0, i, j),
                                                alg.sym(0, k, l), pt)
                         want = Fraction(0)
                         if j == k:
@@ -232,7 +232,7 @@ def test_bracket_with_constant_vanishes():
     biv = build_fusion_bivector(SIG, 2)
     pt = point()
     P = ALG.entry(w("p1*z1"), 1, 2)
-    assert bivector_bracket(ALG, biv, P, ALG.scalar(Fraction(7, 3)), pt) == 0
+    assert bivector_bracket(biv, P, ALG.scalar(Fraction(7, 3)), pt) == 0
 
 
 def test_coupling_term_reproduces_cross_factor_bracket():
@@ -249,8 +249,8 @@ def test_coupling_term_reproduces_cross_factor_bracket():
                 for k in range(2):
                     for l in range(2):
                         P, Q = alg.sym(0, i, j), alg.sym(1, k, l)
-                        got = bivector_bracket(alg, biv, P, Q, pt)
-                        want = evaluate(alg, alg.qp_bracket(P, Q), pt)
+                        got = bivector_bracket(biv, P, Q, pt)
+                        want = evaluate(alg.qp_bracket(P, Q), pt)
                         assert got == want
 
 
@@ -282,21 +282,21 @@ def test_bivector_bracket_is_explicit_field_sum(genus, punctures, words):
         pt = sample_rep_point(trial_rng(31, "explicit-sum", k), sig, 2)
         for P, Q in [(alg.entry(a, 1, 2), alg.entry(b, 2, 1)),
                      (alg.entry(b, 1, 1), alg.entry(a, 2, 2))]:
-            assert bivector_bracket(alg, biv, P, Q, pt) == explicit_field_sum(alg, biv, P, Q, pt)
+            assert bivector_bracket(biv, P, Q, pt) == explicit_field_sum(alg, biv, P, Q, pt)
 
 
 def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
     # the pointwise oracle must stay independent of the derivation-rule route
     biv = build_fusion_bivector(SIG, 2)
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
-    want = evaluate(ALG, ALG.qp_bracket(P, Q), point())
+    want = evaluate(ALG.qp_bracket(P, Q), point())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numeric oracle called the algebra")
 
     for name in ("d_dvar", "adj_poly", "qp_bracket"):
         monkeypatch.setattr(RepAlgebra, name, forbidden)
-    assert bivector_bracket(ALG, biv, P, Q, point()) == want
+    assert bivector_bracket(biv, P, Q, point()) == want
     assert field_values(P, point())[0, CONJ][0][1] != 0
 
 
@@ -304,7 +304,7 @@ def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
     # the mirror of the test above: the derivation rule at a point stays
     # independent of the fused-bivector oracle
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
-    want = evaluate(ALG, ALG.qp_bracket(P, Q), point())
+    want = evaluate(ALG.qp_bracket(P, Q), point())
     assert want != 0
 
     def forbidden(*args, **kwargs):
@@ -345,7 +345,7 @@ def test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated(data):
                       data.draw(st.integers(1, dim)), data.draw(st.integers(1, dim)))
             for _ in range(2))
     pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), sig, dim)
-    assert derivation_bracket(alg, P, Q, pt) == evaluate(alg, alg.qp_bracket(P, Q), pt)
+    assert derivation_bracket(alg, P, Q, pt) == evaluate(alg.qp_bracket(P, Q), pt)
 
 
 # one algebra per case, so each keeps its symbolic generator brackets
@@ -380,7 +380,7 @@ def test_bracket_columns_are_the_symbolic_table_evaluated(case, point_seed):
 
 def test_bracket_columns_at_a_rational_point():
     alg = BRACKET_ALGEBRAS[1, 1, 2]
-    checked_columns(alg, RepPoint.from_lists(RATIONAL_MATRICES))
+    checked_columns(alg, RepPoint(tuple(map(mat, RATIONAL_MATRICES))))
 
 
 def test_compare_constructions_never_builds_symbolic_brackets(monkeypatch):
@@ -452,7 +452,7 @@ GRADIENT_WORDS = ("p1^-1*q1^-2", "z1^-1*p1", "q1*z1^-1*p1^-1", "p1^-2*z1^-1*q1")
 @pytest.mark.parametrize("text", GRADIENT_WORDS)
 def test_integer_gradient_matches_the_fraction_gradient(text):
     rng = random.Random(17)
-    rational = RepPoint.from_lists(RATIONAL_MATRICES)
+    rational = RepPoint(tuple(map(mat, RATIONAL_MATRICES)))
     for pt in [point(rng) for _ in range(4)] + [rational]:
         integral = pt is not rational
         for i, j in ((1, 1), (1, 2), (2, 1)):
@@ -479,11 +479,11 @@ def test_integer_gradient_matches_the_fraction_gradient(text):
 def test_bivector_bracket_matches_golden(case, pair):
     sig = SurfaceSignature(case["genus"], case["punctures"])
     alg = RepAlgebra(sig, case["dim"])
-    pt = RepPoint.from_lists(case["point"])
+    pt = RepPoint(tuple(map(mat, case["point"])))
     (wa, i, j), (wb, k, l) = pair["left"], pair["right"]
     P = alg.entry(parse_word(wa, sig), i, j)
     Q = alg.entry(parse_word(wb, sig), k, l)
-    got = bivector_bracket(alg, build_fusion_bivector(sig, case["dim"]), P, Q, pt)
+    got = bivector_bracket(build_fusion_bivector(sig, case["dim"]), P, Q, pt)
     assert str(got) == pair["value"]
 
 
@@ -503,14 +503,14 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     sig = SurfaceSignature(genus, punctures)
     alg = RepAlgebra(sig, 2)
     biv = build_fusion_bivector(sig, 2)
-    pt = RepPoint.from_lists(RATIONAL_MATRICES[:sig.rank])
+    pt = RepPoint(tuple(map(mat, RATIONAL_MATRICES[:sig.rank])))
     funcs = [alg.entry(parse_word(text, sig), i, j)
              for text in words for i, j in ((1, 2), (2, 1))]
     values = []
     for P in funcs:
         for Q in funcs:
-            want = evaluate(alg, alg.qp_bracket(P, Q), pt)
-            got = bivector_bracket(alg, biv, P, Q, pt)
+            want = evaluate(alg.qp_bracket(P, Q), pt)
+            got = bivector_bracket(biv, P, Q, pt)
             assert got == want
             values.append(got)
     assert any(v.denominator > 1 for v in values)
@@ -519,11 +519,11 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     assert all(type(x) is int for m in sampled.matrices for row in m for x in row)
     for at in (pt, sampled):
         for P, Q in ((funcs[0], funcs[3]), (funcs[2], funcs[5])):
-            assert type(bivector_bracket(alg, biv, P, Q, at)) is Fraction
+            assert type(bivector_bracket(biv, P, Q, at)) is Fraction
             D, fields = _fields(P, at)
             assert {type(x) for m in fields.values() for row in m for x in row} | {type(D)} \
                 <= {int, Fraction}
-            assert type(evaluate(alg, P, at)) is Fraction
+            assert type(evaluate(P, at)) is Fraction
 
 
 @pytest.mark.parametrize("case", WITNESS_GOLDEN,
@@ -732,7 +732,7 @@ def test_pointwise_group_equivariance():
         ginv = mat_inv(g)
         moved = RepPoint(tuple(mat_mul(mat_mul(ginv, m), g) for m in pt.matrices))
         P = ALG.entry(sample_word(rng, SIG, 3), rng.randint(1, 2), rng.randint(1, 2))
-        assert evaluate(ALG, ALG.group_action(g, P), pt) == evaluate(ALG, P, moved)
+        assert evaluate(ALG.group_action(g, P), pt) == evaluate(P, moved)
 
 
 def test_fusion_coupling_search_passes_a_degenerate_point():
@@ -827,7 +827,7 @@ def test_fields_are_the_dense_formula_on_every_slot():
     funcs += [ALG.sym(0, 1, 0) * ALG.det_inverse(2), ALG.sym(1, 0, 1) * ALG.det_inverse(1),
               ALG.entry(Word.identity(), 1, 1)]
     rng = random.Random(23)
-    for pt in [point(rng) for _ in range(3)] + [RepPoint.from_lists(RATIONAL_MATRICES)]:
+    for pt in [point(rng) for _ in range(3)] + [RepPoint(tuple(map(mat, RATIONAL_MATRICES)))]:
         for P in funcs:
             D, fields = _fields(P, pt)
             want_D, want = dense_fields(P, pt)

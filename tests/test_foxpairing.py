@@ -1,4 +1,4 @@
-"""The surface Fox pairing: base table, Fox rules, transpose, skewing.
+"""The surface Fox pairing: generator values, Fox rules, transpose, skewing.
 
 The base values are regression fixtures.  They were derived by requiring
 that the group-like bracket formula
@@ -12,11 +12,8 @@ re-runs that derivation, and the remaining tests freeze its output.
 import random
 from fractions import Fraction
 
-import pytest
-
 from surfqp.algebra import AlgElem, Tensor2
-from surfqp.foxpairing import (SurfaceFoxPairing, eta_base, inner_pairing, rho_1,
-                               transpose_apply)
+from surfqp.foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
 from surfqp.words import SurfaceSignature, Word, parse_word, sample_word
 
 SIG = SurfaceSignature(2, 2)
@@ -44,31 +41,24 @@ def test_base_values_solve_displays():
     p, q, z = w("p1"), w("q1"), w("z1")
     one = Word.identity()
     cases = [
-        (p, q, ETA.base(0, 1), Tensor2({(q, p): 1})),
-        (p, p, ETA.base(0, 0), Tensor2({(p, p): 1, (one, p * p): -1})),
-        (q, q, ETA.base(1, 1), Tensor2({(q, q): 1, (q * q, one): -1})),
-        (z, z, ETA.base(4, 4), Tensor2({(z, z): 1, (one, z * z): -1})),
-        (w("z1"), w("z2"), ETA.base(4, 5), Tensor2.zero()),
-        (p, w("q2"), ETA.base(0, 3), Tensor2.zero()),
-        (p, z, ETA.base(0, 4), Tensor2.zero()),
+        (p, q, Tensor2({(q, p): 1})),
+        (p, p, Tensor2({(p, p): 1, (one, p * p): -1})),
+        (q, q, Tensor2({(q, q): 1, (q * q, one): -1})),
+        (z, z, Tensor2({(z, z): 1, (one, z * z): -1})),
+        (w("z1"), w("z2"), Tensor2.zero()),
+        (p, w("q2"), Tensor2.zero()),
+        (p, z, Tensor2.zero()),
     ]
-    for a, b, val, display in cases:
-        assert group_like_bracket(val, a, b) == display
+    for a, b, display in cases:
+        assert group_like_bracket(ETA(a, b), a, b) == display
 
 
 def test_base_fixtures():
-    assert eta_base(SIG, 0, 1) == e("p1")
-    assert eta_base(SIG, 0, 0) == e("p1") - e("p1^2")
-    assert eta_base(SIG, 1, 1) == e("q1") - AlgElem.one()
-    assert eta_base(SIG, 4, 5) == AlgElem.zero()
-    assert eta_base(SIG, 4, 4) == e("z1") - e("z1^2")
-
-
-def test_base_rejects_out_of_order():
-    with pytest.raises(ValueError):
-        ETA.base(1, 0)
-    with pytest.raises(IndexError):
-        ETA.base(0, 99)
+    assert ETA(w("p1"), w("q1")) == e("p1")
+    assert ETA(w("p1"), w("p1")) == e("p1") - e("p1^2")
+    assert ETA(w("q1"), w("q1")) == e("q1") - AlgElem.one()
+    assert ETA(w("z1"), w("z2")) == AlgElem.zero()
+    assert ETA(w("z1"), w("z1")) == e("z1") - e("z1^2")
 
 
 def test_unit_annihilation():

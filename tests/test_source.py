@@ -171,3 +171,63 @@ def test_common_denominator_has_one_home():
     callers = [caller for module in MODULES
                for caller in calling_functions((PACKAGE / module).read_text(), "raise_den")]
     assert callers == ["_over_common_den"]
+
+
+BENCH = PACKAGE.parent.parent / "perfbench"
+# public definitions that no module reads, each kept for a reason
+UNREAD_BY_DESIGN = {
+    "tensor3": "builds a tensor cube from three factors: the canonical triple bracket's reference",
+    "outer_act": "the second-slot Leibniz rule's action, which tests hold the bracket to",
+    "inner_act": "the first-slot Leibniz rule's action, which tests hold the bracket to",
+    "monomial": "packs (variable, exponent) pairs: the Poly tests' term fixture",
+    "bivector_bracket": "the one-pair bivector bracket that the golden bivector values check",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public module-level functions and classes, and the public methods
+    of those classes, as "name" or "Class.method"."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_checker_sees_an_unread_definition():
+    source = ("class A:\n"
+              "    def used(self):\n"
+              "        return helper()\n"
+              "    def unused(self):\n"
+              "        self.stored = 1\n"
+              "    def _private(self):\n"
+              "        pass\n"
+              "def helper():\n"
+              "    return A().used\n"
+              "def stored():\n"
+              "    pass\n")
+    assert public_definitions(source) == ["A", "A.used", "A.unused", "helper", "stored"]
+    read = names_read(source)
+    assert [d for d in public_definitions(source) if d.rsplit(".", 1)[-1] not in read] == \
+        ["A.unused", "stored"]
+
+
+def test_every_public_definition_has_a_reader():
+    # a definition only tests call is surface to keep in step for nothing:
+    # tests reach the value through the path the package itself takes
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(names_read, sources + [p.read_text() for p in BENCH.glob("*.py")]))
+    defined = [d for source in sources for d in public_definitions(source)]
+    assert UNREAD_BY_DESIGN.keys() <= set(defined)
+    unread = [d for d in defined if d.rsplit(".", 1)[-1] not in read]
+    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
