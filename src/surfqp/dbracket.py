@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 from .algebra import AlgElem, ElemLike, LinComb, Tensor2, Tensor3, m2
 from .foxpairing import Pairing
 from .words import (CyclicWord, SurfaceSignature, Word, corner_cuts, corner_table, format_word,
-                    join, sample_word, trial_rng)
+                    join, sample_word, signed_corners, trial_rng)
 
 # the number of word pairs SurfaceDoubleBracket's memo keeps, the ones used last
 MEMO_LIMIT = 4096
@@ -84,10 +84,11 @@ class SurfaceDoubleBracket:
     # the weights of dbl(x_i, x_j) on the corners 00, 01, 10, 11, by sig.pair_kind(i, j)
     WEIGHTS = {"q": (0, -1, 1, 0), "pz": (0, 1, -1, 0), "handle": (-1, 1, 1, 1),
                "handle^t": (1, -1, -1, -1), "<": (-1, 1, 1, -1), ">": (1, -1, -1, 1)}
+    CORNERS = signed_corners(WEIGHTS)
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        self._corners = corner_table(sig, self.WEIGHTS)
+        self._corners = corner_table(sig, self.CORNERS)
         # bound to the table, not to self, so the bracket holds no reference cycle
         self._memoized = lru_cache(maxsize=MEMO_LIMIT)(partial(_cut_sum, self._corners))
 

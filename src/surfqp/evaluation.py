@@ -19,11 +19,11 @@ matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 Each function's fields are computed once per point, from one gradient, as
 integer matrices over one common denominator (a zero gradient block gives
 zero fields, with no product), and folded through each bivector's wedge
-terms into one integer vector (tr(AB) = <A^T, B>).  The derivation rule's
-side, shared by every bivector checked at a point, evaluates the
-generator-entry brackets there once, from the table's words multiplied out,
-and contracts each function's partials with them once.  Each side of a
-bracket is one integer dot product over two denominators, cross-multiplied.
+terms into one integer vector (tr(AB) = <A^T, B>).  The pointwise check
+reads each coordinate as an entry (w, i, j) of a word (one letter for a
+generator entry) and computes both sides from the words' prefix and suffix
+matrices at the point: the gradient by Fox calculus, the bracket as the
+double bracket's cut sum of the two words, with no symbolic entry.
 Sampled points keep integer entries, so brackets and gradients are
 evaluated in ints; points read from files may hold any rationals.
 
@@ -36,16 +36,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from .dbracket import SurfaceDoubleBracket
 from .matrices import Matrix, mat_adjugate, mat_det, mat_mul
 from .poly import Scalar
-from .repalgebra import Differential, RepAlgebra, RepElem
-from .words import SurfaceSignature, Word, format_word, trial_rng
+from .repalgebra import RepAlgebra, RepElem
+from .words import SurfaceSignature, Word, corner_cuts, corner_table, format_word, trial_rng
 
 L, R, CONJ = "L", "R", "C"
 ENTRY_LOW, ENTRY_HIGH = -3, 3  # the range of a sampled point's entries
@@ -78,46 +78,72 @@ def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> Rep
     return RepPoint(tuple(mats))
 
 
-def _at(pt: RepPoint) -> tuple[dict, list, tuple[Matrix, ...]]:
-    """Every entry symbol's value at pt in symbol order, the dets, the matrices."""
-    return ({(u, i, j): x for u, m in enumerate(pt.matrices)
-             for i, row in enumerate(m) for j, x in enumerate(row)},
-            [mat_det(m) for m in pt.matrices], pt.matrices)
-
-
 def evaluate(P: RepElem, pt: RepPoint) -> Fraction:
     """Evaluate at a point; determinant denominators become exact divisions."""
-    assign, dets, _ = _at(pt)
-    return Fraction(P.num.evaluate(assign), prod(map(pow, dets, P.den)))
+    assign = {(u, i, j): x for u, m in enumerate(pt.matrices)
+              for i, row in enumerate(m) for j, x in enumerate(row)}
+    return Fraction(P.num.evaluate(assign), prod(map(pow, map(mat_det, pt.matrices), P.den)))
 
 
-def _bracket_columns(alg: RepAlgebra, at: tuple[dict, list, tuple]) -> list[list[Scalar]]:
-    """The matrix B[a][b] = {a, b} of generator-entry brackets at a point, by
-    columns: for a = x^u_ij and b = x^v_kl, the sum of c (w1)_kj (w2)_il over
-    the table dbl(x^u, x^v), each word a product of the point's matrices, with
-    no inverse letters, so B is integral at an integer point."""
-    assign, _, xs = at
-    one = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
-    tables = {(u, v): alg.dbl.base(u, v).items() for u in range(len(xs)) for v in range(len(xs))}
-    words = {w for t in tables.values() for pair, _ in t for w in pair}
-    assert all(e > 0 for w in words for _, e in w.letters)
-    value = {w: reduce(mat_mul, (xs[u] for u, _ in w.letters), one) for w in words}
-    terms = {uv: [(c, value[w1], value[w2]) for (w1, w2), c in t] for uv, t in tables.items()}
-    return [[sum(c * w1[k][j] * w2[i][l] for c, w1, w2 in terms[u, v]) for u, i, j in assign]
-            for v, k, l in assign]
+def _word_matrices(pt: RepPoint, dim: int, words: Iterable[Word]) -> tuple[list, dict]:
+    """pt's dets, and (s, pre, suf) per word x_1...x_n: pre[t] multiplies its
+    letters before t and suf[t] those from t on, x_u^-1 as adj(x_u), so the
+    word's matrix is pre[n] / s, s the dets of its inverse letters."""
+    words, x = set(words), pt.matrices
+    if (codes := set().union(*words)) and ord(max(codes)) >> 1 >= len(x):
+        raise IndexError(f"generator index {ord(max(codes)) >> 1} out of range for rank {len(x)}")
+    dets = [mat_det(m) for m in x]
+    letters = {c: mat_adjugate(x[ord(c) >> 1]) if ord(c) & 1 else x[ord(c) >> 1] for c in codes}
+    one = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return dets, {w: (prod(dets[ord(c) >> 1] for c in w if ord(c) & 1),
+                      [one, *accumulate(map(letters.get, w), mat_mul)],
+                      [*accumulate(map(letters.get, w[::-1]), lambda r, m: mat_mul(m, r))][::-1]
+                      + [one]) for w in words}
 
 
-def _contraction(dP: Differential, at: tuple, cols: list) -> tuple[Scalar, list, list]:
-    """(D, h, g) for one function at a point, in _pair's shape: g lists its
-    partials times D = prod_u det(x^u)^(max den_u), ints at an integer point,
-    and h = g^T B, so the derivation rule {P, Q} = sum_ab dP/da dQ/db {a, b}
-    is (h_P . g_Q) / (D_P D_Q)."""
-    (assign, dets, _), parts = at, dict(dP)
-    top = [max((d.den[u] for d in parts.values()), default=0) for u in range(len(dets))]
-    g = [0 if (d := parts.get(a)) is None else
-         d.num.evaluate(assign) * prod(x ** (t - k) for x, t, k in zip(dets, top, d.den))
-         for a in assign]
-    return prod(map(pow, dets, top)), [sum(map(mul, g, col)) for col in cols], g
+def _fox_gradient(w: Word, i: int, j: int, at: tuple, dets: list) -> tuple[Scalar, list]:
+    """(den, G) in _gradient's shape for the entry w_ij (one-based), by Fox
+    calculus on at = (s, pre, suf): the letter x_u at t adds (P_t)_ia
+    (S_{t+1})_bj to d w_ij / d x^u_ab, and x_u^-1 adds -(P_t x_u^-1)_ia
+    (x_u^-1 S_{t+1})_bj = -pre[t + 1]_ia suf[t]_bj / (s det x_u).  So den is
+    s times det(x_u) per generator u that w inverts, and G is integral."""
+    s, pre, suf = at
+    inverted = {ord(c) >> 1 for c in w if ord(c) & 1}
+    grad = [[[0] * len(pre[0]) for _ in pre[0]] for _ in dets]
+    for t, c in enumerate(w):
+        u = ord(c) >> 1
+        if ord(c) & 1:
+            k, left, right = -prod(dets[v] for v in inverted if v != u), pre[t + 1], suf[t]
+        else:
+            k, left, right = prod(dets[v] for v in inverted), pre[t], suf[t + 1]
+        col = [k * row[j - 1] for row in right]
+        grad[u] = [[g + a * b for g, b in zip(G_a, col)] for G_a, a in zip(grad[u], left[i - 1])]
+    return s * prod(dets[v] for v in inverted), grad
+
+
+def _bracket_matrix(corners: dict, coords: Sequence[tuple[Word, int, int]], at: dict) -> list:
+    """B[a][b] = {a, b} s_a s_b for coordinates a = (w, i, j), b = (v, k, l),
+    from the double bracket's corners alone: the sum of W(i', j') (W1)_kj
+    (W2)_il over the cuts of (w, v), W1 = Pre_v(j') Suf_w(i') and
+    W2 = Pre_w(i') Suf_v(j'), each cut holding every letter once."""
+    def cut(pre, t, suf, r):  # no product by an empty prefix's or suffix's identity
+        return suf[r] if t == 0 else pre[t] if r == len(suf) - 1 else mat_mul(pre[t], suf[r])
+
+    by_word: dict[Word, list] = {}
+    for n, (w, i, j) in enumerate(coords):
+        by_word.setdefault(w, []).append((n, i - 1, j - 1))
+    B = [[0] * len(coords) for _ in coords]
+    for (w, on_w), (v, on_v) in product(by_word.items(), repeat=2):
+        (_, pre_w, suf_w), (_, pre_v, suf_v) = at[w], at[v]
+        cuts = [(c, cut(pre_v, jc, suf_w, ic), cut(pre_w, ic, suf_v, jc))
+                for ic, row in corner_cuts(w, v, corners) for jc, c in row]
+        for n, i, j in on_w if cuts else ():
+            # c (W1)_kj by k and (W2)_il by l over the cuts, so an entry is one dot product
+            ks = [*zip(*([c * r[j] for r in w1] for c, w1, _ in cuts))]
+            ls = [*zip(*(w2[i] for _, _, w2 in cuts))]
+            for m, k, l in on_v:
+                B[n][m] = sum(map(mul, ks[k], ls[l]))
+    return B
 
 
 def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]]]:
@@ -147,12 +173,12 @@ def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]
     return prod(d ** (P.den[u] + 1) for u, d in dets.items()), grad
 
 
-def _fields(P: RepElem, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Matrix]]:
-    """The values of every field on ev(P) at pt as (D, fields): D is
-    a common denominator of the values and fields[slot, side][r][s] D times
-    the value along f_rs, an int at an integer point, for L = m^T G,
-    R = -G m^T and C = L + R."""
-    den, grads = _gradient(P, pt)
+def _fields(gradient: tuple, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Matrix]]:
+    """The values of every field on a function with gradient (den, G) at pt as
+    (D, fields): D is a common denominator of the values and fields[slot,
+    side][r][s] D times the value along f_rs, an int at an integer point, for
+    L = m^T G, R = -G m^T and C = L + R."""
+    den, grads = gradient
     raw = {}
     for u, G in enumerate(grads):
         if not any(map(any, G)):  # a zero block has zero fields
@@ -246,15 +272,15 @@ def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list,
 
 
 def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fraction:
-    """A bracket at a point from two (D, row, col) triples, _covectors or
-    _contractions: one integer dot product and one division."""
+    """A bracket at a point from two _covector triples (D, K, flat): one
+    integer dot product and one division."""
     return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
 
 
 def bivector_bracket(biv: FusionBivector, P: RepElem, Q: RepElem, pt: RepPoint) -> Fraction:
     """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
     function."""
-    return _pair(_covector(biv, _fields(P, pt)), _covector(biv, _fields(Q, pt)))
+    return _pair(*(_covector(biv, _fields(_gradient(X, pt), pt)) for X in (P, Q)))
 
 
 def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], dict]:
@@ -305,43 +331,40 @@ class AksmReport:
 
 def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
                       plans: Sequence[tuple[FusionBivector, int]],
-                      extra_words: Iterable[tuple[Word, Word]] = (),
-                      alg: Optional[RepAlgebra] = None) -> list[AksmReport]:
-    """compare_constructions for each plan (biv, points), in one walk: the
-    entries and differentials once; at point k, the bracket matrix and each
-    function's _contraction (D, h, g) and _fields once; then each plan still
-    live (no mismatch yet, k < points) folds them into its _covector (E, K, f)
-    and compares every pair, (h_a.g_b) E_a E_b to (K_a.f_b) D_a D_b in ints."""
+                      extra_words: Iterable[tuple[Word, Word]] = ()) -> list[AksmReport]:
+    """compare_constructions for each plan (biv, points), in one walk: at
+    point k, the words' matrices, B and each coordinate's Fox-gradient
+    _fields once; then each plan still live (no mismatch yet, k < points)
+    folds them into its _covector (E, K, f) and compares every pair,
+    B_ab E_a E_b to (K_a.f_b) s_a s_b in ints."""
     if (low := min((trials for _, trials in plans), default=1)) < 1:
         raise ValueError(f"need at least one point to compare at, got trials={low}")
-    alg = alg if alg is not None else RepAlgebra(sig, dim)
     coords = [(Word.generator(u), i, j)
               for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
     coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]
-    funcs = [alg.entry(w, i, j) for (w, i, j) in coords]
-    diffs = list(map(alg.differential, funcs))
+    corners = corner_table(sig, SurfaceDoubleBracket.CORNERS)
     reports = [AksmReport(True, trials, len(coords) ** 2, seed) for _, trials in plans]
     for k in range(max((trials for _, trials in plans), default=0)):
         if not (live := [p for p, (_, t) in enumerate(plans) if reports[p].ok and k < t]):
             break
         pt = sample_rep_point(trial_rng(seed, "aksm", k), sig, dim)
-        at = _at(pt)
-        cols = _bracket_columns(alg, at)
-        sides = [(c, _contraction(dP, at, cols), _fields(P, pt))
-                 for c, P, dP in zip(coords, funcs, diffs)]
+        dets, at = _word_matrices(pt, dim, (w for w, _, _ in coords))
+        B = _bracket_matrix(corners, coords, at)
+        scales = [at[w][0] for w, _, _ in coords]
+        fields = [_fields(_fox_gradient(w, i, j, at[w], dets), pt) for w, i, j in coords]
         for p in live:
-            covs = [(c, con, _covector(plans[p][0], fp)) for c, con, fp in sides]
-            for n, ((a, con_a, cov_a), (b, con_b, cov_b)) in enumerate(product(covs, repeat=2), 1):
-                (da, h, _), (db, _, g) = con_a, con_b
-                (ea, K, _), (eb, _, f) = cov_a, cov_b
-                if sum(map(mul, h, g)) * ea * eb != sum(map(mul, K, f)) * da * db:
+            covs = [_covector(plans[p][0], fp) for fp in fields]
+            for n, (x, y) in enumerate(product(range(len(coords)), repeat=2), 1):
+                (ea, K, _), (eb, _, f) = covs[x], covs[y]
+                if B[x][y] * ea * eb != sum(map(mul, K, f)) * scales[x] * scales[y]:
+                    (wa, *a), (wb, *b) = coords[x], coords[y]
                     reports[p] = AksmReport(False, k + 1, n, seed, witness={
                         "point_index": k,
-                        "point": [[[str(x) for x in row] for row in m] for m in pt.matrices],
-                        "left": [format_word(a[0], sig), *a[1:]],
-                        "right": [format_word(b[0], sig), *b[1:]],
-                        "bracket_value": str(_pair(con_a, con_b)),
-                        "bivector_value": str(_pair(cov_a, cov_b)),
+                        "point": [[[str(v) for v in row] for row in m] for m in pt.matrices],
+                        "left": [format_word(wa, sig), *a],
+                        "right": [format_word(wb, sig), *b],
+                        "bracket_value": str(Fraction(B[x][y], scales[x] * scales[y])),
+                        "bivector_value": str(_pair(covs[x], covs[y])),
                     })
                     break
     return reports
@@ -349,12 +372,11 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
 
 def compare_constructions(sig: SurfaceSignature, dim: int, trials: int, seed: int,
                           extra_words: Iterable[tuple[Word, Word]] = (),
-                          biv: Optional[FusionBivector] = None,
-                          alg: Optional[RepAlgebra] = None) -> AksmReport:
+                          biv: Optional[FusionBivector] = None) -> AksmReport:
     """At `trials` seeded points, compare the two brackets on every ordered
     generator-entry pair, plus entries of any supplied word pairs, one point
     at a time: compare_bivectors with the one plan (biv, trials).  The first
     mismatch ends the walk: its witness is the first failing pair at the
     earliest failing point."""
     biv = biv if biv is not None else build_fusion_bivector(sig, dim)
-    return compare_bivectors(sig, dim, seed, [(biv, trials)], extra_words, alg)[0]
+    return compare_bivectors(sig, dim, seed, [(biv, trials)], extra_words)[0]

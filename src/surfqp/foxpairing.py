@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .algebra import AlgElem, ElemLike
-from .words import SurfaceSignature, Word, corner_cuts, corner_table, join
+from .words import SurfaceSignature, Word, corner_cuts, corner_table, join, signed_corners
 
 Pairing = Callable[[ElemLike, ElemLike], AlgElem]
 
@@ -62,10 +62,11 @@ class SurfaceFoxPairing:
     # the weights of eta(x_i, x_j) on the corners 00, 01, 10, 11, by sig.pair_kind(i, j)
     WEIGHTS = {"q": (1, -1, 0, 0), "pz": (1, 0, -1, 0), "handle": (0, 0, 0, 1),
                "handle^t": (1, -1, -1, 0), "<": (0, 0, 0, 0), ">": (1, -1, -1, 1)}
+    CORNERS = signed_corners(WEIGHTS)
 
     def __init__(self, sig: SurfaceSignature):
         self.sig = sig
-        self._corners = corner_table(sig, self.WEIGHTS)
+        self._corners = corner_table(sig, self.CORNERS)
 
     def __call__(self, a: ElemLike, b: ElemLike) -> AlgElem:
         return AlgElem.collect((join(head, w[j:]), cv * cw * k)

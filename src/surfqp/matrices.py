@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Any, Sequence
 
 Matrix = tuple[tuple[Any, ...], ...]  # the entries share one ring
@@ -23,11 +23,8 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _minor(a: Matrix, i: int, j: int) -> Matrix:

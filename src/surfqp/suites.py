@@ -482,7 +482,6 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
     rng = trial_rng(seed, "aksm:words", 0)
     extra = [(sample_word(rng, sig, AKSM_WORD_LEN), sample_word(rng, sig, AKSM_WORD_LEN))
              for _ in range(extra_word_pairs)]
-    alg = RepAlgebra(sig, dim)
     biv = build_fusion_bivector(sig, dim)
     plans = [(biv, trials)]
     # at N = 1 the conjugation field C = L + R is zero, and with it every
@@ -492,10 +491,11 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
         # walks on to later points until one gives a witness
         nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
         plans.append((nofuse, FUSION_WITNESS_POINTS))
-    rep, *fusion = compare_bivectors(sig, dim, seed, plans, extra_words=extra, alg=alg)
+    rep, *fusion = compare_bivectors(sig, dim, seed, plans, extra_words=extra)
     checks.append(Check("pointwise-agreement", rep.ok, rep.to_dict()))
 
     if (sig.genus, sig.punctures) in ((1, 0), (0, 1)):
+        alg = RepAlgebra(sig, dim)
         syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
         on = {a: fields_sym(alg, biv, alg.sym(*a)) for a in syms}
         bad = sorted([u, v, i, j, k, l] for (u, i, j), (v, k, l) in product(syms, syms)

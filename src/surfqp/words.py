@@ -267,14 +267,17 @@ def _min_rotation(codes: str) -> str:
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def corner_table(sig: SurfaceSignature, weights: Mapping[str, tuple]) -> dict:
-    """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of every
-    signed letter pair, by codes, from weights[sig.pair_kind(i, j)], the weights
-    of the positive pair (x_i, x_j) on the corners 00, 01, 10, 11.  x^-1 flips di
-    and y^-1 flips dj, each negating c; the four signed entries are built once per kind."""
-    signed = {kind: [tuple((di ^ sx, dj ^ sy, -c if sx ^ sy else c)
-                           for (di, dj), c in zip(_CORNERS, key) if c)
-                     for sx in (0, 1) for sy in (0, 1)] for kind, key in weights.items()}
+def signed_corners(weights: Mapping[str, tuple]) -> dict:
+    """Integer weights (di, dj, c) on the corners (di, dj) in {0,1}^2 of (x, y),
+    (x, y^-1), (x^-1, y) and (x^-1, y^-1) per kind, from weights[kind] on the
+    corners 00, 01, 10, 11 of (x, y): x^-1 flips di and y^-1 flips dj, each negating c."""
+    return {kind: [tuple((di ^ sx, dj ^ sy, -c if sx ^ sy else c)
+                         for (di, dj), c in zip(_CORNERS, key) if c)
+                   for sx in (0, 1) for sy in (0, 1)] for kind, key in weights.items()}
+
+
+def corner_table(sig: SurfaceSignature, signed: Mapping[str, list]) -> dict:
+    """signed[sig.pair_kind(i, j)]'s entries for the signed pairs of every (x_i, x_j), by codes."""
     out = {chr(c): {} for c in range(2 * sig.rank)}
     for i in range(sig.rank):
         for j in range(sig.rank):

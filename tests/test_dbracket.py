@@ -318,6 +318,30 @@ def test_constructing_a_bracket_builds_no_word():
     assert list(counted.values()) == [1, 1]
 
 
+def test_signed_corners_are_class_data():
+    # each class derives the signed corner lists of its WEIGHTS once; a
+    # bracket object's table only looks them up by the kind of each pair
+    from surfqp import words
+    for cls in (SurfaceFoxPairing, SurfaceDoubleBracket):
+        assert cls.CORNERS == words.signed_corners(cls.WEIGHTS)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is words.signed_corners.__code__:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        for sig in VERIFY_SIGS:
+            SurfaceFoxPairing(sig), SurfaceDoubleBracket(sig)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    # the (p1, q1) entry of a table is the class's own "handle" entry
+    table = SurfaceDoubleBracket(SurfaceSignature(1, 1))._corners
+    assert table[chr(0)][chr(2)] is SurfaceDoubleBracket.CORNERS["handle"][0]
+
+
 @pytest.mark.parametrize("cls", [SurfaceFoxPairing, SurfaceDoubleBracket])
 @pytest.mark.parametrize("a,b", [(5, 0), (0, 5)], ids=["first slot", "second slot"])
 def test_a_letter_past_the_rank_is_named(cls, a, b):

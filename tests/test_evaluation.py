@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -12,13 +13,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from surfqp import evaluation
+from surfqp.dbracket import SurfaceDoubleBracket
 from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _fields,
-                               _sides, bivector_bracket, build_fusion_bivector,
+                               _gradient, _sides, bivector_bracket, build_fusion_bivector,
                                compare_bivectors, compare_constructions, evaluate, fields_sym,
                                sample_rep_point, wedge_sym)
 from surfqp.matrices import mat, mat_adjugate, mat_det, mat_inv, mat_mul
+from surfqp.poly import Poly
 from surfqp.repalgebra import RepAlgebra, RepElem
-from surfqp.words import SurfaceSignature, Word, parse_word, sample_word, trial_rng
+from surfqp.words import SurfaceSignature, Word, corner_table, parse_word, sample_word, trial_rng
 
 SIG = SurfaceSignature(1, 1)
 ALG = RepAlgebra(SIG, 2)
@@ -37,13 +40,24 @@ WITNESS_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "aksm_witness_golden.json").read_text())
 
 
-def derivation_bracket(alg, P, Q, pt):
-    """compare_constructions' derivation side for one pair: each function's
-    partials contracted with the generator-entry brackets at pt."""
-    at = evaluation._at(pt)
-    cols = evaluation._bracket_columns(alg, at)
-    return evaluation._pair(*(evaluation._contraction(alg.differential(X), at, cols)
-                              for X in (P, Q)))
+def bracket_side(sig, dim, coords, pt):
+    """compare_constructions' bracket side at pt on coordinates (w, i, j), as
+    exact values: B[a][b] / (s_a s_b) from the double bracket's corner cuts."""
+    _, at = evaluation._word_matrices(pt, dim, (w for w, _, _ in coords))
+    B = evaluation._bracket_matrix(corner_table(sig, SurfaceDoubleBracket.CORNERS), coords, at)
+    return [[Fraction(x, at[a[0]][0] * at[b[0]][0]) for b, x in zip(coords, row)]
+            for a, row in zip(coords, B)]
+
+
+def fox_gradient(w, i, j, pt, dim):
+    """compare_constructions' Fox gradient of the entry w_ij at pt, as (den, G)."""
+    dets, at = evaluation._word_matrices(pt, dim, [w])
+    return evaluation._fox_gradient(w, i, j, at[w], dets)
+
+
+def gradient_values(gradient):
+    den, grad = gradient
+    return [[[Fraction(v, den) for v in row] for row in G] for G in grad]
 
 
 def w(text, sig=SIG):
@@ -56,7 +70,7 @@ def point(rng=None, sig=SIG, dim=2):
 
 def field_values(P, pt):
     """_fields at pt as exact values: {(slot, side): [[value along f_rs]]}."""
-    D, fields = _fields(P, pt)
+    D, fields = _fields(_gradient(P, pt), pt)
     return {key: [[Fraction(v, D) for v in row] for row in m] for key, m in fields.items()}
 
 
@@ -143,7 +157,7 @@ def test_every_symbolic_field_is_the_pointwise_field():
         keys = _sides(biv)
         assert len(keys) == 3 * SIG.rank  # every slot with L, R and C
         for P in funcs:
-            D, fields = _fields(P, pt)
+            D, fields = _fields(_gradient(P, pt), pt)
             on = fields_sym(alg, biv, P)
             assert list(on) == keys
             for slot, side in keys:
@@ -298,21 +312,28 @@ def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
         monkeypatch.setattr(RepAlgebra, name, forbidden)
     assert bivector_bracket(biv, P, Q, point()) == want
     assert field_values(P, point())[0, CONJ][0][1] != 0
+    # the Fox-gradient route of compare_constructions reads no double bracket
+    for name in ("corner_cuts", "corner_table", "_bracket_matrix"):
+        monkeypatch.setattr(evaluation, name, forbidden)
+    fox = [evaluation._covector(biv, _fields(fox_gradient(x, i, j, point(), 2), point()))
+           for x, i, j in ((w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1))]
+    assert evaluation._pair(*fox) == want
 
 
 def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
-    # the mirror of the test above: the derivation rule at a point stays
-    # independent of the fused-bivector oracle
+    # the mirror of the test above: the bracket side at a point, the double
+    # bracket's cut sum of two words, stays independent of the bivector oracle
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
     want = evaluate(ALG.qp_bracket(P, Q), point())
     assert want != 0
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("derivation side called the numeric oracle")
+        raise AssertionError("bracket side called the numeric oracle")
 
-    for name in ("_gradient", "_fields", "_covector"):
+    for name in ("_gradient", "_fox_gradient", "_fields", "_covector", "_pair"):
         monkeypatch.setattr(evaluation, name, forbidden)
-    assert derivation_bracket(ALG, P, Q, point()) == want
+    coords = [(w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1)]
+    assert bracket_side(SIG, 2, coords, point())[0][1] == want
 
 
 def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
@@ -321,7 +342,7 @@ def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("symbolic leg called the pointwise fields")
 
-    for name in ("_gradient", "_fields", "_covector"):
+    for name in ("_gradient", "_fox_gradient", "_fields", "_covector"):
         monkeypatch.setattr(evaluation, name, forbidden)
     biv = build_fusion_bivector(SIG, 2)
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
@@ -329,23 +350,52 @@ def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
     assert got == ALG.qp_bracket(P, Q) and not got.is_zero()
 
 
-# one algebra per case, so each keeps its generator brackets across examples
-DERIVATION_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
-                       for g, m in ((1, 1), (0, 2), (2, 1)) for dim in (1, 2, 3)}
+@st.composite
+def inverse_heavy_words(draw, sig, max_len):
+    """Reduced words of up to max_len letters, three in four inverted."""
+    letters = []
+    for _ in range(draw(st.integers(0, max_len))):
+        g, e = draw(st.integers(0, sig.rank - 1)), draw(st.sampled_from((-1, -1, -1, 1)))
+        if letters and letters[-1] == (g, -e):
+            e = -e  # repeat the previous letter rather than cancel it
+        letters.append((g, e))
+    return Word(letters)
+
+
+# one algebra per case, so each keeps its entries and generator brackets across examples
+POINT_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
+                  for g, m in ((1, 1), (2, 1), (0, 3)) for dim in (1, 2, 3)}
+
+
+def draw_entry(data, alg, max_len):
+    """(w, i, j) for an inverse-heavy word w and one-based i, j."""
+    return (data.draw(inverse_heavy_words(alg.sig, max_len)),
+            data.draw(st.integers(1, alg.dim)), data.draw(st.integers(1, alg.dim)))
+
+
+@seed(20261024)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_fox_gradient_is_the_gradient_of_the_symbolic_entry(data):
+    alg = POINT_ALGEBRAS[data.draw(st.sampled_from(sorted(POINT_ALGEBRAS)))]
+    x, i, j = draw_entry(data, alg, 8 if alg.dim < 3 else 5)
+    pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), alg.sig, alg.dim)
+    den, grad = got = fox_gradient(x, i, j, pt, alg.dim)
+    assert gradient_values(got) == gradient_values(_gradient(alg.entry(x, i, j), pt))
+    assert type(den) is int and all(type(v) is int for G in grad for row in G for v in row)
 
 
 @seed(20261023)
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated(data):
-    alg = DERIVATION_ALGEBRAS[data.draw(st.sampled_from(sorted(DERIVATION_ALGEBRAS)))]
-    sig, dim = alg.sig, alg.dim
-    letters = st.tuples(st.integers(0, sig.rank - 1), st.sampled_from((1, -1)))
-    P, Q = (alg.entry(Word(data.draw(st.lists(letters, max_size=3 if dim < 3 else 2))),
-                      data.draw(st.integers(1, dim)), data.draw(st.integers(1, dim)))
-            for _ in range(2))
-    pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), sig, dim)
-    assert derivation_bracket(alg, P, Q, pt) == evaluate(alg.qp_bracket(P, Q), pt)
+    # the bracket side, the double bracket's cut sum of two words at a point,
+    # is the derivation rule's qp_bracket of their entries evaluated there
+    alg = POINT_ALGEBRAS[data.draw(st.sampled_from(sorted(POINT_ALGEBRAS)))]
+    a, b = (draw_entry(data, alg, 3 if alg.dim < 3 else 2) for _ in range(2))
+    pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), alg.sig, alg.dim)
+    want = evaluate(alg.qp_bracket(alg.entry(*a), alg.entry(*b)), pt)
+    assert bracket_side(alg.sig, alg.dim, [a, b], pt)[0][1] == want
 
 
 # one algebra per case, so each keeps its symbolic generator brackets
@@ -354,18 +404,23 @@ BRACKET_ALGEBRAS = {(g, m, dim): RepAlgebra(SurfaceSignature(g, m), dim)
 
 
 def checked_columns(alg, pt):
-    """_bracket_columns at pt, after checking it entry by entry against the
-    symbolic generator brackets evaluated there."""
-    at = evaluation._at(pt)
-    cols = evaluation._bracket_columns(alg, at)
-    symbols = list(at[0])
-    assert len(cols) == len(symbols) and all(len(col) == len(symbols) for col in cols)
-    for b, col in zip(symbols, cols):
-        for a, got in zip(symbols, col):
+    """The bracket side at pt on every pair of generator entries, after
+    checking it entry by entry against the symbolic generator brackets
+    evaluated there."""
+    symbols = [(u, i, j) for u in range(alg.sig.rank) for i in range(alg.dim)
+               for j in range(alg.dim)]
+    coords = [(Word.generator(u), i + 1, j + 1) for u, i, j in symbols]
+    _, at = evaluation._word_matrices(pt, alg.dim, (x for x, _, _ in coords))
+    assert all(at[x][0] == 1 for x, _, _ in coords)  # no inverse letter, no scale
+    B = evaluation._bracket_matrix(corner_table(alg.sig, SurfaceDoubleBracket.CORNERS), coords, at)
+    assert len(B) == len(symbols) and all(len(row) == len(symbols) for row in B)
+    assign = {(u, i, j): pt.matrices[u][i][j] for u, i, j in symbols}
+    for a, row in zip(symbols, B):
+        for b, got in zip(symbols, row):
             want = alg.gen_bracket(a, b)
             assert not any(want.den)
-            assert got == want.num.evaluate(at[0]), (a, b)
-    return cols
+            assert got == want.num.evaluate(assign), (a, b)
+    return B
 
 
 @pytest.mark.parametrize("case", sorted(BRACKET_ALGEBRAS), ids=lambda c: "-".join(map(str, c)))
@@ -375,7 +430,7 @@ def checked_columns(alg, pt):
 def test_bracket_columns_are_the_symbolic_table_evaluated(case, point_seed):
     alg = BRACKET_ALGEBRAS[case]
     pt = sample_rep_point(random.Random(point_seed), alg.sig, alg.dim)
-    assert all(type(x) is int for col in checked_columns(alg, pt) for x in col)
+    assert all(type(x) is int for row in checked_columns(alg, pt) for x in row)
 
 
 def test_bracket_columns_at_a_rational_point():
@@ -384,17 +439,30 @@ def test_bracket_columns_at_a_rational_point():
 
 
 def test_compare_constructions_never_builds_symbolic_brackets(monkeypatch):
-    # the derivation side multiplies the table's words out at each point;
-    # the symbolic generator brackets stay for qp_bracket and the symbolic leg
+    # both sides come from the point's integer matrices: no algebra, no entry,
+    # no differential, no polynomial product and no symbolic generator bracket
+    # (those stay for qp_bracket and the symbolic leg)
     def forbidden(*args, **kwargs):
-        raise AssertionError("pointwise check built a symbolic bracket")
+        raise AssertionError("pointwise check went through the symbolic algebra")
 
-    for name in ("gen_bracket", "entry_pair_image"):
+    for name in ("__init__", "entry", "column", "differential", "qp_bracket", "gen_bracket",
+                 "entry_pair_image"):
         monkeypatch.setattr(RepAlgebra, name, forbidden)
-    for sig in (SIG, SurfaceSignature(2, 1)):
-        rep = compare_constructions(sig, 2, trials=2, seed=5,
-                                    extra_words=[(w("p1*q1", sig), w("q1^-1", sig))])
-        assert rep.ok, rep.witness
+    for name in ("dot", "evaluate", "var"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    for sig, dim, words in ((SIG, 2, ("p1^-1*q1^-1*z1", "z1^-2")),
+                            (SurfaceSignature(2, 1), 2, ("p1*q1", "q1^-1")),
+                            (SurfaceSignature(0, 3), 3, ("z1^-1*z3*z2^-1", "z1^-2"))):
+        extra = [tuple(w(text, sig) for text in words)]
+        rep = compare_constructions(sig, dim, trials=2, seed=5, extra_words=extra)
+        assert rep.ok and rep.points == 2, rep.witness
+
+
+@pytest.mark.parametrize("extra,index", [((Word.generator(5), Word.generator(0)), 5),
+                                         ((Word.generator(0), Word([(3, -1)])), 3)])
+def test_a_word_letter_past_the_rank_is_named(extra, index):
+    with pytest.raises(IndexError, match=f"generator index {index} out of range for rank 3"):
+        compare_constructions(SIG, 2, 1, 7, extra_words=[extra])
 
 
 def test_compare_constructions_needs_a_point():
@@ -461,7 +529,7 @@ def test_integer_gradient_matches_the_fraction_gradient(text):
             old_den, old_grad = fraction_gradient(P, pt)
             assert [[[Fraction(v, den) for v in row] for row in G] for G in grad] == \
                 [[[Fraction(v, old_den) for v in row] for row in G] for G in old_grad]
-            D, fields = evaluation._fields(P, pt)
+            D, fields = evaluation._fields((den, grad), pt)
             old_D, old_fields = fraction_fields(P, pt)
             assert fields.keys() == old_fields.keys()
             for key, m in fields.items():
@@ -520,7 +588,7 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     for at in (pt, sampled):
         for P, Q in ((funcs[0], funcs[3]), (funcs[2], funcs[5])):
             assert type(bivector_bracket(biv, P, Q, at)) is Fraction
-            D, fields = _fields(P, at)
+            D, fields = _fields(_gradient(P, at), at)
             assert {type(x) for m in fields.values() for row in m for x in row} | {type(D)} \
                 <= {int, Fraction}
             assert type(evaluate(P, at)) is Fraction
@@ -547,61 +615,71 @@ def test_rank_zero_surface_has_no_fields():
 
 
 def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
-    # the fields of each coordinate function are computed once per point,
-    # not once for every pair it takes part in
-    calls = []
-    fields = evaluation._fields
+    # the Fox gradient and the fields of each coordinate function are
+    # computed once per point, not once for every pair it takes part in
+    calls = {"fox": 0, "fields": 0}
+    fox, fields = evaluation._fox_gradient, evaluation._fields
 
-    def counted(P, pt):
-        calls.append(1)
-        return fields(P, pt)
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+        return inner
 
-    monkeypatch.setattr(evaluation, "_fields", counted)
+    def forbidden(*args):
+        raise AssertionError("pointwise check took the symbolic entry's gradient")
+
+    monkeypatch.setattr(evaluation, "_fox_gradient", counted("fox", fox))
+    monkeypatch.setattr(evaluation, "_fields", counted("fields", fields))
+    monkeypatch.setattr(evaluation, "_gradient", forbidden)
     extra = [(w("p1*q1"), w("z1^-1"))]
     rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
     assert rep.ok, rep.witness
     coords = SIG.rank * 2 * 2 + 2 * len(extra)
-    assert len(calls) == coords * 2
+    assert calls == {"fox": coords * 2, "fields": coords * 2}
 
 
-def test_compare_constructions_differentiates_once_and_evaluates_one_bracket_matrix(monkeypatch):
-    # the derivation route differentiates each function once, and evaluates
-    # the generator-entry brackets once per point, not once for every pair
-    diffs, matrices = [], []
-    differential, columns = RepAlgebra.differential, evaluation._bracket_columns
+def test_compare_constructions_builds_each_words_matrices_once_per_point(monkeypatch):
+    # every distinct word's prefixes and suffixes are multiplied out once per
+    # point, for all its entries, and the bracket matrix is evaluated once
+    # per point, not once for every pair
+    words, matrices = [], []
+    word_matrices, bracket_matrix = evaluation._word_matrices, evaluation._bracket_matrix
 
-    def counted_differential(self, P):
-        diffs.append(1)
-        return differential(self, P)
+    def counted_words(pt, dim, ws):
+        ws = list(ws)
+        words.append(sorted(set(ws)))
+        return word_matrices(pt, dim, ws)
 
-    def counted_columns(alg, at):
-        matrices.append(1)
-        return columns(alg, at)
+    def counted_matrix(corners, coords, at):
+        matrices.append(len(coords))
+        return bracket_matrix(corners, coords, at)
 
-    monkeypatch.setattr(RepAlgebra, "differential", counted_differential)
-    monkeypatch.setattr(evaluation, "_bracket_columns", counted_columns)
+    monkeypatch.setattr(evaluation, "_word_matrices", counted_words)
+    monkeypatch.setattr(evaluation, "_bracket_matrix", counted_matrix)
     extra = [(w("p1*q1"), w("z1^-1"))]
     rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
     assert rep.ok, rep.witness
-    assert len(diffs) == SIG.rank * 2 * 2 + 2 * len(extra)
-    assert len(matrices) == 2
+    want = sorted([Word.generator(u) for u in range(SIG.rank)] + [w("p1*q1"), w("z1^-1")])
+    assert words == [want, want]
+    assert matrices == [SIG.rank * 2 * 2 + 2 * len(extra)] * 2
 
 
 def test_compare_constructions_walks_one_point_at_a_time(monkeypatch):
-    # a point's bracket matrix and every function's fields there are all
+    # a point's word matrices and every function's fields there are all
     # computed before the next point is touched
     calls = []
-    columns, fields = evaluation._bracket_columns, evaluation._fields
+    word_matrices, fields = evaluation._word_matrices, evaluation._fields
 
-    def counted_columns(alg, at):
-        calls.append(("columns", at[2]))
-        return columns(alg, at)
+    def counted_words(pt, dim, ws):
+        calls.append(("words", pt.matrices))
+        return word_matrices(pt, dim, ws)
 
-    def counted_fields(P, pt):
+    def counted_fields(gradient, pt):
         calls.append(("fields", pt.matrices))
-        return fields(P, pt)
+        return fields(gradient, pt)
 
-    monkeypatch.setattr(evaluation, "_bracket_columns", counted_columns)
+    monkeypatch.setattr(evaluation, "_word_matrices", counted_words)
     monkeypatch.setattr(evaluation, "_fields", counted_fields)
     rep = compare_constructions(SIG, 2, 3, 7)
     assert rep.ok, rep.witness
@@ -609,7 +687,7 @@ def test_compare_constructions_walks_one_point_at_a_time(monkeypatch):
     points = [sample_rep_point(trial_rng(7, "aksm", k), SIG, 2).matrices for k in range(3)]
     assert len(calls) == 3 * size
     assert [sorted(calls[k * size:(k + 1) * size]) for k in range(3)] == \
-        [[("columns", m)] + [("fields", m)] * (size - 1) for m in points]
+        [[("fields", m)] * (size - 1) + [("words", m)] for m in points]
 
 
 def test_symbolic_leg_applies_each_field_once_per_function(monkeypatch):
@@ -677,6 +755,38 @@ def test_pointwise_agreement_beyond_the_verify_matrix(genus, punctures, dim, tri
     rep = compare_constructions(SurfaceSignature(genus, punctures), dim, trials, seed=7)
     assert rep.ok, rep.witness
     assert rep.points == trials
+
+
+# inverse-heavy word pairs at dims 4 to 6, one signature per dim
+@pytest.mark.parametrize("genus,punctures,dim,words", [
+    (2, 1, 4, ("p1^-1*q2^-1*z1^-1*p2*q1^-1", "z1^-2*q1^-1*p2^-1*p1")),
+    (0, 3, 5, ("z1^-1*z3^-1*z2^-2*z1", "z2^-1*z3*z1^-1*z3^-1")),
+    (1, 1, 6, ("p1^-1*q1^-1*z1^-1*p1^-1*q1", "q1^-2*z1^-1*p1*z1^-1")),
+])
+def test_pointwise_agreement_on_inverse_heavy_words_at_high_dim(genus, punctures, dim, words):
+    sig = SurfaceSignature(genus, punctures)
+    a, b = (parse_word(text, sig) for text in words)
+    rep = compare_constructions(sig, dim, 1, seed=7, extra_words=[(a, b)])
+    assert rep.ok, rep.witness
+    assert rep.pairs == (sig.rank * dim * dim + 2) ** 2
+
+
+# the fixed 9/11-letter pair of the word-pair timing; it took 0.012 s on a
+# 2-core x86_64 VM with Python 3.11, against minutes when word entries were
+# built and differentiated symbolically
+NINE_ELEVEN_BUDGET_S = 1.0
+
+
+@pytest.mark.slow
+def test_a_nine_and_eleven_letter_pair_at_dim_three_within_budget():
+    a = w("p1*q1^-1*z1*p1^-1*q1*z1^-1*p1*q1*z1^-1")
+    b = w("q1*z1^-1*p1*q1*z1*p1^-1*z1*q1^-1*p1*z1*q1^-1")
+    assert (len(a), len(b)) == (9, 11)
+    start = time.perf_counter()
+    rep = compare_constructions(SIG, 3, 1, seed=7, extra_words=[(a, b)])
+    elapsed = time.perf_counter() - start
+    assert rep.ok, rep.witness
+    assert elapsed < NINE_ELEVEN_BUDGET_S, f"{elapsed:.3f} s"
 
 
 def test_genus_two_needs_the_fusion_coupling():
@@ -748,13 +858,13 @@ def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
     # search (degenerate there), and the search stops at point 1 (the witness)
     from surfqp.suites import aksm_suite
     seen = []
-    columns = evaluation._bracket_columns
+    word_matrices = evaluation._word_matrices
 
-    def counted(alg, at):
-        seen.append(at[2])
-        return columns(alg, at)
+    def counted(pt, dim, ws):
+        seen.append(pt.matrices)
+        return word_matrices(pt, dim, ws)
 
-    monkeypatch.setattr(evaluation, "_bracket_columns", counted)
+    monkeypatch.setattr(evaluation, "_word_matrices", counted)
     sig = SurfaceSignature(1, 1)
     report = aksm_suite(sig, 2, 1, 64000)
     assert report.ok
@@ -764,13 +874,12 @@ def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
 
 
 def test_aksm_cell_builds_one_derivation_side(monkeypatch):
-    # the pointwise check and the fusion-coupling search share point 0:
-    # one differential and one set of fields per generator entry, and one
-    # bracket matrix, where two separate walks would build each twice
+    # the pointwise check and the fusion-coupling search share point 0: one
+    # Fox gradient and one set of fields per generator entry, one set of word
+    # matrices and one bracket matrix, where two separate walks would build
+    # each twice; nothing is differentiated symbolically
     from surfqp.suites import aksm_suite
-    calls = {"differential": 0, "fields": 0, "columns": 0}
-    differential, fields, columns = (RepAlgebra.differential, evaluation._fields,
-                                     evaluation._bracket_columns)
+    calls = {"differential": 0, "fox": 0, "fields": 0, "words": 0, "bracket": 0}
 
     def counted(name, f):
         def inner(*args):
@@ -778,13 +887,15 @@ def test_aksm_cell_builds_one_derivation_side(monkeypatch):
             return f(*args)
         return inner
 
-    monkeypatch.setattr(RepAlgebra, "differential", counted("differential", differential))
-    monkeypatch.setattr(evaluation, "_fields", counted("fields", fields))
-    monkeypatch.setattr(evaluation, "_bracket_columns", counted("columns", columns))
+    monkeypatch.setattr(RepAlgebra, "differential",
+                        counted("differential", RepAlgebra.differential))
+    for name, attr in (("fox", "_fox_gradient"), ("fields", "_fields"),
+                       ("words", "_word_matrices"), ("bracket", "_bracket_matrix")):
+        monkeypatch.setattr(evaluation, attr, counted(name, getattr(evaluation, attr)))
     report = aksm_suite(SurfaceSignature(1, 1), 2, 1, 7, extra_word_pairs=0)
     assert report.ok and [c.name for c in report.checks] == ["pointwise-agreement",
                                                              "fusion-coupling-required"]
-    assert calls == {"differential": 12, "fields": 12, "columns": 1}
+    assert calls == {"differential": 0, "fox": 12, "fields": 12, "words": 1, "bracket": 1}
 
 
 # seed 64000's point 0 is degenerate (z1 = -I), so the search fails at point 1
@@ -829,7 +940,7 @@ def test_fields_are_the_dense_formula_on_every_slot():
     rng = random.Random(23)
     for pt in [point(rng) for _ in range(3)] + [RepPoint(tuple(map(mat, RATIONAL_MATRICES)))]:
         for P in funcs:
-            D, fields = _fields(P, pt)
+            D, fields = _fields(_gradient(P, pt), pt)
             want_D, want = dense_fields(P, pt)
             assert D == want_D and fields.keys() == want.keys()
             assert {key: [list(row) for row in m] for key, m in fields.items()} == want
@@ -847,8 +958,8 @@ def test_generator_entry_fields_multiply_one_block(monkeypatch):
     monkeypatch.setattr(evaluation, "mat_mul", counted)
     for u in range(SIG.rank):
         calls.clear()
-        _fields(ALG.sym(u, 1, 0), point())
+        _fields(_gradient(ALG.sym(u, 1, 0), point()), point())
         assert len(calls) == 2
     calls.clear()
-    _fields(ALG.entry(Word.identity(), 1, 1), point())
+    _fields(_gradient(ALG.entry(Word.identity(), 1, 1), point()), point())
     assert calls == []

@@ -117,3 +117,24 @@ def test_symbolic_kernel_evaluates_to_the_numeric_one(dim):
                 for j in range(dim):
                     entry = RepElem(alg, alg.adj_poly(u)[i][j], alg.zero_den)
                     assert evaluate(entry, pt) == adj[i][j]
+
+
+def loop_product(a, b):
+    """The index-loop product that mat_mul's row-by-column sums replaced."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_is_the_index_loop_sum(n):
+    # the same values of the same types: ints stay ints, a Fraction factor
+    # gives Fractions, and mixed int and Fraction matrices multiply too
+    rng = random.Random(n)
+    for _ in range(6):
+        for a, b in ((int_matrix(rng, n), int_matrix(rng, n)),
+                     (fraction_matrix(rng, n), fraction_matrix(rng, n)),
+                     (int_matrix(rng, n), fraction_matrix(rng, n))):
+            got, want = mat_mul(a, b), loop_product(a, b)
+            assert got == want
+            assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]

@@ -52,14 +52,13 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the pointwise AKSM comparison and its two routes
     Mutant("cross-multiplication drops E_b", "src/surfqp/evaluation.py",
-           "sum(map(mul, h, g)) * ea * eb !=", "sum(map(mul, h, g)) * ea !=",
+           "B[x][y] * ea * eb !=", "B[x][y] * ea !=",
            (f"{EVAL}::test_agreeing_pairs_build_no_fraction",)),
     Mutant("D_Q dropped from a pair's denominator", "src/surfqp/evaluation.py",
            "left[0] * right[0])", "left[0])",
            (f"{EVAL}::test_bivector_bracket_matches_golden",)),
     Mutant("B transposed", "src/surfqp/evaluation.py",
-           "for u, i, j in assign]\n            for v, k, l in assign]",
-           "for v, k, l in assign]\n            for u, i, j in assign]",
+           "B[n][m] = sum(", "B[m][n] = sum(",
            (f"{EVAL}::test_compare_constructions_passes",)),
     Mutant("flipped wedge sign in the covector", "src/surfqp/evaluation.py",
            "(at[v], fp[w], -t.coeff)", "(at[v], fp[w], t.coeff)",
@@ -72,9 +71,17 @@ MUTANTS = (
            "term = num_val * P.den[u]",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     Mutant("partials not raised to the common denominator", "src/surfqp/evaluation.py",
-           "x ** (t - k) for x, t, k in zip(dets, top, d.den)",
-           "x ** t for x, t, k in zip(dets, top, d.den)",
-           (f"{EVAL}::test_agreeing_pairs_build_no_fraction",)),
+           "k, left, right = prod(dets[v] for v in inverted), pre[t], suf[t + 1]",
+           "k, left, right = 1, pre[t], suf[t + 1]",
+           (f"{EVAL}::test_fox_gradient_is_the_gradient_of_the_symbolic_entry",)),
+    Mutant("an inverse letter's Fox gradient has the wrong sign", "src/surfqp/evaluation.py",
+           "k, left, right = -prod(dets[v] for v in inverted if v != u)",
+           "k, left, right = prod(dets[v] for v in inverted if v != u)",
+           (f"{EVAL}::test_fox_gradient_is_the_gradient_of_the_symbolic_entry",)),
+    Mutant("W1 and W2 swapped on the bracket side", "src/surfqp/evaluation.py",
+           "cuts = [(c, cut(pre_v, jc, suf_w, ic), cut(pre_w, ic, suf_v, jc))",
+           "cuts = [(c, cut(pre_w, ic, suf_v, jc), cut(pre_v, jc, suf_w, ic))",
+           (f"{EVAL}::test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated",)),
     Mutant("untransposed adjugate in the gradient", "src/surfqp/evaluation.py",
            "grad[u][i][j] -= term * adj[j][i]", "grad[u][i][j] -= term * adj[i][j]",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
