@@ -16,15 +16,16 @@ C = L + R.  Every wedge term below pairs a field taking f_rs with one
 taking f_sr, summed over all r, s (the contraction of dual bases of the
 matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 
-Each function's fields are computed once per point, from one gradient, as
-integer matrices over one common denominator (a zero gradient block gives
-zero fields, with no product), and folded through each bivector's wedge
-terms into one integer vector (tr(AB) = <A^T, B>).  The pointwise check
-reads each coordinate as an entry (w, i, j) of a word (one letter for a
-generator entry) and computes both sides from the words' prefix and suffix
-matrices at the point: the gradient by Fox calculus, the bracket as the
-double bracket's cut sum of the two words, with no symbolic entry.
-Sampled points keep integer entries, so brackets and gradients are
+Each coordinate is an entry (w, i, j) of a word (one letter for a
+generator entry).  Its gradient at a point comes by Fox calculus from the
+word's prefix and suffix matrices there, and its fields from that gradient
+once per point, as integer matrices over one common denominator (a zero
+gradient block gives zero fields, with no product), folded through each
+bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
+pointwise check's bracket side is the double bracket's cut sum of the two
+words at the point, with no symbolic entry.  Other functions go by linearity
+at the point: a trace is a sum of entries, and a product goes by the Leibniz
+rule.  Sampled points keep integer entries, so brackets and gradients are
 evaluated in ints; points read from files may hold any rationals.
 
 The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keyed
@@ -102,9 +103,9 @@ def _word_matrices(pt: RepPoint, dim: int, words: Iterable[Word]) -> tuple[list,
 
 
 def _fox_gradient(w: Word, i: int, j: int, at: tuple, dets: list) -> tuple[Scalar, list]:
-    """(den, G) in _gradient's shape for the entry w_ij (one-based), by Fox
-    calculus on at = (s, pre, suf): the letter x_u at t adds (P_t)_ia
-    (S_{t+1})_bj to d w_ij / d x^u_ab, and x_u^-1 adds -(P_t x_u^-1)_ia
+    """(den, G) with d w_ij / d x^u_ab = G[u][a][b] / den at the point, for
+    one-based i and j, by Fox calculus on at = (s, pre, suf): the letter x_u
+    at t adds (P_t)_ia (S_{t+1})_bj, and x_u^-1 adds -(P_t x_u^-1)_ia
     (x_u^-1 S_{t+1})_bj = -pre[t + 1]_ia suf[t]_bj / (s det x_u).  So den is
     s times det(x_u) per generator u that w inverts, and G is integral."""
     s, pre, suf = at
@@ -144,33 +145,6 @@ def _bracket_matrix(corners: dict, coords: Sequence[tuple[Word, int, int]], at: 
             for m, k, l in on_v:
                 B[n][m] = sum(map(mul, ks[k], ls[l]))
     return B
-
-
-def _gradient(P: RepElem, pt: RepPoint) -> tuple[Scalar, list[list[list[Scalar]]]]:
-    """(den, G) with d ev(P) / d x^u_ij = G[u][i][j] / den at pt, one N x N
-    matrix G[u] per generator u, from one pass over P's monomials (product
-    rule) and its determinant denominator (quotient rule, d det(x) / d x_ij
-    = adj(x)_ji), over den = prod det(x^u)^(den_u + 1) on P's denominator,
-    so G is integral at an integer point.  It never calls the algebra's
-    derivatives, so the oracle stays independent of the bracket."""
-    x, N = pt.matrices, P.alg.dim
-    dets = {u: mat_det(x[u]) for u, k in enumerate(P.den) if k}
-    extra = prod(dets.values())
-    grad = [[[0] * N for _ in range(N)] for _ in x]
-    num_val = 0
-    for mono, coeff in P.num.unpacked():
-        powers = [x[u][i][j] ** e for (u, i, j), e in mono]
-        num_val += coeff * prod(powers)
-        for idx, ((u, i, j), e) in enumerate(mono):
-            grad[u][i][j] += (coeff * extra * e * x[u][i][j] ** (e - 1)
-                              * prod(powers[:idx]) * prod(powers[idx + 1:]))
-    for u in dets:
-        adj = mat_adjugate(x[u])
-        term = num_val * P.den[u] * prod(o for v, o in dets.items() if v != u)
-        for i in range(N):
-            for j in range(N):
-                grad[u][i][j] -= term * adj[j][i]
-    return prod(d ** (P.den[u] + 1) for u, d in dets.items()), grad
 
 
 def _fields(gradient: tuple, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str], Matrix]]:
@@ -277,10 +251,16 @@ def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fracti
     return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
 
 
-def bivector_bracket(biv: FusionBivector, P: RepElem, Q: RepElem, pt: RepPoint) -> Fraction:
-    """Pointwise bracket <dP ^ dQ, bivector> from one gradient of each
-    function."""
-    return _pair(*(_covector(biv, _fields(_gradient(X, pt), pt)) for X in (P, Q)))
+def bivector_bracket(biv: FusionBivector, a: tuple, b: tuple, pt: RepPoint) -> Fraction:
+    """Pointwise bracket <dP ^ dQ, bivector> of the entries P = w_ij and
+    Q = v_kl for the coordinates a = (w, i, j) and b = (v, k, l), one-based,
+    from one Fox gradient of each, as compare_bivectors' bivector side."""
+    for _, i, j in (a, b):
+        if not (1 <= i <= biv.dim and 1 <= j <= biv.dim):
+            raise IndexError(f"entry index out of range for dim {biv.dim}: ({i}, {j})")
+    dets, at = _word_matrices(pt, biv.dim, (a[0], b[0]))
+    return _pair(*(_covector(biv, _fields(_fox_gradient(w, i, j, at[w], dets), pt))
+                   for w, i, j in (a, b)))
 
 
 def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], dict]:
@@ -339,6 +319,10 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
     B_ab E_a E_b to (K_a.f_b) s_a s_b in ints."""
     if (low := min((trials for _, trials in plans), default=1)) < 1:
         raise ValueError(f"need at least one point to compare at, got trials={low}")
+    for biv, _ in plans:
+        if (biv.sig, biv.dim) != (sig, dim):
+            raise ValueError(f"bivector built for {biv.sig} at dim {biv.dim}, "
+                             f"not for {sig} at dim {dim}")
     coords = [(Word.generator(u), i, j)
               for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
     coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import lcm, prod
 from pathlib import Path
 
@@ -13,15 +13,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from surfqp import evaluation
-from surfqp.dbracket import SurfaceDoubleBracket
+from surfqp.dbracket import SurfaceDoubleBracket, goldman
 from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _fields,
-                               _gradient, _sides, bivector_bracket, build_fusion_bivector,
-                               compare_bivectors, compare_constructions, evaluate, fields_sym,
-                               sample_rep_point, wedge_sym)
+                               _sides, bivector_bracket, build_fusion_bivector, compare_bivectors,
+                               compare_constructions, evaluate, fields_sym, sample_rep_point,
+                               wedge_sym)
 from surfqp.matrices import mat, mat_adjugate, mat_det, mat_inv, mat_mul
 from surfqp.poly import Poly
-from surfqp.repalgebra import RepAlgebra, RepElem
-from surfqp.words import SurfaceSignature, Word, corner_table, parse_word, sample_word, trial_rng
+from surfqp.repalgebra import RepAlgebra
+from surfqp.words import (CyclicWord, SurfaceSignature, Word, corner_table, parse_word,
+                          sample_word, trial_rng)
 
 SIG = SurfaceSignature(1, 1)
 ALG = RepAlgebra(SIG, 2)
@@ -68,9 +69,10 @@ def point(rng=None, sig=SIG, dim=2):
     return sample_rep_point(rng or random.Random(99), sig, dim)
 
 
-def field_values(P, pt):
-    """_fields at pt as exact values: {(slot, side): [[value along f_rs]]}."""
-    D, fields = _fields(_gradient(P, pt), pt)
+def field_values(coord, pt):
+    """_fields of the entry coord = (w, i, j) at pt as exact values:
+    {(slot, side): [[value along f_rs]]}."""
+    D, fields = _fields(fox_gradient(*coord, pt, len(pt.matrices[0])), pt)
     return {key: [[Fraction(v, D) for v in row] for row in m] for key, m in fields.items()}
 
 
@@ -115,7 +117,7 @@ def test_field_actions_on_entries():
     m = pt.matrices[2]
     for i in range(2):
         for j in range(2):
-            on = field_values(ALG.sym(2, i, j), pt)
+            on = field_values((Word.generator(2), i + 1, j + 1), pt)
             for r in range(2):
                 for s in range(2):
                     # right-translation field along f_rs
@@ -129,35 +131,39 @@ def test_field_actions_on_entries():
 def test_conjugation_fields_kill_traces():
     # the diagonal conjugation field (one conj per slot) is the matrix
     # Lie-algebra action, so it annihilates every trace; a single-slot
-    # conjugation already kills traces of words in that slot's letter
+    # conjugation already kills traces of words in that slot's letter.  A
+    # trace's fields are the sum of its diagonal entries' fields
     rng = random.Random(2)
     pt = point(rng)
     for _ in range(20):
         a = sample_word(rng, SIG, 4)
         r, s = rng.randrange(2), rng.randrange(2)
-        on = field_values(ALG.trace(a), pt)
-        assert sum(on[u, CONJ][r][s] for u in range(SIG.rank)) == 0
+        on = [field_values((a, i, i), pt) for i in (1, 2)]
+        assert sum(f[u, CONJ][r][s] for f in on for u in range(SIG.rank)) == 0
     for _ in range(10):
         k = rng.randint(-3, 3)
-        on = field_values(ALG.trace(Word.generator(2) ** k), pt)
-        assert on[2, CONJ][rng.randrange(2)][rng.randrange(2)] == 0
+        on = [field_values((Word.generator(2) ** k, i, i), pt) for i in (1, 2)]
+        r, s = rng.randrange(2), rng.randrange(2)
+        assert sum(f[2, CONJ][r][s] for f in on) == 0
 
 
 def test_every_symbolic_field_is_the_pointwise_field():
-    # every (slot, side, r, s) on (1,1) at dims 1 to 3, on words with inverse
-    # letters and on an element with a determinant denominator
+    # every (slot, side, r, s) on (1,1) at dims 1 to 3, on word entries with
+    # inverse letters through the Fox route, and on an element with a
+    # determinant denominator through the test's fraction_fields
     for dim in (1, 2, 3):
         alg = RepAlgebra(SIG, dim)
         biv = build_fusion_bivector(SIG, dim)
         pt = sample_rep_point(trial_rng(3, "fields", dim), SIG, dim)
-        funcs = [alg.entry(w(text), i, j) for text in ("p1*q1^-1", "z1^-2*p1", "q1^-1*z1*p1^-1")
-                 for i, j in ((1, dim), (dim, 1))]
-        funcs.append(alg.entry(w("p1"), 1, 1) * alg.det_inverse(2))
-        assert any(funcs[-1].den)
+        coords = [(w(text), i, j) for text in ("p1*q1^-1", "z1^-2*p1", "q1^-1*z1*p1^-1")
+                  for i, j in ((1, dim), (dim, 1))]
+        cases = [(alg.entry(*c), _fields(fox_gradient(*c, pt, dim), pt)) for c in coords]
+        over_det = alg.entry(w("p1"), 1, 1) * alg.det_inverse(2)
+        assert any(over_det.den)
+        cases.append((over_det, fraction_fields(over_det, pt)))
         keys = _sides(biv)
         assert len(keys) == 3 * SIG.rank  # every slot with L, R and C
-        for P in funcs:
-            D, fields = _fields(_gradient(P, pt), pt)
+        for P, (D, fields) in cases:
             on = fields_sym(alg, biv, P)
             assert list(on) == keys
             for slot, side in keys:
@@ -172,19 +178,34 @@ def test_every_symbolic_field_is_the_pointwise_field():
                             (0 if got is None else evaluate(got, pt)), (slot, side, r, s)
 
 
+def det_field_values(alg, x, pt):
+    """field_values of det of the word x's matrix at pt, from its entries'
+    fields by linearity and the Leibniz rule over the permutation expansion."""
+    N = range(alg.dim)
+    m = [[evaluate(alg.entry(x, i + 1, j + 1), pt) for j in N] for i in N]
+    on = {(i, j): field_values((x, i + 1, j + 1), pt) for i in N for j in N}
+    out = {key: [[0] * alg.dim for _ in N] for key in on[0, 0]}
+    for perm in permutations(N):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for k in N:
+            c = sign * prod(m[t][perm[t]] for t in N if t != k)
+            for key, f in on[k, perm[k]].items():
+                out[key] = [[o + c * v for o, v in zip(ro, rf)] for ro, rf in zip(out[key], f)]
+    return out
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_field_values_on_determinants(dim):
     # d det(x) along x f_rs is tr(f_rs) det, along -f_rs x its negative, and
-    # conjugation keeps det fixed; 1/det takes minus those over det^2, and
-    # 1/det^2 twice that over det^3
+    # conjugation keeps det fixed; 1/det = det(x^-1) takes minus those over
+    # det^2, and 1/det^2 = det(x^-2) twice that over det^3
     sig = SurfaceSignature(0, 2)
     alg = RepAlgebra(sig, dim)
     pt = sample_rep_point(random.Random(8), sig, dim)
     for u in range(sig.rank):
         d = mat_det(pt.matrices[u])
-        det = RepElem(alg, alg.det_poly(u), alg.zero_den)
-        on_det, on_inv = field_values(det, pt), field_values(alg.det_inverse(u), pt)
-        on_inv2 = field_values(alg.det_inverse(u) * alg.det_inverse(u), pt)
+        on_det, on_inv, on_inv2 = (det_field_values(alg, Word.generator(u) ** k, pt)
+                                   for k in (1, -1, -2))
         for r in range(dim):
             for s in range(dim):
                 delta = d if r == s else 0
@@ -222,7 +243,7 @@ def test_two_annuli_need_one_coupling():
 def test_annulus_bracket_formula():
     # {z_ij, z_kl} = -d_jk (zz)_il + d_il (zz)_kj at any point
     sig = SurfaceSignature(0, 1)
-    alg = RepAlgebra(sig, 2)
+    z = Word.generator(0)
     biv = build_fusion_bivector(sig, 2)
     rng = random.Random(4)
     for _ in range(5):
@@ -232,8 +253,7 @@ def test_annulus_bracket_formula():
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        got = bivector_bracket(biv, alg.sym(0, i, j),
-                                               alg.sym(0, k, l), pt)
+                        got = bivector_bracket(biv, (z, i + 1, j + 1), (z, k + 1, l + 1), pt)
                         want = Fraction(0)
                         if j == k:
                             want -= zz[i][l]
@@ -245,8 +265,8 @@ def test_annulus_bracket_formula():
 def test_bracket_with_constant_vanishes():
     biv = build_fusion_bivector(SIG, 2)
     pt = point()
-    P = ALG.entry(w("p1*z1"), 1, 2)
-    assert bivector_bracket(biv, P, ALG.scalar(Fraction(7, 3)), pt) == 0
+    assert bivector_bracket(biv, (w("p1*z1"), 1, 2), (Word.identity(), 1, 1), pt) == 0
+    assert bivector_bracket(biv, (Word.identity(), 2, 1), (w("q1^-1"), 1, 2), pt) == 0
 
 
 def test_coupling_term_reproduces_cross_factor_bracket():
@@ -262,20 +282,20 @@ def test_coupling_term_reproduces_cross_factor_bracket():
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        P, Q = alg.sym(0, i, j), alg.sym(1, k, l)
-                        got = bivector_bracket(biv, P, Q, pt)
-                        want = evaluate(alg.qp_bracket(P, Q), pt)
+                        a, b = (Word.generator(0), i + 1, j + 1), (Word.generator(1), k + 1, l + 1)
+                        got = bivector_bracket(biv, a, b, pt)
+                        want = evaluate(alg.qp_bracket(alg.sym(0, i, j), alg.sym(1, k, l)), pt)
                         assert got == want
 
 
-def explicit_field_sum(alg, biv, P, Q, pt):
-    """The bivector pairing written out field by field."""
-    on_p, on_q = field_values(P, pt), field_values(Q, pt)
+def explicit_field_sum(biv, a, b, pt):
+    """The bivector pairing of the entries a and b written out field by field."""
+    on_p, on_q = field_values(a, pt), field_values(b, pt)
     total = Fraction(0)
     for term in biv.terms:
         v, w = (term.v_slot, term.v_side), (term.w_slot, term.w_side)
-        for r in range(alg.dim):
-            for s in range(alg.dim):
+        for r in range(biv.dim):
+            for s in range(biv.dim):
                 total += term.coeff * (on_p[v][r][s] * on_q[w][s][r]
                                        - on_q[v][r][s] * on_p[w][s][r])
     return total
@@ -289,35 +309,30 @@ def explicit_field_sum(alg, biv, P, Q, pt):
 ])
 def test_bivector_bracket_is_explicit_field_sum(genus, punctures, words):
     sig = SurfaceSignature(genus, punctures)
-    alg = RepAlgebra(sig, 2)
     biv = build_fusion_bivector(sig, 2)
     a, b = (parse_word(text, sig) for text in words)
     for k in range(2):
         pt = sample_rep_point(trial_rng(31, "explicit-sum", k), sig, 2)
-        for P, Q in [(alg.entry(a, 1, 2), alg.entry(b, 2, 1)),
-                     (alg.entry(b, 1, 1), alg.entry(a, 2, 2))]:
-            assert bivector_bracket(biv, P, Q, pt) == explicit_field_sum(alg, biv, P, Q, pt)
+        for x, y in [((a, 1, 2), (b, 2, 1)), ((b, 1, 1), (a, 2, 2))]:
+            assert bivector_bracket(biv, x, y, pt) == explicit_field_sum(biv, x, y, pt)
 
 
 def test_numeric_oracle_never_uses_the_algebra_bracket(monkeypatch):
     # the pointwise oracle must stay independent of the derivation-rule route
+    # and of the double bracket
     biv = build_fusion_bivector(SIG, 2)
-    P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
-    want = evaluate(ALG.qp_bracket(P, Q), point())
+    a, b = (w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1)
+    want = evaluate(ALG.qp_bracket(ALG.entry(*a), ALG.entry(*b)), point())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numeric oracle called the algebra")
 
     for name in ("d_dvar", "adj_poly", "qp_bracket"):
         monkeypatch.setattr(RepAlgebra, name, forbidden)
-    assert bivector_bracket(biv, P, Q, point()) == want
-    assert field_values(P, point())[0, CONJ][0][1] != 0
-    # the Fox-gradient route of compare_constructions reads no double bracket
     for name in ("corner_cuts", "corner_table", "_bracket_matrix"):
         monkeypatch.setattr(evaluation, name, forbidden)
-    fox = [evaluation._covector(biv, _fields(fox_gradient(x, i, j, point(), 2), point()))
-           for x, i, j in ((w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1))]
-    assert evaluation._pair(*fox) == want
+    assert bivector_bracket(biv, a, b, point()) == want
+    assert field_values(a, point())[0, CONJ][0][1] != 0
 
 
 def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
@@ -330,7 +345,7 @@ def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("bracket side called the numeric oracle")
 
-    for name in ("_gradient", "_fox_gradient", "_fields", "_covector", "_pair"):
+    for name in ("_fox_gradient", "_fields", "_covector", "_pair"):
         monkeypatch.setattr(evaluation, name, forbidden)
     coords = [(w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1)]
     assert bracket_side(SIG, 2, coords, point())[0][1] == want
@@ -342,7 +357,7 @@ def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("symbolic leg called the pointwise fields")
 
-    for name in ("_gradient", "_fox_gradient", "_fields", "_covector"):
+    for name in ("_fox_gradient", "_fields", "_covector"):
         monkeypatch.setattr(evaluation, name, forbidden)
     biv = build_fusion_bivector(SIG, 2)
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
@@ -381,7 +396,7 @@ def test_fox_gradient_is_the_gradient_of_the_symbolic_entry(data):
     x, i, j = draw_entry(data, alg, 8 if alg.dim < 3 else 5)
     pt = sample_rep_point(random.Random(data.draw(st.integers(0, 2 ** 32))), alg.sig, alg.dim)
     den, grad = got = fox_gradient(x, i, j, pt, alg.dim)
-    assert gradient_values(got) == gradient_values(_gradient(alg.entry(x, i, j), pt))
+    assert gradient_values(got) == gradient_values(fraction_gradient(alg.entry(x, i, j), pt))
     assert type(den) is int and all(type(v) is int for G in grad for row in G for v in row)
 
 
@@ -525,7 +540,7 @@ def test_integer_gradient_matches_the_fraction_gradient(text):
         integral = pt is not rational
         for i, j in ((1, 1), (1, 2), (2, 1)):
             P = ALG.entry(w(text), i, j)
-            den, grad = evaluation._gradient(P, pt)
+            den, grad = fox_gradient(w(text), i, j, pt, 2)
             old_den, old_grad = fraction_gradient(P, pt)
             assert [[[Fraction(v, den) for v in row] for row in G] for G in grad] == \
                 [[[Fraction(v, old_den) for v in row] for row in G] for G in old_grad]
@@ -546,13 +561,91 @@ def test_integer_gradient_matches_the_fraction_gradient(text):
                               for c, p in BIVECTOR_GOLDEN])
 def test_bivector_bracket_matches_golden(case, pair):
     sig = SurfaceSignature(case["genus"], case["punctures"])
-    alg = RepAlgebra(sig, case["dim"])
     pt = RepPoint(tuple(map(mat, case["point"])))
     (wa, i, j), (wb, k, l) = pair["left"], pair["right"]
-    P = alg.entry(parse_word(wa, sig), i, j)
-    Q = alg.entry(parse_word(wb, sig), k, l)
-    got = bivector_bracket(build_fusion_bivector(sig, case["dim"]), P, Q, pt)
+    a, b = (parse_word(wa, sig), i, j), (parse_word(wb, sig), k, l)
+    got = bivector_bracket(build_fusion_bivector(sig, case["dim"]), a, b, pt)
     assert str(got) == pair["value"]
+
+
+def test_bivector_bracket_builds_no_polynomial(monkeypatch):
+    # the one-pair bracket takes its coordinates' Fox gradients from the
+    # point's matrices: no Poly method, no symbolic entry, no differential
+    biv = build_fusion_bivector(SIG, 2)
+    pairs = [((w("p1^-1*z1*q1"), 1, 2), (w("q1^-2*z1"), 2, 1)),
+             ((Word.generator(2), 2, 2), (w("z1^-1*p1"), 1, 1))]
+    wants = [evaluate(ALG.qp_bracket(ALG.entry(*a), ALG.entry(*b)), point()) for a, b in pairs]
+    assert all(wants)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bivector_bracket went through the symbolic algebra")
+
+    for cls in Poly.__mro__[:-1]:
+        for name, attr in vars(cls).items():
+            if callable(attr):
+                monkeypatch.setattr(Poly, name, forbidden)
+    for name in ("entry", "differential"):
+        monkeypatch.setattr(RepAlgebra, name, forbidden)
+    assert [bivector_bracket(biv, a, b, point()) for a, b in pairs] == wants
+
+
+def test_bivector_bracket_names_an_entry_out_of_range():
+    biv = build_fusion_bivector(SIG, 2)
+    p, q = Word.generator(0), w("q1*z1^-1")
+    for a, b, bad in (((p, 0, 1), (q, 1, 1), r"\(0, 1\)"), ((p, 1, 3), (q, 1, 1), r"\(1, 3\)"),
+                      ((p, 1, 1), (q, 2, -1), r"\(2, -1\)")):
+        with pytest.raises(IndexError, match="entry index out of range for dim 2: " + bad):
+            bivector_bracket(biv, a, b, point())
+    with pytest.raises(IndexError, match="generator index 5 out of range for rank 3"):
+        bivector_bracket(biv, (p, 1, 1), (Word.generator(5), 1, 1), point())
+
+
+def trace_case(sig, dim, k):
+    """Draw k of two seeded words of up to 4 letters and a point."""
+    rng = trial_rng(5, "trace", k)
+    return sample_word(rng, sig, 4), sample_word(rng, sig, 4), sample_rep_point(rng, sig, dim)
+
+
+def goldman_trace(sig, dim, a, b, pt):
+    """2 tr(goldman(|a|, |b|)) at pt, the bracket of tr a and tr b."""
+    goldman_ab = goldman(SurfaceDoubleBracket(sig), CyclicWord.of(a), CyclicWord.of(b))
+    return evaluate(RepAlgebra(sig, dim).trace(goldman_ab).scale(2), pt)
+
+
+def trace_bracket(biv, a, b, pt):
+    """{tr a, tr b} through the pointwise route: by linearity, the bracket
+    summed over the diagonal entries of both words."""
+    N = range(1, biv.dim + 1)
+    return sum(bivector_bracket(biv, (a, i, i), (b, k, k), pt) for i in N for k in N)
+
+
+@pytest.mark.parametrize("genus,punctures,dim", [(1, 2, 2), (0, 3, 3), (2, 1, 2)])
+def test_trace_functions_through_the_pointwise_route(genus, punctures, dim):
+    # every seeded pair up to the third whose trace bracket is nonzero
+    sig = SurfaceSignature(genus, punctures)
+    biv = build_fusion_bivector(sig, dim)
+    nonzero = 0
+    for k in range(40):
+        a, b, pt = trace_case(sig, dim, k)
+        want = goldman_trace(sig, dim, a, b, pt)
+        assert trace_bracket(biv, a, b, pt) == want, k
+        if want and (nonzero := nonzero + 1) == 3:
+            break
+    assert nonzero == 3
+
+
+@pytest.mark.parametrize("genus,punctures,dim,k,words", [
+    (0, 3, 3, 6, ("z2^-1*z3", "z1*z3^-1*z2")),
+    (2, 1, 2, 18, ("p2*q1^-1*p2*q1", "z1*q1^-1")),
+])
+def test_trace_functions_need_the_fusion_coupling(genus, punctures, dim, k, words):
+    sig = SurfaceSignature(genus, punctures)
+    a, b, pt = trace_case(sig, dim, k)
+    assert (a, b) == tuple(parse_word(text, sig) for text in words)
+    want = goldman_trace(sig, dim, a, b, pt)
+    nofuse = build_fusion_bivector(sig, dim, with_fusion_terms=False)
+    assert trace_bracket(build_fusion_bivector(sig, dim), a, b, pt) == want
+    assert trace_bracket(nofuse, a, b, pt) != want
 
 
 # entries with denominators, so every field set needs its D scaling
@@ -572,13 +665,12 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     alg = RepAlgebra(sig, 2)
     biv = build_fusion_bivector(sig, 2)
     pt = RepPoint(tuple(map(mat, RATIONAL_MATRICES[:sig.rank])))
-    funcs = [alg.entry(parse_word(text, sig), i, j)
-             for text in words for i, j in ((1, 2), (2, 1))]
+    coords = [(parse_word(text, sig), i, j) for text in words for i, j in ((1, 2), (2, 1))]
     values = []
-    for P in funcs:
-        for Q in funcs:
-            want = evaluate(alg.qp_bracket(P, Q), pt)
-            got = bivector_bracket(biv, P, Q, pt)
+    for a in coords:
+        for b in coords:
+            want = evaluate(alg.qp_bracket(alg.entry(*a), alg.entry(*b)), pt)
+            got = bivector_bracket(biv, a, b, pt)
             assert got == want
             values.append(got)
     assert any(v.denominator > 1 for v in values)
@@ -586,12 +678,12 @@ def test_agreement_at_a_rational_point(genus, punctures, words):
     sampled = sample_rep_point(random.Random(12), sig, 2)
     assert all(type(x) is int for m in sampled.matrices for row in m for x in row)
     for at in (pt, sampled):
-        for P, Q in ((funcs[0], funcs[3]), (funcs[2], funcs[5])):
-            assert type(bivector_bracket(biv, P, Q, at)) is Fraction
-            D, fields = _fields(_gradient(P, at), at)
+        for a, b in ((coords[0], coords[3]), (coords[2], coords[5])):
+            assert type(bivector_bracket(biv, a, b, at)) is Fraction
+            D, fields = _fields(fox_gradient(*a, at, 2), at)
             assert {type(x) for m in fields.values() for row in m for x in row} | {type(D)} \
                 <= {int, Fraction}
-            assert type(evaluate(P, at)) is Fraction
+            assert type(evaluate(alg.entry(*a), at)) is Fraction
 
 
 @pytest.mark.parametrize("case", WITNESS_GOLDEN,
@@ -607,9 +699,9 @@ def test_rank_zero_surface_has_no_fields():
     # no generators: the point holds no matrices and the bivector no sides,
     # so every function is constant and every bracket is zero
     sig = SurfaceSignature(0, 0)
-    alg = RepAlgebra(sig, 2)
-    P = alg.entry(Word.identity(), 1, 1)
-    assert evaluation._gradient(P, RepPoint(())) == (1, [])
+    one = (Word.identity(), 1, 1)
+    assert fox_gradient(*one, RepPoint(()), 2) == (1, [])
+    assert bivector_bracket(build_fusion_bivector(sig, 2), one, one, RepPoint(())) == 0
     rep = compare_constructions(sig, 2, trials=2, seed=3, extra_words=[(Word.identity(),) * 2])
     assert rep.ok and rep.pairs == 4
 
@@ -626,12 +718,8 @@ def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
             return f(*args)
         return inner
 
-    def forbidden(*args):
-        raise AssertionError("pointwise check took the symbolic entry's gradient")
-
     monkeypatch.setattr(evaluation, "_fox_gradient", counted("fox", fox))
     monkeypatch.setattr(evaluation, "_fields", counted("fields", fields))
-    monkeypatch.setattr(evaluation, "_gradient", forbidden)
     extra = [(w("p1*q1"), w("z1^-1"))]
     rep = compare_constructions(SIG, 2, trials=2, seed=11, extra_words=extra)
     assert rep.ok, rep.witness
@@ -913,12 +1001,25 @@ def test_two_plan_walk_is_two_one_plan_walks(seed_):
     assert compare_bivectors(SIG, 2, seed_, []) == []
     with pytest.raises(ValueError, match="got trials=0"):
         compare_bivectors(SIG, 2, seed_, [(fused, 2), (nofuse, 0)])
+    with pytest.raises(ValueError, match="bivector built for"):
+        compare_bivectors(SIG, 2, seed_, [(fused, 2), (build_fusion_bivector(SIG, 3), 1)])
 
 
-def dense_fields(P, pt):
-    """_fields without the zero-block shortcut: m^T G, -G m^T and their sum
-    on every slot, as lists of rows."""
-    den, grads = evaluation._gradient(P, pt)
+# unchecked, a bivector for another dim, or for another surface of the same
+# rank, gives a false witness at the first generator pair, and one of a
+# larger rank a bare KeyError
+@pytest.mark.parametrize("genus,punctures,dim", [(1, 1, 3), (0, 2, 2), (2, 1, 2)])
+def test_a_bivector_for_another_surface_or_dim_is_refused(genus, punctures, dim):
+    other = SurfaceSignature(genus, punctures)
+    with pytest.raises(ValueError) as info:
+        compare_constructions(SIG, 2, 1, 7, biv=build_fusion_bivector(other, dim))
+    assert str(info.value) == f"bivector built for {other} at dim {dim}, not for {SIG} at dim 2"
+
+
+def dense_fields(coord, pt):
+    """_fields of the entry coord without the zero-block shortcut: m^T G,
+    -G m^T and their sum on every slot, as lists of rows."""
+    den, grads = fox_gradient(*coord, pt, 2)
     out = {}
     for u, G in enumerate(grads):
         mt = tuple(zip(*pt.matrices[u]))
@@ -930,18 +1031,17 @@ def dense_fields(P, pt):
 
 
 def test_fields_are_the_dense_formula_on_every_slot():
-    # generator entries (one nonzero slot), word entries (several), an entry
+    # generator entries (one nonzero slot), word entries (several), entries
     # over a determinant, and a constant (none)
-    funcs = [ALG.sym(u, i, j) for u in range(SIG.rank) for i in range(2) for j in range(2)]
-    funcs += [ALG.entry(w(text), i, j) for text in ("p1*q1^-1", "z1^-1*p1*q1")
-              for i, j in ((1, 1), (2, 1))]
-    funcs += [ALG.sym(0, 1, 0) * ALG.det_inverse(2), ALG.sym(1, 0, 1) * ALG.det_inverse(1),
-              ALG.entry(Word.identity(), 1, 1)]
+    coords = [(Word.generator(u), i, j) for u in range(SIG.rank) for i in (1, 2) for j in (1, 2)]
+    coords += [(w(text), i, j) for text in ("p1*q1^-1", "z1^-1*p1*q1")
+               for i, j in ((1, 1), (2, 1))]
+    coords += [(w("z1^-1"), 2, 1), (w("q1^-1*p1"), 1, 2), (Word.identity(), 1, 1)]
     rng = random.Random(23)
     for pt in [point(rng) for _ in range(3)] + [RepPoint(tuple(map(mat, RATIONAL_MATRICES)))]:
-        for P in funcs:
-            D, fields = _fields(_gradient(P, pt), pt)
-            want_D, want = dense_fields(P, pt)
+        for c in coords:
+            D, fields = _fields(fox_gradient(*c, pt, 2), pt)
+            want_D, want = dense_fields(c, pt)
             assert D == want_D and fields.keys() == want.keys()
             assert {key: [list(row) for row in m] for key, m in fields.items()} == want
 
@@ -955,11 +1055,13 @@ def test_generator_entry_fields_multiply_one_block(monkeypatch):
         calls.append(1)
         return mat_mul(a, b)
 
+    gradients = [fox_gradient(Word.generator(u), 2, 1, point(), 2) for u in range(SIG.rank)]
+    constant = fox_gradient(Word.identity(), 1, 1, point(), 2)
     monkeypatch.setattr(evaluation, "mat_mul", counted)
-    for u in range(SIG.rank):
+    for gradient in gradients:
         calls.clear()
-        _fields(_gradient(ALG.sym(u, 1, 0), point()), point())
+        _fields(gradient, point())
         assert len(calls) == 2
     calls.clear()
-    _fields(_gradient(ALG.entry(Word.identity(), 1, 1), point()), point())
+    _fields(constant, point())
     assert calls == []

@@ -2,6 +2,7 @@
 and the representation layer sums in one pass."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -180,54 +181,75 @@ UNREAD_BY_DESIGN = {
     "outer_act": "the second-slot Leibniz rule's action, which tests hold the bracket to",
     "inner_act": "the first-slot Leibniz rule's action, which tests hold the bracket to",
     "monomial": "packs (variable, exponent) pairs: the Poly tests' term fixture",
-    "bivector_bracket": "the one-pair bivector bracket that the golden bivector values check",
+    "bivector_bracket": "the bivector side of the pointwise check on one pair of word entries, "
+                        "which the golden bivector values and the trace tests check",
 }
 
 
-def public_definitions(source: str) -> list[str]:
-    """The public module-level functions and classes, and the public methods
-    of those classes, as "name" or "Class.method"."""
+def definitions(source: str) -> list[tuple[str, ast.AST]]:
+    """The module-level functions and classes, and the methods of those
+    classes, as ("name" or "Class.method", node), bar dunders."""
+    def named(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+            node.name.startswith("__") and node.name.endswith("__"))
+
     out = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            out.append(node.name)
-            if isinstance(node, ast.ClassDef):
-                out += [f"{node.name}.{m.name}" for m in node.body
-                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    for node in filter(named, ast.parse(source).body):
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{m.name}", m) for m in filter(named, node.body)
+                    if isinstance(m, ast.FunctionDef)]
     return out
 
 
-def names_read(source: str) -> set[str]:
-    """Every name the source reads, bare or as an attribute."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+def names_read(tree: ast.AST) -> Counter:
+    """How often the tree reads each name, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unread_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """The definitions in sources that no reader reads outside the
+    definition itself."""
+    read = sum((names_read(ast.parse(source)) for source in readers), Counter())
+    return [d for source in sources for d, node in definitions(source)
+            if read[d.rsplit(".", 1)[-1]] <= names_read(node)[d.rsplit(".", 1)[-1]]]
 
 
 def test_checker_sees_an_unread_definition():
     source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self.stored = 1\n"
               "    def used(self):\n"
-              "        return helper()\n"
+              "        return helper() + self._read()\n"
               "    def unused(self):\n"
               "        self.stored = 1\n"
-              "    def _private(self):\n"
+              "    def _read(self):\n"
               "        pass\n"
+              "    def _private(self):\n"
+              "        return self._private()\n"
               "def helper():\n"
               "    return A().used\n"
               "def stored():\n"
-              "    pass\n")
-    assert public_definitions(source) == ["A", "A.used", "A.unused", "helper", "stored"]
-    read = names_read(source)
-    assert [d for d in public_definitions(source) if d.rsplit(".", 1)[-1] not in read] == \
-        ["A.unused", "stored"]
+              "    pass\n"
+              "def _unread():\n"
+              "    return _unread\n")
+    assert [d for d, _ in definitions(source)] == [
+        "A", "A.used", "A.unused", "A._read", "A._private", "helper", "stored", "_unread"]
+    assert unread_definitions([source], [source]) == \
+        ["A.unused", "A._private", "stored", "_unread"]
+    assert unread_definitions([source], [source, "A().unused(_unread())\n"]) == \
+        ["A._private", "stored"]
 
 
 def test_every_public_definition_has_a_reader():
     # a definition only tests call is surface to keep in step for nothing:
-    # tests reach the value through the path the package itself takes
+    # tests reach the value through the path the package itself takes.
+    # Private definitions count too, read anywhere but in their own body
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
-    read = set().union(*map(names_read, sources + [p.read_text() for p in BENCH.glob("*.py")]))
-    defined = [d for source in sources for d in public_definitions(source)]
-    assert UNREAD_BY_DESIGN.keys() <= set(defined)
-    unread = [d for d in defined if d.rsplit(".", 1)[-1] not in read]
+    defined = {d for source in sources for d, _ in definitions(source)}
+    assert UNREAD_BY_DESIGN.keys() <= defined
+    unread = unread_definitions(sources, sources + [p.read_text() for p in BENCH.glob("*.py")])
     assert sorted(unread) == sorted(UNREAD_BY_DESIGN)

@@ -66,9 +66,9 @@ MUTANTS = (
     Mutant("dropped fusion coupling", "src/surfqp/evaluation.py",
            "for k in range(1, len(factors)):", "for k in range(2, len(factors)):",
            (f"{EVAL}::test_compare_constructions_passes",)),
-    Mutant("other-determinants factor dropped", "src/surfqp/evaluation.py",
-           "term = num_val * P.den[u] * prod(o for v, o in dets.items() if v != u)",
-           "term = num_val * P.den[u]",
+    Mutant("an inverse letter read as the transposed adjugate", "src/surfqp/evaluation.py",
+           "letters = {c: mat_adjugate(x[ord(c) >> 1]) if",
+           "letters = {c: tuple(zip(*mat_adjugate(x[ord(c) >> 1]))) if",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     Mutant("partials not raised to the common denominator", "src/surfqp/evaluation.py",
            "k, left, right = prod(dets[v] for v in inverted), pre[t], suf[t + 1]",
@@ -82,9 +82,6 @@ MUTANTS = (
            "cuts = [(c, cut(pre_v, jc, suf_w, ic), cut(pre_w, ic, suf_v, jc))",
            "cuts = [(c, cut(pre_w, ic, suf_v, jc), cut(pre_v, jc, suf_w, ic))",
            (f"{EVAL}::test_pointwise_derivation_bracket_is_the_symbolic_bracket_evaluated",)),
-    Mutant("untransposed adjugate in the gradient", "src/surfqp/evaluation.py",
-           "grad[u][i][j] -= term * adj[j][i]", "grad[u][i][j] -= term * adj[i][j]",
-           (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     Mutant("the walk checks only the first point", "src/surfqp/evaluation.py",
            "reports[p].ok and k < t]", "reports[p].ok and k < 1]",
            (f"{EVAL}::test_fusion_coupling_search_passes_a_degenerate_point",)),
