@@ -16,17 +16,19 @@ C = L + R.  Every wedge term below pairs a field taking f_rs with one
 taking f_sr, summed over all r, s (the contraction of dual bases of the
 matrix Lie algebra under the trace form), and sum_{r,s} A_rs B_sr = tr(AB).
 
-Each coordinate is an entry (w, i, j) of a word (one letter for a
-generator entry).  Its gradient at a point comes by Fox calculus from the
-word's prefix and suffix matrices there, and its fields from that gradient
-once per point, as integer matrices over one common denominator (a zero
-gradient block gives zero fields, with no product), folded through each
-bivector's wedge terms into one integer vector (tr(AB) = <A^T, B>).  The
-pointwise check's bracket side is the double bracket's cut sum of the two
-words at the point, with no symbolic entry.  Other functions go by linearity
-at the point: a trace is a sum of entries, and a product goes by the Leibniz
-rule.  Sampled points keep integer entries, so brackets and gradients are
-evaluated in ints; points read from files may hold any rationals.
+Each coordinate is an entry (w, i, j) of a word (one letter for a generator
+entry).  Its gradient at a point comes by Fox calculus from the word's
+prefix and suffix matrices there, and its fields from that gradient once per
+point, as integer matrices over one common denominator (a zero gradient
+block gives zero fields, with no product), laid out flat for every bivector.
+A bivector's fold table, built once per call, names the offsets in K that
+each block feeds, so K is one transpose per nonzero block (tr(AB) =
+<A^T, B>), built as the pair walk reaches its row.  The pointwise check's
+bracket side is the double bracket's cut sum of the two words at the point,
+with no symbolic entry.  Other functions go by linearity at the point: a
+trace is a sum of entries, and a product goes by the Leibniz rule.  Sampled
+points keep integer entries, so brackets and gradients are evaluated in
+ints; points read from files may hold any rationals.
 
 The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keyed
 (r, s) per (slot, side), from the algebra's partials, never from the gradient.
@@ -81,6 +83,7 @@ def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> Rep
 
 def evaluate(P: RepElem, pt: RepPoint) -> Fraction:
     """Evaluate at a point; determinant denominators become exact divisions."""
+    _check_point(pt, P.alg.sig, P.alg.dim)
     assign = {(u, i, j): x for u, m in enumerate(pt.matrices)
               for i, row in enumerate(m) for j, x in enumerate(row)}
     return Fraction(P.num.evaluate(assign), prod(map(pow, map(mat_det, pt.matrices), P.den)))
@@ -138,12 +141,13 @@ def _bracket_matrix(corners: dict, coords: Sequence[tuple[Word, int, int]], at: 
         (_, pre_w, suf_w), (_, pre_v, suf_v) = at[w], at[v]
         cuts = [(c, cut(pre_v, jc, suf_w, ic), cut(pre_w, ic, suf_v, jc))
                 for ic, row in corner_cuts(w, v, corners) for jc, c in row]
+        # c (W1)_kj by j, k and (W2)_il by i, l, once per j and i: an entry is one dot product
+        ks = {j: [*zip(*([c * r[j] for r in w1] for c, w1, _ in cuts))]
+              for j in {x[2] for x in on_w}}
+        ls = {i: [*zip(*(w2[i] for _, _, w2 in cuts))] for i in {x[1] for x in on_w}}
         for n, i, j in on_w if cuts else ():
-            # c (W1)_kj by k and (W2)_il by l over the cuts, so an entry is one dot product
-            ks = [*zip(*([c * r[j] for r in w1] for c, w1, _ in cuts))]
-            ls = [*zip(*(w2[i] for _, _, w2 in cuts))]
             for m, k, l in on_v:
-                B[n][m] = sum(map(mul, ks[k], ls[l]))
+                B[n][m] = sum(map(mul, ks[j][k], ls[i][l]))
     return B
 
 
@@ -151,19 +155,19 @@ def _fields(gradient: tuple, pt: RepPoint) -> tuple[Scalar, dict[tuple[int, str]
     """The values of every field on a function with gradient (den, G) at pt as
     (D, fields): D is a common denominator of the values and fields[slot,
     side][r][s] D times the value along f_rs, an int at an integer point, for
-    L = m^T G, R = -G m^T and C = L + R."""
+    L = m^T G, R = -G m^T and C = L + R, keyed C, L, R per slot."""
     den, grads = gradient
     raw = {}
     for u, G in enumerate(grads):
         if not any(map(any, G)):  # a zero block has zero fields
-            raw[u, L] = raw[u, R] = raw[u, CONJ] = G
+            raw[u, CONJ] = raw[u, L] = raw[u, R] = G
             continue
         mt = tuple(zip(*pt.matrices[u]))
         left = mat_mul(mt, G)
         right = tuple(tuple(-v for v in row) for row in mat_mul(G, mt))
-        raw[u, L], raw[u, R] = left, right
         raw[u, CONJ] = tuple(tuple(a + b for a, b in zip(ra, rb))
                              for ra, rb in zip(left, right))
+        raw[u, L], raw[u, R] = left, right
     return den, raw
 
 
@@ -226,41 +230,60 @@ def _sides(biv: FusionBivector) -> list[tuple[int, str]]:
                    for side in ((t.v_slot, t.v_side), (t.w_slot, t.w_side))})
 
 
-def _covector(biv: FusionBivector, fields: tuple[int, dict]) -> tuple[int, list, list]:
-    """(D, K, flat) from one function's _fields at a point: flat lists the
-    field matrices over _sides(biv), and K folds in every wedge term,
-    K[w] += coeff V^T and K[v] -= coeff W^T, so by tr(AB) = <A^T, B> the
-    bracket <dP ^ dQ, bivector> is (K_P . flat_Q) / (D_P D_Q)."""
-    D, fp = fields
-    keys = _sides(biv)
-    size = biv.dim ** 2
-    at = {key: n * size for n, key in enumerate(keys)}
-    K = [0] * (len(keys) * size)
+def _folds(biv: FusionBivector) -> tuple[int, list]:
+    """(N, [(offset in a _flat, [(offset in K, coeff)])]) per (slot, side) in _fields' key
+    order: each wedge term c V ^ W feeds c V^T to W's offset and -c W^T to V's."""
+    keys = [(u, side) for u in range(biv.sig.rank) for side in (CONJ, L, R)]
+    folds = {key: (n * biv.dim ** 2, []) for n, key in enumerate(keys)}
     for t in biv.terms:
-        v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
-        for dst, src, c in ((at[w], fp[v], t.coeff), (at[v], fp[w], -t.coeff)):
-            if any(map(any, src)):
-                for n, x in enumerate((e for col in zip(*src) for e in col), dst):
-                    K[n] += c * x
-    return D, K, [x for key in keys for row in fp[key] for x in row]
+        (at_v, to_v), (at_w, to_w) = folds[t.v_slot, t.v_side], folds[t.w_slot, t.w_side]
+        to_v.append((at_w, t.coeff))
+        to_w.append((at_v, -t.coeff))
+    return biv.dim, [*folds.values()]
 
 
-def _pair(left: tuple[int, list, list], right: tuple[int, list, list]) -> Fraction:
-    """A bracket at a point from two _covector triples (D, K, flat): one
-    integer dot product and one division."""
-    return Fraction(sum(map(mul, left[1], right[2])), left[0] * right[0])
+def _flat(fields: tuple[int, dict]) -> tuple[int, list]:
+    """(D, f) from _fields (D, fields): f lays the blocks out flat in key order."""
+    return fields[0], [x for m in fields[1].values() for row in m for x in row]
+
+
+def _covector(folds: tuple[int, list], flat: tuple[int, list]) -> tuple[int, list]:
+    """(D, K) from a _flat and _folds, each nonzero block transposed once: by tr(AB) =
+    <A^T, B> the bracket <dP ^ dQ, bivector> is _pair((D_P, K_P), _flat of Q)."""
+    (N, blocks), (D, f) = folds, flat
+    K = [0] * len(f)
+    for at, feeds in blocks:
+        if feeds and any(block := f[at:at + N * N]):
+            col = [x for s in range(N) for x in block[s::N]]
+            for to, c in feeds:
+                K[to:to + N * N] = [k + c * x for k, x in zip(K[to:to + N * N], col)]
+    return D, K
+
+
+def _pair(left: tuple[int, list], right: tuple[int, list]) -> Fraction:
+    """(K . f) / (D_P D_Q) from a _covector (D_P, K) and a _flat (D_Q, f)."""
+    return Fraction(sum(map(mul, left[1], right[1])), left[0] * right[0])
+
+
+def _check_point(pt: RepPoint, sig: SurfaceSignature, dim: int) -> None:
+    """Refuse a point off the representation space of sig at dim."""
+    dims = "/".join(map(str, sorted({len(row) for m in pt.matrices for row in (m, *m)})))
+    if len(pt.matrices) != sig.rank or dims not in ("", str(dim)):
+        raise ValueError(f"point of rank {len(pt.matrices)} and dim {dims or '-'}, "
+                         f"expected rank {sig.rank} and dim {dim}")
 
 
 def bivector_bracket(biv: FusionBivector, a: tuple, b: tuple, pt: RepPoint) -> Fraction:
     """Pointwise bracket <dP ^ dQ, bivector> of the entries P = w_ij and
     Q = v_kl for the coordinates a = (w, i, j) and b = (v, k, l), one-based,
     from one Fox gradient of each, as compare_bivectors' bivector side."""
+    _check_point(pt, biv.sig, biv.dim)
     for _, i, j in (a, b):
         if not (1 <= i <= biv.dim and 1 <= j <= biv.dim):
             raise IndexError(f"entry index out of range for dim {biv.dim}: ({i}, {j})")
     dets, at = _word_matrices(pt, biv.dim, (a[0], b[0]))
-    return _pair(*(_covector(biv, _fields(_fox_gradient(w, i, j, at[w], dets), pt))
-                   for w, i, j in (a, b)))
+    on_a, on_b = (_flat(_fields(_fox_gradient(*c, at[c[0]], dets), pt)) for c in (a, b))
+    return _pair(_covector(_folds(biv), on_a), on_b)
 
 
 def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[int, str], dict]:
@@ -312,11 +335,11 @@ class AksmReport:
 def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
                       plans: Sequence[tuple[FusionBivector, int]],
                       extra_words: Iterable[tuple[Word, Word]] = ()) -> list[AksmReport]:
-    """compare_constructions for each plan (biv, points), in one walk: at
-    point k, the words' matrices, B and each coordinate's Fox-gradient
-    _fields once; then each plan still live (no mismatch yet, k < points)
-    folds them into its _covector (E, K, f) and compares every pair,
-    B_ab E_a E_b to (K_a.f_b) s_a s_b in ints."""
+    """compare_constructions for each plan (biv, points), in one walk: each
+    plan's _folds once; at point k, the words' matrices, B and each
+    coordinate's _flat Fox-gradient _fields (E, f) once; then each plan still
+    live (no mismatch yet, k < points) folds row a's _covector (E, K) as its
+    walk reaches it and compares B_ab E_a E_b to (K_a.f_b) s_a s_b in ints."""
     if (low := min((trials for _, trials in plans), default=1)) < 1:
         raise ValueError(f"need at least one point to compare at, got trials={low}")
     for biv, _ in plans:
@@ -328,6 +351,7 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
     coords += [c for wa, wb in extra_words for c in ((wa, 1, dim), (wb, dim, 1))]
     corners = corner_table(sig, SurfaceDoubleBracket.CORNERS)
     reports = [AksmReport(True, trials, len(coords) ** 2, seed) for _, trials in plans]
+    folds = [_folds(biv) for biv, _ in plans]
     for k in range(max((trials for _, trials in plans), default=0)):
         if not (live := [p for p, (_, t) in enumerate(plans) if reports[p].ok and k < t]):
             break
@@ -335,20 +359,21 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
         dets, at = _word_matrices(pt, dim, (w for w, _, _ in coords))
         B = _bracket_matrix(corners, coords, at)
         scales = [at[w][0] for w, _, _ in coords]
-        fields = [_fields(_fox_gradient(w, i, j, at[w], dets), pt) for w, i, j in coords]
+        flats = [_flat(_fields(_fox_gradient(w, i, j, at[w], dets), pt)) for w, i, j in coords]
         for p in live:
-            covs = [_covector(plans[p][0], fp) for fp in fields]
-            for n, (x, y) in enumerate(product(range(len(coords)), repeat=2), 1):
-                (ea, K, _), (eb, _, f) = covs[x], covs[y]
-                if B[x][y] * ea * eb != sum(map(mul, K, f)) * scales[x] * scales[y]:
+            for x in range(len(coords)):
+                ea, K = cov = _covector(folds[p], flats[x])  # row x, once the walk reaches it
+                bad = (y for y, (eb, f) in enumerate(flats)
+                       if B[x][y] * ea * eb != sum(map(mul, K, f)) * scales[x] * scales[y])
+                if (y := next(bad, None)) is not None:
                     (wa, *a), (wb, *b) = coords[x], coords[y]
-                    reports[p] = AksmReport(False, k + 1, n, seed, witness={
+                    reports[p] = AksmReport(False, k + 1, x * len(coords) + y + 1, seed, witness={
                         "point_index": k,
                         "point": [[[str(v) for v in row] for row in m] for m in pt.matrices],
                         "left": [format_word(wa, sig), *a],
                         "right": [format_word(wb, sig), *b],
                         "bracket_value": str(Fraction(B[x][y], scales[x] * scales[y])),
-                        "bivector_value": str(_pair(covs[x], covs[y])),
+                        "bivector_value": str(_pair(cov, flats[y])),
                     })
                     break
     return reports

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from surfqp import evaluation
 from surfqp.dbracket import SurfaceDoubleBracket, goldman
-from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _fields,
-                               _sides, bivector_bracket, build_fusion_bivector, compare_bivectors,
+from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, _covector,
+                               _fields, _flat, _folds, _pair, _sides, bivector_bracket, build_fusion_bivector, compare_bivectors,
                                compare_constructions, evaluate, fields_sym, sample_rep_point,
                                wedge_sym)
 from surfqp.matrices import mat, mat_adjugate, mat_det, mat_inv, mat_mul
@@ -345,7 +346,7 @@ def test_derivation_side_never_uses_the_bivector_fields(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("bracket side called the numeric oracle")
 
-    for name in ("_fox_gradient", "_fields", "_covector", "_pair"):
+    for name in ("_fox_gradient", "_fields", "_folds", "_flat", "_covector", "_pair"):
         monkeypatch.setattr(evaluation, name, forbidden)
     coords = [(w("p1^-1*z1"), 1, 2), (w("q1^-1"), 2, 1)]
     assert bracket_side(SIG, 2, coords, point())[0][1] == want
@@ -357,7 +358,7 @@ def test_symbolic_leg_never_uses_the_pointwise_fields(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("symbolic leg called the pointwise fields")
 
-    for name in ("_fox_gradient", "_fields", "_covector"):
+    for name in ("_fox_gradient", "_fields", "_folds", "_flat", "_covector"):
         monkeypatch.setattr(evaluation, name, forbidden)
     biv = build_fusion_bivector(SIG, 2)
     P, Q = ALG.entry(w("p1^-1*z1"), 1, 2), ALG.entry(w("q1^-1"), 2, 1)
@@ -600,6 +601,35 @@ def test_bivector_bracket_names_an_entry_out_of_range():
         bivector_bracket(biv, (p, 1, 1), (Word.generator(5), 1, 1), point())
 
 
+# unchecked, each of these points gave a value or a bare error: evaluate 1
+# (the z1 factor truncated away) and -1/6 (the det of a 3x3 matrix), and
+# bivector_bracket -2, -20 and KeyError: (2, 'L')
+@pytest.mark.parametrize("genus,punctures,dim,rank,call", [
+    (1, 0, 2, 2, "evaluate"), (1, 1, 3, 3, "evaluate"),
+    (1, 1, 3, 3, "bracket"), (2, 1, 2, 5, "bracket"), (0, 2, 2, 2, "bracket"),
+])
+def test_a_point_off_the_space_is_refused(genus, punctures, dim, rank, call):
+    pt = sample_rep_point(random.Random(1), SurfaceSignature(genus, punctures), dim)
+    want = f"point of rank {rank} and dim {dim}, expected rank 3 and dim 2"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        if call == "evaluate":
+            evaluate(RepAlgebra(SIG, 2).det_inverse(2), pt)
+        else:
+            bivector_bracket(build_fusion_bivector(SIG, 2), (Word.generator(0), 1, 2),
+                             (Word.generator(1), 2, 1), pt)
+
+
+def test_the_point_check_at_rank_zero_and_with_mixed_dims():
+    # the rank-zero point holds no matrix, so it has no dim to refuse
+    zero = SurfaceSignature(0, 0)
+    assert evaluate(RepAlgebra(zero, 3).scalar(5), RepPoint(())) == 5
+    mixed = RepPoint((mat([[1, 0], [0, 1]]), mat([[1]]), mat([[2, 0], [0, 1]])))
+    with pytest.raises(ValueError, match="^point of rank 3 and dim 1/2, expected rank 3 and dim 2$"):
+        evaluate(ALG.det_inverse(0), mixed)
+    with pytest.raises(ValueError, match="^point of rank 0 and dim -, expected rank 3 and dim 2$"):
+        evaluate(ALG.det_inverse(0), RepPoint(()))
+
+
 def trace_case(sig, dim, k):
     """Draw k of two seeded words of up to 4 letters and a point."""
     rng = trial_rng(5, "trace", k)
@@ -704,6 +734,53 @@ def test_rank_zero_surface_has_no_fields():
     assert bivector_bracket(build_fusion_bivector(sig, 2), one, one, RepPoint(())) == 0
     rep = compare_constructions(sig, 2, trials=2, seed=3, extra_words=[(Word.identity(),) * 2])
     assert rep.ok and rep.pairs == 4
+
+
+def reference_fold(biv, fields):
+    """A function's covector by the term-by-term fold over _sides(biv): per
+    wedge term, K[w] += coeff V^T and K[v] -= coeff W^T, with its flattened
+    fields over the same sides, as (D, K, flat)."""
+    D, fp = fields
+    keys, size = _sides(biv), biv.dim ** 2
+    at = {key: n * size for n, key in enumerate(keys)}
+    K = [0] * (len(keys) * size)
+    for t in biv.terms:
+        v, w_ = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
+        for dst, src, c in ((at[w_], fp[v], t.coeff), (at[v], fp[w_], -t.coeff)):
+            for n, x in enumerate((e for col in zip(*src) for e in col), dst):
+                K[n] += c * x
+    return D, K, [x for key in keys for row in fp[key] for x in row]
+
+
+@pytest.mark.parametrize("genus,punctures,dim", [
+    (1, 1, 1), (1, 1, 2), (1, 1, 3), (0, 3, 1), (0, 3, 2), (0, 3, 3),
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (0, 0, 2),
+])
+def test_fold_table_is_the_term_by_term_fold(genus, punctures, dim):
+    # every ordered pair of generator entries and inverse-letter word entries,
+    # with and without the fusion terms: one fold table per bivector gives
+    # the bracket the term-by-term fold gives
+    sig = SurfaceSignature(genus, punctures)
+    rng = trial_rng(41, "fold", dim)
+    coords = [(Word.generator(u), i, j)
+              for u in range(sig.rank) for i in range(1, dim + 1) for j in range(1, dim + 1)]
+    words = [Word.identity()] if not sig.rank else [
+        w(text, sig) for text in {(1, 1): ("p1^-1*z1*q1", "q1^-2*z1^-1"),
+                                  (0, 3): ("z3^-1*z1*z2^-1", "z2^-2*z3"),
+                                  (2, 1): ("q2^-1*p1*z1^-1", "p2^-1*q1^-1")}[genus, punctures]]
+    coords += [(v, rng.randint(1, dim), rng.randint(1, dim)) for v in words]
+    pt = sample_rep_point(rng, sig, dim)
+    fields = [_fields(fox_gradient(*c, pt, dim), pt) for c in coords]
+    for with_fusion in (True, False):
+        biv = build_fusion_bivector(sig, dim, with_fusion_terms=with_fusion)
+        folds = _folds(biv)
+        got = [(_covector(folds, _flat(f)), _flat(f)) for f in fields]
+        want = [reference_fold(biv, f) for f in fields]
+        values = [_pair(cov, flat) for (cov, _), (_, flat) in product(got, repeat=2)]
+        assert values == [Fraction(sum(map(mul, K, flat)), da * db)
+                          for (da, K, _), (db, _, flat) in product(want, repeat=2)]
+        # at dim 1 the fields commute and only a handle's terms leave a bracket
+        assert any(values) == (sig.rank > 0 and (dim > 1 or genus > 0))
 
 
 def test_compare_constructions_computes_fields_once_per_function(monkeypatch):
@@ -963,11 +1040,20 @@ def test_fusion_coupling_search_walks_each_point_once(monkeypatch):
 
 def test_aksm_cell_builds_one_derivation_side(monkeypatch):
     # the pointwise check and the fusion-coupling search share point 0: one
-    # Fox gradient and one set of fields per generator entry, one set of word
-    # matrices and one bracket matrix, where two separate walks would build
-    # each twice; nothing is differentiated symbolically
+    # Fox gradient, one set of fields and one flat vector per generator
+    # entry, one set of word matrices and one bracket matrix, where two
+    # separate walks would build each twice; nothing is differentiated
+    # symbolically.  Each plan builds its fold table once, and folds a row's
+    # covector only when its walk reaches the row: all 12 rows for the fused
+    # plan, and up to the witness's row for the plan without fusion terms
     from surfqp.suites import aksm_suite
-    calls = {"differential": 0, "fox": 0, "fields": 0, "words": 0, "bracket": 0}
+    sig = SurfaceSignature(1, 1)
+    nofuse = build_fusion_bivector(sig, 2, with_fusion_terms=False)
+    witness = compare_constructions(sig, 2, 1, 7, biv=nofuse)
+    assert not witness.ok and witness.points == 1
+    witness_row = (witness.pairs - 1) // 12 + 1
+    calls = {"differential": 0, "fox": 0, "fields": 0, "flat": 0, "words": 0, "bracket": 0}
+    tables, rows = [], []
 
     def counted(name, f):
         def inner(*args):
@@ -975,15 +1061,29 @@ def test_aksm_cell_builds_one_derivation_side(monkeypatch):
             return f(*args)
         return inner
 
+    def counted_folds(biv):
+        tables.append(folds(biv))
+        return tables[-1]
+
+    def counted_covector(table, flat):
+        rows.append(next(n for n, t in enumerate(tables) if t is table))
+        return covector(table, flat)
+
     monkeypatch.setattr(RepAlgebra, "differential",
                         counted("differential", RepAlgebra.differential))
-    for name, attr in (("fox", "_fox_gradient"), ("fields", "_fields"),
+    for name, attr in (("fox", "_fox_gradient"), ("fields", "_fields"), ("flat", "_flat"),
                        ("words", "_word_matrices"), ("bracket", "_bracket_matrix")):
         monkeypatch.setattr(evaluation, attr, counted(name, getattr(evaluation, attr)))
-    report = aksm_suite(SurfaceSignature(1, 1), 2, 1, 7, extra_word_pairs=0)
+    folds, covector = evaluation._folds, evaluation._covector
+    monkeypatch.setattr(evaluation, "_folds", counted_folds)
+    monkeypatch.setattr(evaluation, "_covector", counted_covector)
+    report = aksm_suite(sig, 2, 1, 7, extra_word_pairs=0)
     assert report.ok and [c.name for c in report.checks] == ["pointwise-agreement",
                                                              "fusion-coupling-required"]
-    assert calls == {"differential": 0, "fox": 12, "fields": 12, "words": 1, "bracket": 1}
+    assert calls == {"differential": 0, "fox": 12, "fields": 12, "flat": 12, "words": 1,
+                     "bracket": 1}
+    assert len(tables) == 2 and witness_row < 12
+    assert rows == [0] * 12 + [1] * witness_row
 
 
 # seed 64000's point 0 is degenerate (z1 = -I), so the search fails at point 1

@@ -60,9 +60,15 @@ MUTANTS = (
     Mutant("B transposed", "src/surfqp/evaluation.py",
            "B[n][m] = sum(", "B[m][n] = sum(",
            (f"{EVAL}::test_compare_constructions_passes",)),
-    Mutant("flipped wedge sign in the covector", "src/surfqp/evaluation.py",
-           "(at[v], fp[w], -t.coeff)", "(at[v], fp[w], t.coeff)",
+    Mutant("flipped wedge sign in the fold table", "src/surfqp/evaluation.py",
+           "to_w.append((at_v, -t.coeff))", "to_w.append((at_v, t.coeff))",
            (f"{EVAL}::test_compare_constructions_passes",)),
+    Mutant("a source block feeds only its first destination", "src/surfqp/evaluation.py",
+           "for to, c in feeds:", "for to, c in feeds[:1]:",
+           (f"{EVAL}::test_fold_table_is_the_term_by_term_fold",)),
+    Mutant("the point check reads the rank only", "src/surfqp/evaluation.py",
+           'sig.rank or dims not in ("", str(dim)):', "sig.rank:",
+           (f"{EVAL}::test_a_point_off_the_space_is_refused",)),
     Mutant("dropped fusion coupling", "src/surfqp/evaluation.py",
            "for k in range(1, len(factors)):", "for k in range(2, len(factors)):",
            (f"{EVAL}::test_compare_constructions_passes",)),
