@@ -37,7 +37,7 @@ The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keye
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
@@ -45,7 +45,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .dbracket import SurfaceDoubleBracket
-from .matrices import Matrix, mat_adjugate, mat_det, mat_mul
+from .matrices import Matrix, mat_det, mat_det_adj, mat_mul
 from .poly import Scalar
 from .repalgebra import RepAlgebra, RepElem
 from .words import SurfaceSignature, Word, corner_cuts, corner_table, format_word, trial_rng
@@ -57,14 +57,15 @@ ENTRY_LOW, ENTRY_HIGH = -3, 3  # the range of a sampled point's entries
 @dataclass(frozen=True)
 class RepPoint:
     """A rational point of the representation space: one invertible matrix
-    per generator, in the global generator order."""
+    per generator, in the global generator order, and their determinants."""
 
     matrices: tuple[Matrix, ...]
+    dets: tuple = field(init=False, repr=False, compare=False)  # kept from the check
 
     def __post_init__(self):
-        for m in self.matrices:
-            if not mat_det(m):
-                raise ValueError("representation point needs invertible matrices")
+        object.__setattr__(self, "dets", tuple(map(mat_det, self.matrices)))
+        if not all(self.dets):
+            raise ValueError("representation point needs invertible matrices")
 
 
 def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> RepPoint:
@@ -86,26 +87,25 @@ def evaluate(P: RepElem, pt: RepPoint) -> Fraction:
     _check_point(pt, P.alg.sig, P.alg.dim)
     assign = {(u, i, j): x for u, m in enumerate(pt.matrices)
               for i, row in enumerate(m) for j, x in enumerate(row)}
-    return Fraction(P.num.evaluate(assign), prod(map(pow, map(mat_det, pt.matrices), P.den)))
+    return Fraction(P.num.evaluate(assign), prod(map(pow, pt.dets, P.den)))
 
 
-def _word_matrices(pt: RepPoint, dim: int, words: Iterable[Word]) -> tuple[list, dict]:
-    """pt's dets, and (s, pre, suf) per word x_1...x_n: pre[t] multiplies its
-    letters before t and suf[t] those from t on, x_u^-1 as adj(x_u), so the
-    word's matrix is pre[n] / s, s the dets of its inverse letters."""
+def _word_matrices(pt: RepPoint, dim: int, words: Iterable[Word]) -> dict:
+    """(s, pre, suf) per word x_1...x_n: pre[t] multiplies its letters before
+    t and suf[t] those from t on, x_u^-1 as adj(x_u), so the word's matrix is
+    pre[n] / s, s the dets of its inverse letters."""
     words, x = set(words), pt.matrices
     if (codes := set().union(*words)) and ord(max(codes)) >> 1 >= len(x):
         raise IndexError(f"generator index {ord(max(codes)) >> 1} out of range for rank {len(x)}")
-    dets = [mat_det(m) for m in x]
-    letters = {c: mat_adjugate(x[ord(c) >> 1]) if ord(c) & 1 else x[ord(c) >> 1] for c in codes}
+    letters = {c: mat_det_adj(x[ord(c) >> 1])[1] if ord(c) & 1 else x[ord(c) >> 1] for c in codes}
     one = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return dets, {w: (prod(dets[ord(c) >> 1] for c in w if ord(c) & 1),
-                      [one, *accumulate(map(letters.get, w), mat_mul)],
-                      [*accumulate(map(letters.get, w[::-1]), lambda r, m: mat_mul(m, r))][::-1]
-                      + [one]) for w in words}
+    return {w: (prod(pt.dets[ord(c) >> 1] for c in w if ord(c) & 1),
+                [one, *accumulate(map(letters.get, w), mat_mul)],
+                [*accumulate(map(letters.get, w[::-1]), lambda r, m: mat_mul(m, r))][::-1]
+                + [one]) for w in words}
 
 
-def _fox_gradient(w: Word, i: int, j: int, at: tuple, dets: list) -> tuple[Scalar, list]:
+def _fox_gradient(w: Word, i: int, j: int, at: tuple, dets: Sequence) -> tuple[Scalar, list]:
     """(den, G) with d w_ij / d x^u_ab = G[u][a][b] / den at the point, for
     one-based i and j, by Fox calculus on at = (s, pre, suf): the letter x_u
     at t adds (P_t)_ia (S_{t+1})_bj, and x_u^-1 adds -(P_t x_u^-1)_ia
@@ -281,8 +281,8 @@ def bivector_bracket(biv: FusionBivector, a: tuple, b: tuple, pt: RepPoint) -> F
     for _, i, j in (a, b):
         if not (1 <= i <= biv.dim and 1 <= j <= biv.dim):
             raise IndexError(f"entry index out of range for dim {biv.dim}: ({i}, {j})")
-    dets, at = _word_matrices(pt, biv.dim, (a[0], b[0]))
-    on_a, on_b = (_flat(_fields(_fox_gradient(*c, at[c[0]], dets), pt)) for c in (a, b))
+    at = _word_matrices(pt, biv.dim, (a[0], b[0]))
+    on_a, on_b = (_flat(_fields(_fox_gradient(*c, at[c[0]], pt.dets), pt)) for c in (a, b))
     return _pair(_covector(_folds(biv), on_a), on_b)
 
 
@@ -356,10 +356,10 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
         if not (live := [p for p, (_, t) in enumerate(plans) if reports[p].ok and k < t]):
             break
         pt = sample_rep_point(trial_rng(seed, "aksm", k), sig, dim)
-        dets, at = _word_matrices(pt, dim, (w for w, _, _ in coords))
+        at = _word_matrices(pt, dim, (w for w, _, _ in coords))
         B = _bracket_matrix(corners, coords, at)
         scales = [at[w][0] for w, _, _ in coords]
-        flats = [_flat(_fields(_fox_gradient(w, i, j, at[w], dets), pt)) for w, i, j in coords]
+        flats = [_flat(_fields(_fox_gradient(w, i, j, at[w], pt.dets), pt)) for w, i, j in coords]
         for p in live:
             for x in range(len(coords)):
                 ea, K = cov = _covector(folds[p], flats[x])  # row x, once the walk reaches it

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import ElemLike, LinComb, Scalar, Tensor2
 from .dbracket import SurfaceDoubleBracket
-from .matrices import Matrix, mat_adjugate, mat_det, mat_inv
+from .matrices import Matrix, mat_det_adj, mat_inv
 from .poly import Poly
 from .words import SurfaceSignature, Word, code_letter
 
@@ -98,8 +98,7 @@ class RepAlgebra:
         self.dim = dim
         self.dbl = dbl if dbl is not None else SurfaceDoubleBracket(sig)
         self.zero_den = (0,) * sig.rank
-        self._det: dict[int, Poly] = {}
-        self._adj: dict[int, tuple[tuple[Poly, ...], ...]] = {}
+        self._det_adj: dict[int, tuple[Poly, tuple[tuple[Poly, ...], ...]]] = {}
         # one suffix trie per column j: a node is (M(suffix) e_j, children by the
         # code of the letter that extends the suffix leftwards); root j holds e_j
         self._columns = [(tuple(self.scalar(int(i == j)) for i in range(dim)), {})
@@ -132,20 +131,16 @@ class RepAlgebra:
     # --- determinant bookkeeping --------------------------------------
 
     def det_poly(self, u: int) -> Poly:
-        hit = self._det.get(u)
-        if hit is None:
-            hit = self._det[u] = mat_det(self._sym_matrix(u))
-        return hit
+        if u not in self._det_adj:  # one characteristic polynomial gives both
+            self._det_adj[u] = mat_det_adj(self._sym_matrix(u))
+        return self._det_adj[u][0]
 
     def adj_poly(self, u: int) -> tuple[tuple[Poly, ...], ...]:
-        hit = self._adj.get(u)
-        if hit is None:
-            hit = self._adj[u] = mat_adjugate(self._sym_matrix(u))
-        return hit
+        self.det_poly(u)
+        return self._det_adj[u][1]
 
     def _sym_matrix(self, u: int) -> tuple[tuple[Poly, ...], ...]:
-        N = self.dim
-        return tuple(tuple(Poly.var((u, i, j)) for j in range(N)) for i in range(N))
+        return tuple(tuple(Poly.var((u, i, j)) for j in range(self.dim)) for i in range(self.dim))
 
     def raise_den(self, num: Poly, frm: tuple[int, ...], to: tuple[int, ...]) -> Poly:
         for u, (a, b) in enumerate(zip(frm, to)):

@@ -18,7 +18,7 @@ from .dbracket import (SurfaceDoubleBracket, angle, dbl_from_inner, dbl_from_pai
                        project_cyclic, triple)
 from .evaluation import build_fusion_bivector, compare_bivectors, fields_sym, wedge_sym
 from .foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
-from .matrices import mat, mat_det
+from .matrices import mat_det
 from .repalgebra import RepAlgebra
 from .words import (CyclicWord, SurfaceSignature, Word, boundary_word, format_word,
                     sample_word, trial_rng)
@@ -331,7 +331,7 @@ def rep_suite(sig: SurfaceSignature, dims: Sequence[int], trials: int, seed: int
 
         def group_equivariance(rng) -> bool:
             while True:
-                g = mat([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+                g = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim))
                 if mat_det(g):
                     break
             P, Q = (rand_sym(rng), rand_sym(rng)) if sig.rank else (alg.one(), alg.one())

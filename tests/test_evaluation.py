@@ -19,7 +19,7 @@ from surfqp.evaluation import (CONJ, L, R, FusionBivector, RepPoint, WedgeTerm, 
                                _fields, _flat, _folds, _pair, _sides, bivector_bracket, build_fusion_bivector, compare_bivectors,
                                compare_constructions, evaluate, fields_sym, sample_rep_point,
                                wedge_sym)
-from surfqp.matrices import mat, mat_adjugate, mat_det, mat_inv, mat_mul
+from surfqp.matrices import mat, mat_det, mat_det_adj, mat_inv, mat_mul
 from surfqp.poly import Poly
 from surfqp.repalgebra import RepAlgebra
 from surfqp.words import (CyclicWord, SurfaceSignature, Word, corner_table, parse_word,
@@ -45,7 +45,7 @@ WITNESS_GOLDEN = json.loads(
 def bracket_side(sig, dim, coords, pt):
     """compare_constructions' bracket side at pt on coordinates (w, i, j), as
     exact values: B[a][b] / (s_a s_b) from the double bracket's corner cuts."""
-    _, at = evaluation._word_matrices(pt, dim, (w for w, _, _ in coords))
+    at = evaluation._word_matrices(pt, dim, (w for w, _, _ in coords))
     B = evaluation._bracket_matrix(corner_table(sig, SurfaceDoubleBracket.CORNERS), coords, at)
     return [[Fraction(x, at[a[0]][0] * at[b[0]][0]) for b, x in zip(coords, row)]
             for a, row in zip(coords, B)]
@@ -53,8 +53,8 @@ def bracket_side(sig, dim, coords, pt):
 
 def fox_gradient(w, i, j, pt, dim):
     """compare_constructions' Fox gradient of the entry w_ij at pt, as (den, G)."""
-    dets, at = evaluation._word_matrices(pt, dim, [w])
-    return evaluation._fox_gradient(w, i, j, at[w], dets)
+    at = evaluation._word_matrices(pt, dim, [w])
+    return evaluation._fox_gradient(w, i, j, at[w], pt.dets)
 
 
 def gradient_values(gradient):
@@ -426,7 +426,7 @@ def checked_columns(alg, pt):
     symbols = [(u, i, j) for u in range(alg.sig.rank) for i in range(alg.dim)
                for j in range(alg.dim)]
     coords = [(Word.generator(u), i + 1, j + 1) for u, i, j in symbols]
-    _, at = evaluation._word_matrices(pt, alg.dim, (x for x, _, _ in coords))
+    at = evaluation._word_matrices(pt, alg.dim, (x for x, _, _ in coords))
     assert all(at[x][0] == 1 for x, _, _ in coords)  # no inverse letter, no scale
     B = evaluation._bracket_matrix(corner_table(alg.sig, SurfaceDoubleBracket.CORNERS), coords, at)
     assert len(B) == len(symbols) and all(len(row) == len(symbols) for row in B)
@@ -507,7 +507,7 @@ def fraction_gradient(P, pt):
     den_val = 1
     for u, k in enumerate(P.den):
         if k:
-            d, adj = mat_det(x[u]), mat_adjugate(x[u])
+            d, adj = mat_det_adj(x[u])
             den_val *= d ** k
             for i in range(N):
                 for j in range(N):

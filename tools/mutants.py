@@ -73,8 +73,8 @@ MUTANTS = (
            "for k in range(1, len(factors)):", "for k in range(2, len(factors)):",
            (f"{EVAL}::test_compare_constructions_passes",)),
     Mutant("an inverse letter read as the transposed adjugate", "src/surfqp/evaluation.py",
-           "letters = {c: mat_adjugate(x[ord(c) >> 1]) if",
-           "letters = {c: tuple(zip(*mat_adjugate(x[ord(c) >> 1]))) if",
+           "letters = {c: mat_det_adj(x[ord(c) >> 1])[1] if",
+           "letters = {c: tuple(zip(*mat_det_adj(x[ord(c) >> 1])[1])) if",
            (f"{EVAL}::test_integer_gradient_matches_the_fraction_gradient",)),
     Mutant("partials not raised to the common denominator", "src/surfqp/evaluation.py",
            "k, left, right = prod(dets[v] for v in inverted), pre[t], suf[t + 1]",
@@ -216,9 +216,13 @@ MUTANTS = (
     Mutant("is_quasi_poisson accepts zero trials", "src/surfqp/dbracket.py",
            "    if trials < 1:\n", "    if trials < 0:\n",
            ("tests/test_dbracket.py::test_quasi_poisson_check_needs_a_trial",)),
-    Mutant("untransposed cofactor matrix", "src/surfqp/matrices.py",
-           "mat_det(_minor(a, j, i))", "mat_det(_minor(a, i, j))",
+    Mutant("a sign in the Cayley-Hamilton adjugate", "src/surfqp/matrices.py",
+           "x + k if i == j else x", "x - k if i == j else x",
            ("tests/test_matrices.py::test_det_and_adjugate_match_the_permutation_sum",)),
+    Mutant("a sign in the Toeplitz column of the characteristic polynomial",
+           "src/surfqp/matrices.py",
+           "t.append(-sum(map(mul, row, v), zero))", "t.append(sum(map(mul, row, v), zero))",
+           ("tests/test_matrices.py::test_generic_det_and_adjugate_match_the_cofactor_expansion",)),
     Mutant("kernel drops the triple's coefficient", "src/surfqp/poly.py",
            "k = c * c2", "k = c2",
            ("tests/test_product_kernel.py::test_kernel_is_the_sum_of_reference_products",)),
