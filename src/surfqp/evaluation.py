@@ -37,7 +37,7 @@ The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keye
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
@@ -61,9 +61,10 @@ class RepPoint:
 
     matrices: tuple[Matrix, ...]
     dets: tuple = field(init=False, repr=False, compare=False)  # kept from the check
+    _dets: InitVar[Optional[tuple]] = None  # the sampler's, computed for its own check
 
-    def __post_init__(self):
-        object.__setattr__(self, "dets", tuple(map(mat_det, self.matrices)))
+    def __post_init__(self, _dets):
+        object.__setattr__(self, "dets", _dets or tuple(map(mat_det, self.matrices)))
         if not all(self.dets):
             raise ValueError("representation point needs invertible matrices")
 
@@ -71,15 +72,14 @@ class RepPoint:
 def sample_rep_point(rng: random.Random, sig: SurfaceSignature, dim: int) -> RepPoint:
     """Integer matrices with entries uniform on [ENTRY_LOW, ENTRY_HIGH],
     resampled until invertible.  The entries stay ints."""
-    mats = []
+    mats, dets = [], []
     for _ in range(sig.rank):
-        while True:
-            m = tuple(tuple(rng.randint(ENTRY_LOW, ENTRY_HIGH) for _ in range(dim))
-                      for _ in range(dim))
-            if mat_det(m):
-                break
+        while not (d := mat_det(m := tuple(tuple(rng.randint(ENTRY_LOW, ENTRY_HIGH)
+                                                 for _ in range(dim)) for _ in range(dim)))):
+            pass
         mats.append(m)
-    return RepPoint(tuple(mats))
+        dets.append(d)
+    return RepPoint(tuple(mats), tuple(dets))
 
 
 def evaluate(P: RepElem, pt: RepPoint) -> Fraction:

@@ -44,13 +44,15 @@ def mat_det(a: Matrix):
 
 def mat_det_adj(a: Matrix) -> tuple[Any, Matrix]:
     """(det a, adj a) from one _charpoly, adj a = (-1)^(N+1) (a^(N-1) + c_1 a^(N-2)
-    + ... + c_(N-1)) by Cayley-Hamilton and Horner's rule: at N = 1 the ring's one."""
+    + ... + c_(N-1)) by Cayley-Hamilton and Horner's rule from e_0 I, whose first
+    product is ±a: N - 2 products, and at N = 1 the ring's one."""
     n, zero = len(a), a[0][0] * 0
     e = [x if n % 2 else -x for x in _charpoly(a)]  # (-1)^(N+1) c, so det a = -e_N
     adj = tuple(tuple(e[0] if i == j else zero for j in range(n)) for i in range(n))
-    for k in e[1:n]:
+    first = a if n % 2 else tuple(tuple(-x for x in row) for row in a)  # a e_0 I, as ±a
+    for t, k in enumerate(e[1:n]):
         adj = tuple(tuple(x + k if i == j else x for j, x in enumerate(row))
-                    for i, row in enumerate(mat_mul(a, adj)))
+                    for i, row in enumerate(mat_mul(a, adj) if t else first))
     return -e[n], adj
 
 

@@ -116,10 +116,11 @@ class Poly(LinComb):
                 for m1, c1 in big.items():
                     m = m1 + m2
                     out[m] = get(m, 0) + k * c1
-        terms = {m: c for m, c in out.items() if c}
-        if reduce(or_, terms, 0) & _guards:
+        if 0 in out.values():  # a C-level scan; most sums cancel nothing
+            out = {m: c for m, c in out.items() if c}
+        if reduce(or_, out, 0) & _guards:
             raise OverflowError(f"a product exponent exceeds {MAX_FIELD_EXPONENT}")
-        return Poly._wrap(terms)
+        return Poly._wrap(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -179,4 +180,6 @@ class Poly(LinComb):
         return total
 
     def variables(self) -> set:
-        return {v for v, _ in unpack(reduce(or_, self.terms, 0))}
+        m = reduce(or_, self.terms, 0)  # no guard bit is set, so field k ends below bit 32k + 31
+        return {v for k, v in enumerate(_VARS[:m.bit_length() // FIELD_BITS + 1])
+                if m >> FIELD_BITS * k & _MASK}

@@ -45,7 +45,7 @@ class RepElem:
     __slots__ = ("alg", "num", "den")
 
     def __init__(self, alg: "RepAlgebra", num: Poly, den: tuple[int, ...]):
-        if num.is_zero():
+        if not num.terms:
             den = alg.zero_den
         self.alg = alg
         self.num = num
@@ -178,6 +178,8 @@ class RepAlgebra:
     def entry(self, a: ElemLike, i: int, j: int) -> RepElem:
         """The (i, j) entry coordinate of a, one-based indices."""
         self._check_entry(i, j)
+        if isinstance(a, Word):  # the trie's own element: a lone part is its own sum
+            return self.column(a, j - 1)[i - 1]
         return self.accumulate(self.column(w, j - 1)[i - 1].scale(c) for w, c in a.items())
 
     def _check_entry(self, i: int, j: int) -> None:
@@ -251,8 +253,8 @@ class RepAlgebra:
         groups: dict[tuple[int, ...], list[Poly]] = {}
         for part in parts:
             groups.setdefault(part.den, []).append(part.num)
-        sums = ((den, nums[0] if len(nums) == 1 else
-                 Poly.collect(pair for num in nums for pair in num.items()))
+        sums = ((den, nums[0] if len(nums) == 1 else Poly.collect(  # from a C copy of nums[0]
+                     (pair for num in nums[1:] for pair in num.items()), nums[0].terms))
                 for den, nums in groups.items())
         return {den: num for den, num in sums if not num.is_zero()}
 
@@ -261,8 +263,12 @@ class RepAlgebra:
         """The nonzero sum of c num(a) num(b) over each group of (c, a, b)
         triples with one denominator a.den + b.den, one Poly.dot per group."""
         groups: dict[tuple[int, ...], list] = {}
+        da = db = None
         for c, a, b in triples:
-            groups.setdefault(tuple(map(add, a.den, b.den)), []).append((c, a.num, b.num))
+            if a.den != da or b.den != db:  # one key per run of equal denominator pairs
+                da, db = a.den, b.den
+                group = groups.setdefault(tuple(map(add, da, db)), [])
+            group.append((c, a.num, b.num))
         sums = ((den, Poly.dot(group)) for den, group in groups.items())
         return {den: num for den, num in sums if not num.is_zero()}
 
@@ -286,8 +292,9 @@ class RepAlgebra:
             [(den, num)] = sums.items()
             return RepElem(self, num, den)
         target = tuple(max(den[u] for den in sums) for u in range(self.sig.rank))
-        total = Poly.collect(pair for den, num in sorted(sums.items())
-                             for pair in self.raise_den(num, den, target).items())
+        raised = (self.raise_den(num, den, target) for den, num in sorted(sums.items()))
+        first = next(raised)  # the sum starts from its dict, copied in C
+        total = Poly.collect((pair for num in raised for pair in num.items()), first.terms)
         return RepElem(self, total, target)
 
     def qp_bracket_entries(self, a: ElemLike, i: int, j: int,
@@ -325,7 +332,7 @@ class RepAlgebra:
         N = self.dim
         if not (0 <= k < N and 0 <= l < N):
             raise IndexError(f"elementary matrix index out of range for dim {N}: ({k}, {l})")
-        w = [[Fraction(int((i, j) == (k, l))) for j in range(N)] for i in range(N)]
+        w = [[int((i, j) == (k, l)) for j in range(N)] for i in range(N)]
         return self.gl_action(w, P)
 
     def group_action(self, g: Matrix, P: RepElem) -> RepElem:

@@ -157,6 +157,18 @@ def test_one_by_one_adjugate_is_the_rings_one():
     assert RepAlgebra(SurfaceSignature(1, 0), 1).adj_poly(0) == ((Poly.const(1),),)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_and_adjugate_take_n_minus_two_products(monkeypatch, n):
+    # Horner's rule starts from ±a plus c_1 on the diagonal, not from a times ±I
+    calls = []
+    monkeypatch.setattr(matrices, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    for a in (generic_matrix(n), *samples(int, n)[:2], *samples(Fraction, n)[:2]):
+        calls.clear()
+        d, adj = mat_det_adj(a)
+        assert len(calls) == max(n - 2, 0)
+        assert adj == cofactor_adjugate(a) and d == cofactor_det(a)
+
+
 def test_det_poly_at_dim_two_is_pinned():
     alg = RepAlgebra(SurfaceSignature(1, 1), 2)
     x = [[Poly.var((1, i, j)) for j in range(2)] for i in range(2)]
@@ -201,9 +213,9 @@ def test_product_is_the_index_loop_sum(n):
 
 
 def test_one_determinant_per_draw_and_per_point_matrix(monkeypatch):
-    # per point: the sampler's check of each draw, RepPoint's check of each
-    # matrix (whose dets every later step reads), and one adjugate per
-    # inverse letter, here z1^-1
+    # per point: the sampler's check of each draw, whose dets of the accepted
+    # draws the point keeps for every later step, and one adjugate per inverse
+    # letter, here z1^-1
     sig, dim = SurfaceSignature(1, 1), 2
     calls, draws, starts = [0], [], []
     charpoly, sample = matrices._charpoly, evaluation.sample_rep_point
@@ -229,7 +241,7 @@ def test_one_determinant_per_draw_and_per_point_matrix(monkeypatch):
     extra = [(parse_word("p1*q1", sig), parse_word("z1^-1", sig))]
     assert compare_constructions(sig, dim, trials=3, seed=7, extra_words=extra).ok
     per_point = [b - a for a, b in zip(starts, starts[1:] + calls)]
-    assert per_point == [n // dim ** 2 + sig.rank + 1 for n in draws]
+    assert per_point == [n // dim ** 2 + 1 for n in draws]
 
 
 @pytest.mark.slow

@@ -38,6 +38,18 @@ def ref_mul(p, q):
     return out
 
 
+def ref_dot(triples):
+    """Poly.dot before it returned its accumulator: every sum filtered by a
+    copy, zero or not."""
+    out = {}
+    for c, p, q in triples:
+        small, big = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
+        for m2, c2 in small.items():
+            for m1, c1 in big.items():
+                out[m1 + m2] = out.get(m1 + m2, 0) + c * c2 * c1
+    return Poly._wrap({m: c for m, c in out.items() if c})
+
+
 def ref_prod(a, b, c=1):
     """(a * b).scale(c) with the reference product: one element per product."""
     return RepElem(a.alg, ref_mul(a.num, b.num),
@@ -60,6 +72,16 @@ def ref_den_sums(parts):
              Poly.collect(pair for num in nums for pair in num.items()))
             for den, nums in groups.items())
     return {den: num for den, num in sums if not num.is_zero()}
+
+
+def ref_over_common_den(alg, sums):
+    """_over_common_den with the raised groups added term by term to an empty dict."""
+    if len(sums) < 2:
+        return alg._over_common_den(sums)
+    target = tuple(max(den[u] for den in sums) for u in range(alg.sig.rank))
+    return RepElem(alg, Poly.collect(pair for den, num in sorted(sums.items())
+                                     for pair in alg.raise_den(num, den, target).items()),
+                   target)
 
 
 def ref_accumulate(alg, parts):
@@ -194,6 +216,24 @@ def test_kernel_is_the_sum_of_reference_products(data):
         assert p * q == ref_mul(p, q) == q * p
 
 
+@seed(20261023)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_kernel_keys_follow_the_copying_kernel(data):
+    # Poly.dot copies its accumulator only when a sum cancelled, so with or
+    # without cancelling terms it must hold the old kernel's keys in its order
+    triples = data.draw(st.lists(st.tuples(st.one_of(st.just(0), COEFFS), polys(), polys()),
+                                 max_size=5))
+    cancel = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    triples += [(-c, q, p) for (c, p, q), drop in zip(triples, cancel) if drop]
+    triples = data.draw(st.permutations(triples))
+    got, want = Poly.dot(triples), ref_dot(triples)
+    assert got == want == Poly.collect(pair for c, p, q in triples
+                                       for pair in ref_mul(p, q).scale(c).items())
+    assert list(got.terms) == list(want.terms)
+    assert all(got.terms.values())
+
+
 def test_guard_bits_on_the_kernel():
     x, y = "guard x", "guard y"
     top = MAX_FIELD_EXPONENT
@@ -283,6 +323,58 @@ def test_scale_by_one_shares_the_element():
     assert P.scale(1) is P and P.scale(Fraction(2, 2)) is P
     e = AlgElem({w: 3})
     assert e.scale(1) is e and e.scale(-1) == AlgElem({w: -3})
+
+
+def test_entry_of_a_word_is_the_tries_element():
+    alg = KERNEL_ALGEBRAS[1, 1, 2]
+    for w in (Word([(0, 1), (1, -1), (2, 1)]), Word([(2, -1)]), Word([])):
+        for i in (1, 2):
+            for j in (1, 2):
+                assert alg.entry(w, i, j) is alg.column(w, j - 1)[i - 1]
+                assert alg.entry(AlgElem({w: 1}), i, j) == alg.entry(w, i, j)
+
+
+def sums_by_den(sums):
+    return [(den, list(num.items())) for den, num in sums.items()]
+
+
+def test_sums_from_the_first_part_print_the_bytes_of_an_empty_start():
+    # four denominator groups: one sums parts that cancel and come back, one
+    # cancels to zero, one is a lone part and one sums two parts
+    alg = KERNEL_ALGEBRAS[1, 1, 2]
+    a, b, c, d, e = (alg.entry(parse_word(text, alg.sig), i, j) for text, i, j in (
+        ("p1*q1^-1", 1, 2), ("q1^-1*z1", 2, 1), ("p1^-1", 1, 1), ("z1^-1*p1", 2, 2),
+        ("q1*z1", 1, 2)))
+    assert len({x.den for x in (a, b, c, d, e)}) == 4 and a.den == b.den
+    parts = [a, b, -a, c, d, a.scale(3), -c, e, e.scale(Fraction(1, 2)), b.scale(-1)]
+    got, want = alg._den_sums(parts), ref_den_sums(parts)
+    assert sums_by_den(got) == sums_by_den(want) and len(got) == 3
+    for sums in (got, {den: got[den] for den in list(got)[:2]}):
+        total, ref = alg._over_common_den(sums), ref_over_common_den(alg, sums)
+        assert alg.to_json(total) == alg.to_json(ref)
+        assert list(total.num.items()) == list(ref.num.items())
+    total, ref = alg.accumulate(parts), ref_accumulate(alg, parts)
+    assert alg.to_json(total) == alg.to_json(ref)
+    # runs of equal denominator pairs, broken and resumed, take one key a group
+    triples = [(1, a, d), (2, b, d), (-1, e, a), (1, a, d), (3, c, c), (1, d, b), (-3, c, c)]
+    assert sums_by_den(alg._product_sums(triples)) == sums_by_den(ref_den_sums(
+        RepElem(alg, ref_mul(x.num, y.num).scale(k), tuple(map(sum, zip(x.den, y.den))))
+        for k, x, y in triples))
+
+
+@pytest.mark.parametrize("genus,punctures,dim", [(1, 1, 2), (0, 2, 1), (1, 0, 3)])
+def test_elem_action_prints_the_bytes_of_the_fraction_matrix(genus, punctures, dim):
+    sig = SurfaceSignature(genus, punctures)
+    alg = RepAlgebra(sig, dim)
+    text = "*".join(sig.gen_name(u) + "^-1" * (u % 2) for u in range(sig.rank))
+    for P in (alg.entry(parse_word(text, sig), 1, dim), alg.sym(0, dim - 1, 0),
+              alg.trace(parse_word(text, sig)) + alg.sym(sig.rank - 1, 0, dim - 1)):
+        for k in range(dim):
+            for l in range(dim):
+                old = [[Fraction(int((i, j) == (k, l))) for j in range(dim)] for i in range(dim)]
+                got, want = alg.elem_action(k, l, P), alg.gl_action(old, P)
+                assert alg.to_json(got) == alg.to_json(want)
+                assert list(got.num.items()) == list(want.num.items()) and got.den == want.den
 
 
 def test_fields_sym_differentiates_once(monkeypatch):

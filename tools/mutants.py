@@ -245,15 +245,26 @@ MUTANTS = (
            "                out[m] = get(m, 0) + c1\n",
            ("tests/test_product_kernel.py::test_guard_bits_on_the_kernel",)),
     Mutant("kernel keeps cancelled terms", "src/surfqp/poly.py",
-           "terms = {m: c for m, c in out.items() if c}", "terms = out",
+           "out = {m: c for m, c in out.items() if c}", "out = dict(out)",
            ("tests/test_product_kernel.py::test_kernel_is_the_sum_of_reference_products",)),
+    Mutant("the zero scan skipped", "src/surfqp/poly.py",
+           "if 0 in out.values():", "if False:",
+           ("tests/test_product_kernel.py::test_kernel_keys_follow_the_copying_kernel",)),
     Mutant("a product multiplies self by itself", "src/surfqp/poly.py",
            "return Poly.dot(((1, self, other),))", "return Poly.dot(((1, self, self),))",
            ("tests/test_poly.py::test_packed_poly_matches_reference",)),
     Mutant("grouping by a.den alone", "src/surfqp/repalgebra.py",
-           "groups.setdefault(tuple(map(add, a.den, b.den)), [])",
-           "groups.setdefault(a.den, [])",
+           "groups.setdefault(tuple(map(add, da, db)), [])",
+           "groups.setdefault(da, [])",
            ("tests/test_product_kernel.py::test_routes_print_the_reference_bytes",)),
+    Mutant("a denominator key computed once for all triples", "src/surfqp/repalgebra.py",
+           "if a.den != da or b.den != db:", "if da is None:",
+           ("tests/test_product_kernel.py::"
+            "test_sums_from_the_first_part_print_the_bytes_of_an_empty_start",)),
+    Mutant("a collect that drops its start part", "src/surfqp/repalgebra.py",
+           "for pair in num.items()), first.terms)", "for pair in num.items()), {})",
+           ("tests/test_product_kernel.py::"
+            "test_sums_from_the_first_part_print_the_bytes_of_an_empty_start",)),
     Mutant("qp_bracket reads the table transposed", "src/surfqp/repalgebra.py",
            "self.gen_bracket(a, b))", "self.gen_bracket(b, a))",
            ("tests/test_repalgebra.py::test_qp_bracket_matches_flat_bracket",)),
