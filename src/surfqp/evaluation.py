@@ -20,18 +20,19 @@ Each coordinate is an entry (w, i, j) of a word (one letter for a generator
 entry).  Its gradient at a point comes by Fox calculus from the word's
 prefix and suffix matrices there, and its fields from that gradient once per
 point, as integer matrices over one common denominator (a zero gradient
-block gives zero fields, with no product), laid out flat for every bivector.
-A bivector's fold table, built once per call, names the offsets in K that
-each block feeds, so K is one transpose per nonzero block (tr(AB) =
-<A^T, B>), built as the pair walk reaches its row.  The pointwise check's
+block gives zero fields, with no product), laid out flat as the offsets and
+values of the nonzero entries only.  A bivector's fold table, built once per
+call, names the offsets in K that each block feeds; K (tr(AB) = <A^T, B>) is
+built entry by entry as the pair walk reaches its row.  The pointwise check's
 bracket side is the double bracket's cut sum of the two words at the point,
 with no symbolic entry.  Other functions go by linearity at the point: a
 trace is a sum of entries, and a product goes by the Leibniz rule.  Sampled
 points keep integer entries, so brackets and gradients are evaluated in
 ints; points read from files may hold any rationals.
 
-The symbolic leg, fields_sym and wedge_sym, builds only the nonzero fields, keyed
-(r, s) per (slot, side), from the algebra's partials, never from the gradient.
+The symbolic leg builds only the nonzero fields from the algebra's partials,
+never from the gradient (fields_sym), folds them once per function into plain
+lists (covector_sym) and pairs two functions in one product sum (wedge_sym).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, compress, count, product
 from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -231,38 +232,39 @@ def _sides(biv: FusionBivector) -> list[tuple[int, str]]:
 
 
 def _folds(biv: FusionBivector) -> tuple[int, list]:
-    """(N, [(offset in a _flat, [(offset in K, coeff)])]) per (slot, side) in _fields' key
-    order: each wedge term c V ^ W feeds c V^T to W's offset and -c W^T to V's."""
+    """(N, [[(offset in K, coeff)] per (slot, side) block in _fields' key order]):
+    each wedge term c V ^ W feeds c V^T to W's offset and -c W^T to V's."""
     keys = [(u, side) for u in range(biv.sig.rank) for side in (CONJ, L, R)]
     folds = {key: (n * biv.dim ** 2, []) for n, key in enumerate(keys)}
     for t in biv.terms:
         (at_v, to_v), (at_w, to_w) = folds[t.v_slot, t.v_side], folds[t.w_slot, t.w_side]
         to_v.append((at_w, t.coeff))
         to_w.append((at_v, -t.coeff))
-    return biv.dim, [*folds.values()]
+    return biv.dim, [feeds for _, feeds in folds.values()]
 
 
-def _flat(fields: tuple[int, dict]) -> tuple[int, list]:
-    """(D, f) from _fields (D, fields): f lays the blocks out flat in key order."""
-    return fields[0], [x for m in fields[1].values() for row in m for x in row]
+def _flat(fields: tuple[int, dict]) -> tuple[int, list, list]:
+    """(D, at, x) from _fields: the offsets in key order of the nonzero values x."""
+    f = [x for m in fields[1].values() for row in m for x in row]
+    return fields[0], [*compress(count(), f)], [*filter(None, f)]
 
 
-def _covector(folds: tuple[int, list], flat: tuple[int, list]) -> tuple[int, list]:
-    """(D, K) from a _flat and _folds, each nonzero block transposed once: by tr(AB) =
-    <A^T, B> the bracket <dP ^ dQ, bivector> is _pair((D_P, K_P), _flat of Q)."""
-    (N, blocks), (D, f) = folds, flat
-    K = [0] * len(f)
-    for at, feeds in blocks:
-        if feeds and any(block := f[at:at + N * N]):
-            col = [x for s in range(N) for x in block[s::N]]
-            for to, c in feeds:
-                K[to:to + N * N] = [k + c * x for k, x in zip(K[to:to + N * N], col)]
+def _covector(folds: tuple[int, list], flat: tuple[int, list, list]) -> tuple[int, list]:
+    """(D, K) from a _flat and _folds, entry (r, s) of a block feeding (s, r): by tr(AB)
+    = <A^T, B> the bracket <dP ^ dQ, bivector> is _pair((D_P, K_P), _flat of Q)."""
+    (N, blocks), (D, at, f) = folds, flat
+    K = [0] * (len(blocks) * N * N)
+    for n, x in zip(at, f):
+        b, rs = divmod(n, N * N)
+        for to, c in blocks[b]:
+            K[to + rs % N * N + rs // N] += c * x
     return D, K
 
 
-def _pair(left: tuple[int, list], right: tuple[int, list]) -> Fraction:
-    """(K . f) / (D_P D_Q) from a _covector (D_P, K) and a _flat (D_Q, f)."""
-    return Fraction(sum(map(mul, left[1], right[1])), left[0] * right[0])
+def _pair(left: tuple[int, list], right: tuple[int, list, list]) -> Fraction:
+    """(K . f) / (D_P D_Q) from a _covector (D_P, K) and a _flat of f."""
+    (D_P, K), (D_Q, at, f) = left, right
+    return Fraction(sum(map(mul, map(K.__getitem__, at), f)), D_P * D_Q)
 
 
 def _check_point(pt: RepPoint, sig: SurfaceSignature, dim: int) -> None:
@@ -303,15 +305,24 @@ def fields_sym(alg: RepAlgebra, biv: FusionBivector, P: RepElem) -> dict[tuple[i
             for key, entries in sums.items()}
 
 
-def wedge_sym(alg: RepAlgebra, biv: FusionBivector, on_p: dict, on_q: dict) -> RepElem:
-    """The bivector on two functions' fields_sym, for outright polynomial equality
-    with the quasi-Poisson bracket: one's nonzero V(f_rs) by the other's W(f_sr)."""
-    triples = []
+def covector_sym(biv: FusionBivector, on: dict) -> dict[tuple, list]:
+    """fields_sym folded against the wedge terms in plain lists, the symbolic
+    twin of _covector: a term c V ^ W files (c, V(f_rs)) under the partner's
+    key (W, (s, r)) and (-c, W(f_rs)) under (V, (s, r))."""
+    cov: dict[tuple, list] = {}
     for t in biv.terms:
         v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
-        for c, a, b in ((t.coeff, on_p[v], on_q[w]), (-t.coeff, on_q[v], on_p[w])):
-            triples += [(c, x, y) for (r, s), x in a.items() if (y := b.get((s, r))) is not None]
-    return alg.accumulate_products(triples)
+        for c, mine, partner in ((t.coeff, on[v], w), (-t.coeff, on[w], v)):
+            for (r, s), x in mine.items():
+                cov.setdefault((partner, (s, r)), []).append((c, x))
+    return cov
+
+
+def wedge_sym(alg: RepAlgebra, cov_p: dict, on_q: dict) -> RepElem:
+    """The bivector on P and Q from P's covector_sym and Q's fields_sym, for outright
+    equality with the quasi-Poisson bracket: one product sum over shared keys."""
+    return alg.accumulate_products((c, x, y) for (key, at), xs in cov_p.items()
+                                   if (y := on_q[key].get(at)) is not None for c, x in xs)
 
 
 @dataclass
@@ -337,7 +348,7 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
                       extra_words: Iterable[tuple[Word, Word]] = ()) -> list[AksmReport]:
     """compare_constructions for each plan (biv, points), in one walk: each
     plan's _folds once; at point k, the words' matrices, B and each
-    coordinate's _flat Fox-gradient _fields (E, f) once; then each plan still
+    coordinate's _flat Fox-gradient _fields (E, at, f) once; then each plan still
     live (no mismatch yet, k < points) folds row a's _covector (E, K) as its
     walk reaches it and compares B_ab E_a E_b to (K_a.f_b) s_a s_b in ints."""
     if (low := min((trials for _, trials in plans), default=1)) < 1:
@@ -363,8 +374,9 @@ def compare_bivectors(sig: SurfaceSignature, dim: int, seed: int,
         for p in live:
             for x in range(len(coords)):
                 ea, K = cov = _covector(folds[p], flats[x])  # row x, once the walk reaches it
-                bad = (y for y, (eb, f) in enumerate(flats)
-                       if B[x][y] * ea * eb != sum(map(mul, K, f)) * scales[x] * scales[y])
+                bad = (y for y, (eb, at_b, f) in enumerate(flats)
+                       if B[x][y] * ea * eb != sum(map(mul, map(K.__getitem__, at_b), f))
+                       * scales[x] * scales[y])
                 if (y := next(bad, None)) is not None:
                     (wa, *a), (wb, *b) = coords[x], coords[y]
                     reports[p] = AksmReport(False, k + 1, x * len(coords) + y + 1, seed, witness={

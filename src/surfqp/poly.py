@@ -23,7 +23,9 @@ rational enters; const, var and scale normalise their scalars to it.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
@@ -71,16 +73,16 @@ def monomial(*pairs: tuple[Var, int]) -> Monomial:
     return m
 
 
+def _exponents(m: Monomial) -> memoryview:
+    """Every field of m, lowest first, in one pass: native-order bytes as 32-bit ints."""
+    fields = memoryview(m.to_bytes(-(-m.bit_length() // FIELD_BITS) * 4, sys.byteorder)).cast("I")
+    return fields if sys.byteorder == "little" else fields[::-1]
+
+
 def unpack(m: Monomial) -> tuple[tuple[Var, int], ...]:
     """The monomial as (variable, exponent) pairs sorted by variable."""
-    pairs = []
-    idx = 0
-    while m:
-        e = m & _MASK
-        if e:
-            pairs.append((_VARS[idx], e))
-        m >>= FIELD_BITS
-        idx += 1
+    es = _exponents(m)
+    pairs = [*zip(compress(_VARS, es), filter(None, es))]
     try:
         pairs.sort()
     except TypeError:  # variables of different types: group them by type name
@@ -180,6 +182,4 @@ class Poly(LinComb):
         return total
 
     def variables(self) -> set:
-        m = reduce(or_, self.terms, 0)  # no guard bit is set, so field k ends below bit 32k + 31
-        return {v for k, v in enumerate(_VARS[:m.bit_length() // FIELD_BITS + 1])
-                if m >> FIELD_BITS * k & _MASK}
+        return set(compress(_VARS, _exponents(reduce(or_, self.terms, 0))))

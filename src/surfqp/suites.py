@@ -16,7 +16,7 @@ from .algebra import AlgElem, Tensor2, m3, permute, tensor2
 from .dbracket import (SurfaceDoubleBracket, angle, dbl_from_inner, dbl_from_pairing, goldman,
                        is_quasi_poisson, moment_neg_power_rhs, moment_power_rhs, moment_rhs,
                        project_cyclic, triple)
-from .evaluation import build_fusion_bivector, compare_bivectors, fields_sym, wedge_sym
+from .evaluation import build_fusion_bivector, compare_bivectors, covector_sym, fields_sym, wedge_sym
 from .foxpairing import SurfaceFoxPairing, inner_pairing, rho_1, transpose_apply
 from .matrices import mat_det
 from .repalgebra import RepAlgebra
@@ -498,9 +498,10 @@ def aksm_suite(sig: SurfaceSignature, dim: int, trials: int, seed: int,
         alg = RepAlgebra(sig, dim)
         syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
         on = {a: fields_sym(alg, biv, alg.sym(*a)) for a in syms}
+        cov = {a: covector_sym(biv, f) for a, f in on.items()}
         bad = sorted([u, v, i, j, k, l] for (u, i, j), (v, k, l) in product(syms, syms)
                      if alg.gen_bracket((u, i, j), (v, k, l))
-                     != wedge_sym(alg, biv, on[u, i, j], on[v, k, l]))
+                     != wedge_sym(alg, cov[u, i, j], on[v, k, l]))
         checks.append(Check("symbolic-agreement", not bad, {"failed": bad[:3]}))
 
     for rep in fusion:

@@ -5,13 +5,17 @@ monomials, tuples of (variable, exponent) pairs sorted by variable, to
 nonzero Fractions.  Every operation of Poly is compared with it after
 unpacking."""
 
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from surfqp.poly import FIELD_BITS, MAX_FIELD_EXPONENT, Poly, monomial
+import surfqp.poly as poly
+from surfqp.poly import FIELD_BITS, MAX_FIELD_EXPONENT, Poly, monomial, unpack
 
 
 def _order(pair):
@@ -137,3 +141,49 @@ def test_guard_bit_overflow():
         monomial((x, top + 1))
     P = Poly({monomial((x, top - 1), (y, 5)): 1}) * Poly.var(x)
     assert list(P.unpacked()) == [(((x, top), (y, 5)), 1)]
+
+
+def shift_unpack(m):
+    """unpack by the loop it replaced: one shift of the whole int per field."""
+    pairs, idx = [], 0
+    while m:
+        if e := m & ((1 << FIELD_BITS) - 1):
+            pairs.append((poly._VARS[idx], e))
+        m >>= FIELD_BITS
+        idx += 1
+    return tuple(sorted(pairs, key=_order))
+
+
+def shift_variables(P):
+    """Poly.variables by the loop it replaced: one shift per field."""
+    m = reduce(or_, P.terms, 0)
+    return {v for k, v in enumerate(poly._VARS[:m.bit_length() // FIELD_BITS + 1])
+            if m >> FIELD_BITS * k & ((1 << FIELD_BITS) - 1)}
+
+
+def test_one_pass_field_reads_match_the_shift_loop(monkeypatch):
+    # a private variable table, so the 10,001 variables below do not widen
+    # the monomials of later tests
+    monkeypatch.setattr(poly, "_VARS", list(poly._VARS))
+    monkeypatch.setattr(poly, "_FIELD", dict(poly._FIELD))
+    monkeypatch.setattr(poly, "_guards", poly._guards)
+    wide = [("wide", k) for k in range(10_001)]
+    for v in wide:
+        Poly.var(v)
+    rng = random.Random(20261022)
+    exps = (1, 2, 7, 1 << 16, MAX_FIELD_EXPONENT)
+    for _ in range(300):
+        monos = [monomial(*((v, rng.choice(exps))
+                            for v in rng.sample(wide[:300], rng.randint(0, 5))))
+                 for _ in range(rng.randint(0, 3))]
+        for m in monos:
+            assert unpack(m) == shift_unpack(m)
+        P = Poly({m: k + 1 for k, m in enumerate(set(monos))})
+        assert P.variables() == shift_variables(P)
+    # the top variable past field 10,000
+    m = monomial((wide[3], 2), (wide[-1], 5))
+    assert poly._FIELD[wide[-1]] > 10_000
+    assert unpack(m) == shift_unpack(m) == ((wide[3], 2), (wide[-1], 5))
+    P = Poly({m: 1, monomial((wide[7], 1)): 2})
+    assert P.variables() == shift_variables(P) == {wide[3], wide[7], wide[-1]}
+    assert unpack(0) == () and Poly().variables() == Poly.const(3).variables() == set()

@@ -9,6 +9,7 @@ print the same bytes."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import or_
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 import surfqp.poly as poly
 from surfqp.algebra import AlgElem
-from surfqp.evaluation import CONJ, L, R, _sides, build_fusion_bivector, fields_sym, wedge_sym
+from surfqp.evaluation import (CONJ, L, R, _sides, build_fusion_bivector, covector_sym, fields_sym,
+                               wedge_sym)
 from surfqp.poly import MAX_FIELD_EXPONENT, Poly, monomial
 from surfqp.repalgebra import RepAlgebra, RepElem
 from surfqp.words import SurfaceSignature, Word, parse_word
@@ -182,6 +184,17 @@ def ref_wedge_sym(alg, biv, on_p, on_q):
     return ref_accumulate(alg, parts)
 
 
+def scan_wedge_sym(alg, biv, on_p, on_q):
+    """wedge_sym before the per-symbol fold: every wedge term rescanned for
+    each pair, one's nonzero V(f_rs) by the other's W(f_sr)."""
+    triples = []
+    for t in biv.terms:
+        v, w = (t.v_slot, t.v_side), (t.w_slot, t.w_side)
+        for c, a, b in ((t.coeff, on_p[v], on_q[w]), (-t.coeff, on_q[v], on_p[w])):
+            triples += [(c, x, y) for (r, s), x in a.items() if (y := b.get((s, r))) is not None]
+    return alg.accumulate_products(triples)
+
+
 # --- the kernel on polynomials ---------------------------------------------------
 
 VARS = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (2, 1, 1), "x", "y"]
@@ -307,8 +320,39 @@ def test_symbolic_fields_print_the_reference_bytes(genus, punctures, dim, texts)
             assert (f in flat) != want.is_zero(), f
             if f in flat:
                 assert not flat[f].is_zero() and alg.to_json(flat[f]) == alg.to_json(want)
-    assert alg.to_json(wedge_sym(alg, biv, on_p, on_q)) == \
+    assert alg.to_json(wedge_sym(alg, covector_sym(biv, on_p), on_q)) == \
         alg.to_json(ref_wedge_sym(alg, biv, flat_p, flat_q))
+
+
+@pytest.mark.parametrize("genus,punctures,dim,texts", [
+    (1, 0, 1, ("p1^-1*q1", "q1^-2*p1^-1", "p1*q1")),
+    (1, 0, 3, ("q1^-1", "p1*q1", "p1")),
+    (0, 1, 2, ("z1^-2", "z1", "z1^-1")),
+    (1, 1, 2, ("p1^-1*z1", "q1*z1^-1", "z1^-1*q1^-1*p1")),
+    (0, 2, 2, ("z1*z2^-1", "z2^-1", "z2^-1*z1^-1")),
+    (0, 3, 2, ("z3^-1*z1", "z2^-1*z3^-1", "z1^-1")),
+    (2, 0, 1, ("p1^-1*q2", "q1^-1*p2^-1", "p2")),
+])
+def test_folded_wedge_prints_the_term_scan_bytes(genus, punctures, dim, texts):
+    # the per-symbol fold against the per-pair term scan it replaced, on
+    # word entries with inverse letters (so with det denominators) and on
+    # generator entries, with and without the fusion terms, both orders
+    sig = SurfaceSignature(genus, punctures)
+    alg = RepAlgebra(sig, dim)
+    words = [parse_word(text, sig) for text in texts]
+    elems = [alg.entry(v, i, j) for v in words for i, j in ((1, dim), (dim, 1))]
+    elems += [alg.sym(u, dim - 1, 0) for u in range(sig.rank)]
+    assert any(any(P.den) for P in elems)
+    for with_fusion in (True, False):
+        biv = build_fusion_bivector(sig, dim, with_fusion_terms=with_fusion)
+        on = [fields_sym(alg, biv, P) for P in elems]
+        covs = [covector_sym(biv, f) for f in on]
+        values = []
+        for (cov_p, on_p), on_q in product(zip(covs, on), on):
+            got = wedge_sym(alg, cov_p, on_q)
+            assert alg.to_json(got) == alg.to_json(scan_wedge_sym(alg, biv, on_p, on_q))
+            values.append(got)
+        assert any(not x.is_zero() for x in values)
 
 
 # --- work done once ----------------------------------------------------------------
@@ -398,8 +442,8 @@ def test_fields_sym_differentiates_once(monkeypatch):
 
 
 def test_sparse_symbolic_leg_tests_no_zero(monkeypatch):
-    # fields_sym stores no zero field, so wedge_sym pairs only nonzero ones and
-    # makes no is_zero call
+    # fields_sym stores no zero field, so covector_sym folds and wedge_sym
+    # pairs only nonzero ones, and neither makes an is_zero call
     sig = SurfaceSignature(1, 1)
     for dim in (1, 2):
         alg, biv = RepAlgebra(sig, dim), build_fusion_bivector(sig, dim)
@@ -415,5 +459,6 @@ def test_sparse_symbolic_leg_tests_no_zero(monkeypatch):
         calls, is_zero = [], RepElem.is_zero
         with monkeypatch.context() as patch:
             patch.setattr(RepElem, "is_zero", lambda self: calls.append(self) or is_zero(self))
-            got = [wedge_sym(alg, biv, a, b) for a in on for b in on]
+            covs = [covector_sym(biv, a) for a in on]
+            got = [wedge_sym(alg, cov, b) for cov in covs for b in on]
         assert calls == [] and got == want

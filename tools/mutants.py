@@ -55,7 +55,7 @@ MUTANTS = (
            "B[x][y] * ea * eb !=", "B[x][y] * ea !=",
            (f"{EVAL}::test_agreeing_pairs_build_no_fraction",)),
     Mutant("D_Q dropped from a pair's denominator", "src/surfqp/evaluation.py",
-           "left[0] * right[0])", "left[0])",
+           "D_P * D_Q)", "D_P)",
            (f"{EVAL}::test_bivector_bracket_matches_golden",)),
     Mutant("B transposed", "src/surfqp/evaluation.py",
            "B[n][m] = sum(", "B[m][n] = sum(",
@@ -63,8 +63,13 @@ MUTANTS = (
     Mutant("flipped wedge sign in the fold table", "src/surfqp/evaluation.py",
            "to_w.append((at_v, -t.coeff))", "to_w.append((at_v, t.coeff))",
            (f"{EVAL}::test_compare_constructions_passes",)),
+    Mutant("the flat lists skip each coordinate's last nonzero entry",
+           "src/surfqp/evaluation.py",
+           "[*compress(count(), f)], [*filter(None, f)]",
+           "[*compress(count(), f)][:-1], [*filter(None, f)][:-1]",
+           (f"{EVAL}::test_compare_constructions_passes",)),
     Mutant("a source block feeds only its first destination", "src/surfqp/evaluation.py",
-           "for to, c in feeds:", "for to, c in feeds[:1]:",
+           "for to, c in blocks[b]:", "for to, c in blocks[b][:1]:",
            (f"{EVAL}::test_fold_table_is_the_term_by_term_fold",)),
     Mutant("the point check reads the rank only", "src/surfqp/evaluation.py",
            'sig.rank or dims not in ("", str(dim)):', "sig.rank:",
@@ -102,9 +107,12 @@ MUTANTS = (
            "alg.gen_bracket((u, i, j), (v, k, l))",
            "alg.gen_bracket((v, k, l), (u, i, j))",
            (f"{EVAL}::test_symbolic_leg_pairs_the_table_brackets",)),
-    Mutant("wedge_sym looks up W at (r, s), not (s, r)", "src/surfqp/evaluation.py",
-           "b.get((s, r))", "b.get((r, s))",
+    Mutant("covector_sym files V(f_rs) at (r, s), not (s, r)", "src/surfqp/evaluation.py",
+           "cov.setdefault((partner, (s, r)), [])", "cov.setdefault((partner, (r, s)), [])",
            ("tests/test_product_kernel.py::test_symbolic_fields_print_the_reference_bytes",)),
+    Mutant("covector_sym drops the -coeff half of each term", "src/surfqp/evaluation.py",
+           "((t.coeff, on[v], w), (-t.coeff, on[w], v)):", "((t.coeff, on[v], w),):",
+           (f"{EVAL}::test_symbolic_agreement_torus_and_annulus",)),
     Mutant("fields_sym's C side drops its R part", "src/surfqp/evaluation.py",
            "sums.keys() & {(u, side), (u, CONJ)}:",
            "sums.keys() & {(u, side), (u, CONJ if side == L else side)}:",
