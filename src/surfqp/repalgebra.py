@@ -219,14 +219,19 @@ class RepAlgebra:
         return [(a, d) for a in self.variables(P) if not (d := self.d_dvar(P, a)).is_zero()]
 
     def gen_bracket(self, a: EntryVar, b: EntryVar) -> RepElem:
-        """Bracket of two generator entry symbols, from the double-bracket
-        table of the corresponding generator pair."""
-        hit = self._gen_bracket.get((a, b))
-        if hit is not None:
+        """{x^u_ij, x^v_kl}: one Poly.dot of c (w1)_kj (w2)_il over the table
+        dbl.base(u, v), whose words have positive letters only."""
+        if (hit := self._gen_bracket.get((a, b))) is not None:
             return hit
         (u, i, j), (v, k, l) = a, b
-        out = self.entry_pair_image(self.dbl.base(u, v), i, j, k, l)
-        self._gen_bracket[(a, b)] = out
+        zero, factors = self.zero_den, []
+        for (w1, w2), c in self.dbl.base(u, v).items():
+            x, y = self.column(w1, j)[k], self.column(w2, l)[i]
+            if x.den != zero or y.den != zero:
+                raise ValueError(f"{self.var_name(a)}, {self.var_name(b)}: "
+                                 "a table factor is over a determinant")
+            factors.append((c, x.num, y.num))
+        out = self._gen_bracket[(a, b)] = RepElem(self, Poly.dot(factors), zero)
         return out
 
     def entry_pair_image(self, t: Tensor2, i: int, j: int, k: int, l: int) -> RepElem:
@@ -242,9 +247,9 @@ class RepAlgebra:
         accumulate_products over b of (sum over a of dP/da {a, b}) dQ/db."""
         dP = self.differential(P)
         return self.accumulate_products(
-            (1, RepElem(self, h, den), dQb) for b, dQb in self.differential(Q)
-            for den, h in self._product_sums((1, dPa, self.gen_bracket(a, b))
-                                             for a, dPa in dP).items())
+            (1, RepElem(self, Poly.dot(group), den), dQb) for b, dQb in self.differential(Q)
+            for den, group in self._product_groups((1, dPa, self.gen_bracket(a, b))
+                                                   for a, dPa in dP).items())
 
     @staticmethod
     def _den_sums(parts: Iterable[RepElem]) -> dict[tuple[int, ...], Poly]:
@@ -259,9 +264,8 @@ class RepAlgebra:
         return {den: num for den, num in sums if not num.is_zero()}
 
     @staticmethod
-    def _product_sums(triples: Iterable[tuple[Scalar, RepElem, RepElem]]) -> dict[tuple[int, ...], Poly]:
-        """The nonzero sum of c num(a) num(b) over each group of (c, a, b)
-        triples with one denominator a.den + b.den, one Poly.dot per group."""
+    def _product_groups(triples: Iterable[tuple[Scalar, RepElem, RepElem]]) -> dict[tuple[int, ...], list]:
+        """(c, num(a), num(b)) of (c, a, b) triples, by denominator a.den + b.den."""
         groups: dict[tuple[int, ...], list] = {}
         da = db = None
         for c, a, b in triples:
@@ -269,8 +273,7 @@ class RepAlgebra:
                 da, db = a.den, b.den
                 group = groups.setdefault(tuple(map(add, da, db)), [])
             group.append((c, a.num, b.num))
-        sums = ((den, Poly.dot(group)) for den, group in groups.items())
-        return {den: num for den, num in sums if not num.is_zero()}
+        return groups
 
     def accumulate(self, parts: Iterable[RepElem]) -> RepElem:
         """Sum many elements in one pass: numerators are summed per distinct
@@ -281,9 +284,14 @@ class RepAlgebra:
         return self._over_common_den(self._den_sums(parts))
 
     def accumulate_products(self, triples: Iterable[tuple[Scalar, RepElem, RepElem]]) -> RepElem:
-        """The sum of c a b over (c, a, b) triples, as accumulate sums, with
-        each denominator group's products fused into one Poly.dot."""
-        return self._over_common_den(self._product_sums(triples))
+        """The sum of c a b over (c, a, b) triples, as accumulate sums, with one
+        Poly.dot per denominator group; a lone group's Poly.dot is the sum itself."""
+        groups = self._product_groups(triples)
+        if len(groups) == 1:
+            [(den, group)] = groups.items()
+            return RepElem(self, Poly.dot(group), den)
+        sums = ((den, Poly.dot(group)) for den, group in groups.items())
+        return self._over_common_den({den: num for den, num in sums if not num.is_zero()})
 
     def _over_common_den(self, sums: dict[tuple[int, ...], Poly]) -> RepElem:
         if not sums:

@@ -253,13 +253,20 @@ def _min_rotation(codes: str) -> str:
     n = len(codes)
     if n < 2:
         return codes
-    # a least rotation starts where a longest cyclic run of the least code starts; a
-    # run at 0 that goes on from the end is shorter than the run it continues
-    least, twice = min(codes), codes + codes
-    runs = [(m.start(), m.end() - m.start())
-            for m in re.finditer(re.escape(least) + "+", twice) if m.start() < n]
-    longest = max(k for _, k in runs)
-    return min(twice[i:i + n] for i, k in runs if k == longest)
+    # a least rotation starts where a longest cyclic run of the least code starts: its
+    # length from `in` at doubling, then halving, lengths, its starts below n by find
+    least, twice, run = min(codes), codes + codes, 1
+    while 2 * run <= n and least * 2 * run in twice:
+        run *= 2
+    for bit in reversed(range(run.bit_length() - 1)):
+        if run + (1 << bit) <= n and least * (run + (1 << bit)) in twice:
+            run += 1 << bit
+    at = twice.find(block := least * run)
+    best = twice[at:at + n]
+    while (at := twice.find(block, at + run, n + run - 1)) >= 0:
+        if (rot := twice[at:at + n]) < best:
+            best = rot
+    return best
 
 
 # --- cut corners ----------------------------------------------------------

@@ -10,7 +10,7 @@ print the same bytes."""
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import add, or_
 
 import pytest
 from hypothesis import given, seed, settings
@@ -401,9 +401,44 @@ def test_sums_from_the_first_part_print_the_bytes_of_an_empty_start():
     assert alg.to_json(total) == alg.to_json(ref)
     # runs of equal denominator pairs, broken and resumed, take one key a group
     triples = [(1, a, d), (2, b, d), (-1, e, a), (1, a, d), (3, c, c), (1, d, b), (-3, c, c)]
-    assert sums_by_den(alg._product_sums(triples)) == sums_by_den(ref_den_sums(
+    sums = ((den, Poly.dot(group)) for den, group in alg._product_groups(triples).items())
+    assert sums_by_den({den: s for den, s in sums if s.terms}) == sums_by_den(ref_den_sums(
         RepElem(alg, ref_mul(x.num, y.num).scale(k), tuple(map(sum, zip(x.den, y.den))))
         for k, x, y in triples))
+
+
+def test_one_group_product_sum_prints_the_bytes_of_the_many_group_path():
+    """Triples that fall in one denominator group are summed by that group's
+    Poly.dot over its denominator, in one step; the sum prints the bytes of
+    the path through the nonzero group sums and _over_common_den, and one
+    that cancels is zero over no determinant."""
+    alg = KERNEL_ALGEBRAS[1, 1, 2]
+    a, b, c = (alg.entry(parse_word(text, alg.sig), i, j) for text, i, j in (
+        ("p1*q1^-1", 1, 2), ("q1^-1*z1", 2, 1), ("z1^-1*p1", 2, 2)))
+    assert a.den == b.den != c.den and any(a.den) and any(c.den)
+
+    def many_group_path(triples):
+        sums = ((den, Poly.dot(group)) for den, group in alg._product_groups(triples).items())
+        return alg._over_common_den({den: s for den, s in sums if s.terms})
+
+    def built_products(triples):
+        return ref_accumulate(alg, (RepElem(alg, ref_mul(x.num, y.num).scale(k),
+                                            tuple(map(sum, zip(x.den, y.den))))
+                                    for k, x, y in triples))
+
+    one = [(1, a, c), (2, b, c), (Fraction(-1, 3), a, c)]
+    cancels = [(1, a, c), (2, b, c), (-1, a, c), (-2, b, c)]
+    many = [(1, a, c), (3, c, c), (-1, a, c), (Fraction(1, 2), b, b), (-3, c, c)]
+    for triples in (one, cancels, many):
+        got = alg.accumulate_products(triples)
+        for want in (many_group_path(triples), built_products(triples)):
+            assert alg.to_json(got) == alg.to_json(want)
+            assert list(got.num.items()) == list(want.num.items())
+    assert len(alg._product_groups(one)) == len(alg._product_groups(cancels)) == 1
+    assert alg.accumulate_products(one).den == tuple(map(add, a.den, c.den))
+    zero = alg.accumulate_products(cancels)
+    assert zero.is_zero() and zero.den == alg.zero_den
+    assert alg.accumulate_products(many).den == tuple(map(add, b.den, b.den))
 
 
 @pytest.mark.parametrize("genus,punctures,dim", [(1, 1, 2), (0, 2, 1), (1, 0, 3)])

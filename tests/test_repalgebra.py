@@ -229,6 +229,42 @@ ROUTE_ALGEBRAS = {(g, m, dim): route_algebras(SurfaceSignature(g, m), dim)
                   for g, m in ((1, 1), (0, 2), (1, 0)) for dim in (1, 2, 3)}
 
 
+@pytest.mark.parametrize("genus,punctures", [(1, 0), (0, 2), (1, 1), (0, 3)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_generator_bracket_is_the_entry_image_of_its_table(genus, punctures, dim):
+    """gen_bracket's one Poly.dot prints the bytes of entry_pair_image on the
+    table, on every ordered pair of generator entries, with the surface double
+    bracket and with its table alone."""
+    sig = SurfaceSignature(genus, punctures)
+    syms = [(u, i, j) for u in range(sig.rank) for i in range(dim) for j in range(dim)]
+    for dbl in (SurfaceDoubleBracket(sig), TableOnly(sig)):
+        alg = RepAlgebra(sig, dim, dbl)
+        for a in syms:
+            for b in syms:
+                want = alg.entry_pair_image(alg.dbl.base(a[0], b[0]), a[1], a[2], b[1], b[2])
+                assert alg.to_json(alg.gen_bracket(a, b)) == alg.to_json(want)
+
+
+class InverseTable:
+    """A generator table whose words hold an inverse letter in one slot."""
+
+    def __init__(self, slot):
+        self.slot = slot
+
+    def base(self, u, v):
+        pair = [Word.generator(u), Word.generator(v)]
+        pair[self.slot] = pair[self.slot].inverse()
+        return Tensor2({tuple(pair): 1})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_generator_bracket_refuses_a_table_factor_over_a_determinant(slot, dim):
+    alg = RepAlgebra(SIG, dim, InverseTable(slot))
+    with pytest.raises(ValueError, match="^p1_1_1, q1_1_1: "):
+        alg.gen_bracket((0, 0, 0), (1, 0, 0))
+
+
 @st.composite
 def route_words(draw, sig, max_len):
     """A short power x^n of one letter, or a reduced word of up to max_len
@@ -688,8 +724,8 @@ def test_generator_entry_bracket_builds_one_column_per_table_word(monkeypatch):
     alg.qp_bracket(alg.sym(0, 0, 0), alg.sym(1, 0, 0))
     steps = sum(max(len(x) - 1, 0) for pair, _ in alg.dbl.base(0, 1).items() for x in pair)
     assert steps > 0
-    # plus one sum in entry_pair_image and one in qp_bracket
-    assert len(calls) <= N * steps + 2
+    # plus the one sum in qp_bracket; gen_bracket itself is one Poly.dot
+    assert len(calls) <= N * steps + 1
 
 
 def test_multi_word_entry_is_term_order_free():

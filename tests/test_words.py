@@ -161,6 +161,18 @@ def test_least_rotation_is_the_least_of_all_rotations():
         text = "".join(rng.choices(rng.sample(codes, rng.randint(1, 3)), k=rng.randint(0, 12)))
         assert _min_rotation(text) == min((text[i:] + text[:i] for i in range(len(text))),
                                           default="")
+    # one-code words, whose run is the whole word, and periodic words, whose
+    # longest runs tie once a period and may wrap around the end
+    for text in [code * n for code in codes for n in (2, 3, 7, 8, 64, 65)] + [
+            (block * m)[shift:] + (block * m)[:shift]
+            for block in ("\x00" * 7 + "\x02", "*\n*", "\x01\x00\x00\x01\x00")
+            for m in (1, 2, 3, 17) for shift in (0, 1, 5)]:
+        assert _min_rotation(text) == min(text[i:] + text[:i] for i in range(len(text)))
+    # a one-code word of 100,000 letters stays linear: a run grown a letter at
+    # a time, or a start found at every letter, would take minutes
+    start = time.perf_counter()
+    assert CyclicWord.of(Word.generator(0) ** 100_000) == Word.generator(0) ** 100_000
+    assert time.perf_counter() - start < 1.0
 
 
 class TupleWord:
